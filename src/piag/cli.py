@@ -149,6 +149,19 @@ def _build_config(args, problem: Problem) -> SolverConfig:
     )
 
 
+def _read_summary(path) -> tuple[float, int]:
+    """The stepsize ``alpha`` and delay bound ``schedule.tau`` of a finished run."""
+    with open(path) as fh:
+        summary = json.load(fh)
+    try:
+        alpha, tau = float(summary["alpha"]), int(summary["schedule"]["tau"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError("bad-summary", f"{path}: needs numeric 'alpha' and 'schedule.tau'") from exc
+    if not (alpha > 0 and math.isfinite(alpha) and tau >= 0):
+        raise CliError("bad-summary", f"{path}: needs alpha > 0 and schedule.tau >= 0")
+    return alpha, tau
+
+
 def _schedule_dict(schedule: DelaySchedule) -> dict:
     out = {"kind": schedule.kind, "tau": schedule.tau}
     if schedule.block is not None:
@@ -247,10 +260,10 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     problem = _load_problem(args.problem)
-    config = _build_config(args, problem)
-    os.makedirs(args.out, exist_ok=True)
     runner = reference_fbs if args.reference_fbs else solve
     try:
+        config = _build_config(args, problem)  # SolverConfig rejects out-of-range values
+        os.makedirs(args.out, exist_ok=True)
         trace = runner(problem, config)
     except ValueError as exc:
         raise CliError("bad-config", str(exc)) from exc
@@ -279,17 +292,14 @@ def cmd_verify(args) -> int:
     if not os.path.exists(iterates_path):
         raise CliError("missing-iterates",
                        f"no iterates.csv in {run_dir}; re-run solve with --log-iterates")
-    with open(summary_path) as fh:
-        summary = json.load(fh)
-    alpha = float(summary["alpha"])
-    tau = int(summary["schedule"]["tau"])
+    alpha, tau = _read_summary(summary_path)
     try:
         iterates = read_iterates_csv(iterates_path)
     except ValueError as exc:
         raise CliError("empty-trace", str(exc)) from exc
     L, l = smoothness_totals(problem)
-    c0 = args.c0 if args.c0 is not None else summary.get("constants", {}).get("c0", 1.0)
-    constants = rate_constants(L, l, tau, float(c0))
+    # c0 enters neither the descent nor the summability bound.
+    constants = rate_constants(L, l, tau, c0=1.0)
     trace = diagnostics.trace_from_iterates(problem, iterates, alpha)
     f_lower = problem.f_lower_bound_hint
     if f_lower is None:
@@ -327,19 +337,11 @@ def _fit_rate_from_records(records, skip_iters: int, limit: float | None):
         f_min = float(np.min(fs))
         pad = 1e-14 * (1.0 + abs(f_min))
         limit = f_min - pad
-        keep = (ks >= skip_iters) & (fs - limit > 100.0 * pad)
+        keep = fs - limit > 100.0 * pad
     else:
-        keep = (ks >= skip_iters) & (fs - limit > 0.0)
-    ks, fs = ks[keep], fs[keep]
-    if len(ks) < 10:
-        raise ValueError("need at least 10 usable trace records to fit a rate")
-    y = np.log(fs - limit)
-    dk = ks - ks.mean()
-    slope = float(np.dot(dk, y - y.mean())) / float(np.dot(dk, dk))
-    fitted = y.mean() + slope * dk
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum((y - fitted) ** 2)) / ss_tot
-    return math.exp(slope), r2, float(limit)
+        keep = fs - limit > 0.0
+    fit = diagnostics.fit_rlinear_rate(fs[keep], limit, skip_iters, ks=ks[keep])
+    return fit.rate, fit.log_linear_r2, float(limit)
 
 
 def cmd_rate(args) -> int:
@@ -350,9 +352,7 @@ def cmd_rate(args) -> int:
         if not os.path.exists(path):
             raise CliError("missing-file", f"not found: {path}")
     records = read_trace_csv(trace_path)
-    with open(summary_path) as fh:
-        summary = json.load(fh)
-    tau = int(summary["schedule"]["tau"])
+    _, tau = _read_summary(summary_path)
     skip = args.skip if args.skip is not None else 5 * (tau + 1)
     try:
         rate, r2, limit = _fit_rate_from_records(records, skip, args.limit_value)
@@ -453,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="check the descent inequalities on a recorded run")
     p_verify.add_argument("--problem", required=True)
     p_verify.add_argument("--run", required=True, help="directory of a completed solve")
-    p_verify.add_argument("--c0", type=float, default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_rate = sub.add_parser("rate", parents=[common],

@@ -115,7 +115,38 @@ def next_refresh_set(schedule: DelaySchedule, k: int, n_components: int,
     return forced | {int(i) for i in extra}
 
 
-class GradientTable:
+class StepWindow:
+    """The last ``tau`` steps ``x_{k+1} - x_k``, for the delay-window sums.
+
+    On its own it serves a loop that forms every gradient fresh: staleness 0.
+    """
+
+    def __init__(self, tau: int):
+        if tau < 0:
+            raise ValueError("delay parameter tau must be nonnegative")
+        self.tau = int(tau)
+        # Iterates before the start count as copies of x0, so the pre-history
+        # steps are zero and an under-filled buffer is already correct.
+        self.steps = deque(maxlen=self.tau)
+
+    def push_step(self, step) -> None:
+        """Record the step ``x_{k+1} - x_k`` for the delay-window sums."""
+        if self.tau > 0:
+            self.steps.append(np.asarray(step, dtype=float).copy())
+
+    def delta(self) -> float:
+        """Sum of squared norms of the last ``tau`` steps."""
+        total = 0.0
+        for s in self.steps:
+            total += float(np.dot(s, s))
+        return total
+
+    def max_staleness(self) -> int:
+        """Largest age of the gradients used in the last step."""
+        return 0
+
+
+class GradientTable(StepWindow):
     """Per-component gradient cache with ages, aggregate, and step history.
 
     The aggregate is updated incrementally (subtract old entry, add new one)
@@ -128,22 +159,15 @@ class GradientTable:
     """
 
     def __init__(self, problem: Problem, x0, tau: int, recompute_every: int = 1000):
-        if tau < 0:
-            raise ValueError("delay parameter tau must be nonnegative")
+        super().__init__(tau)
         x0 = as_vector(x0, problem.dimension)
-        self.tau = int(tau)
         self.recompute_every = int(recompute_every)
         n = problem.n_components
         self.entries = np.empty((n, problem.dimension))
         for i, comp in enumerate(problem.components):
             self.entries[i] = comp.grad(x0)
         self.ages = np.zeros(n, dtype=int)
-        self.aggregate = np.zeros(problem.dimension)
-        for i in range(n):
-            self.aggregate += self.entries[i]
-        # Iterates before the start count as copies of x0, so the pre-history
-        # steps are zero and an under-filled buffer is already correct.
-        self.steps = deque(maxlen=self.tau)
+        self.recompute_aggregate()
         self.refresh_cycles = 0
 
     def refresh_and_aggregate(self, problem: Problem, x, refresh_set) -> Array:
@@ -164,10 +188,7 @@ class GradientTable:
         if full or self.refresh_cycles % self.recompute_every == 0:
             for i in indices:
                 self.entries[i] = problem.components[i].grad(x)
-            agg = np.zeros(problem.dimension)
-            for i in range(n):
-                agg += self.entries[i]
-            self.aggregate = agg
+            self.recompute_aggregate()
         else:
             for i in indices:
                 fresh = problem.components[i].grad(x)
@@ -185,18 +206,6 @@ class GradientTable:
                 f"{int(self.ages[worst])} > tau={self.tau}"
             )
         return self.aggregate.copy()
-
-    def push_step(self, step) -> None:
-        """Record the step ``x_{k+1} - x_k`` for the delay-window sums."""
-        if self.tau > 0:
-            self.steps.append(np.asarray(step, dtype=float).copy())
-
-    def delta(self) -> float:
-        """Sum of squared norms of the last ``tau`` steps."""
-        total = 0.0
-        for s in self.steps:
-            total += float(np.dot(s, s))
-        return total
 
     def max_staleness(self) -> int:
         """Largest entry age as of the most recent aggregation."""

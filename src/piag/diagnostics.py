@@ -262,33 +262,32 @@ def check_delayed_recursion_rate(b0: float, q: float, c: float, tau: int,
     return fit.rate <= max(p, q) + rate_slack
 
 
-def fit_rlinear_rate(values, limit: float, skip: int = 0) -> RateFit:
+def fit_rlinear_rate(values, limit: float, skip: int = 0, ks=None) -> RateFit:
     """Estimate a geometric decay rate from ``values_k -> limit``.
 
     Least-squares slope of ``log(values_k - limit)`` against ``k`` over
-    ``k >= skip``; the reported rate is ``exp(slope)``.  Residuals must be
-    strictly positive and at least 10 points must remain after the skip.
+    ``k >= skip``; the reported rate is ``exp(slope)``.  ``ks`` gives the
+    iteration index of each value (default ``0, 1, 2, ...``).  Residuals must
+    be strictly positive and at least 10 points must remain after the skip.
     """
     v = np.asarray(values, dtype=float)
     if skip < 0:
         raise ValueError("transient skip must be nonnegative")
-    resid = v[skip:] - limit
+    ks = np.arange(len(v), dtype=float) if ks is None else np.asarray(ks, dtype=float)
+    keep = ks >= skip
+    ks, resid = ks[keep], v[keep] - limit
     if len(resid) < 10:
         raise ValueError("need at least 10 points after the transient skip")
     if np.any(resid <= 0):
         raise ValueError("nonpositive residuals: the limit estimate is too high")
-    ks = np.arange(skip, len(v), dtype=float)
     y = np.log(resid)
-    k_mean = ks.mean()
     y_mean = y.mean()
-    dk = ks - k_mean
+    dk = ks - ks.mean()
     dy = y - y_mean
-    var = float(np.dot(dk, dk))
-    slope = float(np.dot(dk, dy)) / var
+    slope = float(np.dot(dk, dy)) / float(np.dot(dk, dk))
     fitted = y_mean + slope * dk
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.dot(dy, dy))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    ss_tot = float(np.sum(dy**2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum((y - fitted) ** 2)) / ss_tot
     return RateFit(rate=math.exp(slope), log_linear_r2=r2, transient_skip=skip)
 
 

@@ -77,6 +77,8 @@ def quadratic_component(A, b, constant: float = 0.0) -> QuadraticComponent:
     A = np.asarray(A, dtype=float)
     if A.shape != (d, d):
         raise ValueError(f"matrix shape {A.shape} does not match vector dimension {d}")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b)) and math.isfinite(constant)):
+        raise ValueError("matrix, linear term and constant must be finite")
     if not np.allclose(A, A.T, rtol=0.0, atol=1e-12):
         raise ValueError("matrix must be symmetric (tolerance 1e-12)")
     A = 0.5 * (A + A.T)

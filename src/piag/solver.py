@@ -8,20 +8,23 @@ term:
     y_k = x_k - alpha * g_k
     x_{k+1} = prox_{alpha * h}(y_k)
 
-With zero delay this is exactly forward-backward splitting, and
-``reference_fbs`` provides that loop as an independent implementation for
-equivalence testing.
+With zero delay this is exactly forward-backward splitting.  ``solve`` and
+``reference_fbs`` share one driver, which owns the stepsize, termination,
+divergence handling, trace records and the iterate log and evaluates F at
+most once per iterate.  They differ only in the step: ``solve`` aggregates
+through a ``GradientTable``, while ``reference_fbs`` forms the full gradient
+directly, so it stays an independent implementation for equivalence testing.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delay import DelaySchedule, GradientTable, next_refresh_set
+from .delay import DelaySchedule, GradientTable, StepWindow, next_refresh_set
 from .model import Problem, as_vector, eval_F, grad_f, smoothness_totals
 from .prox import prox, prox_residual
 
@@ -139,9 +142,14 @@ class SolverConfig:
     enforce_theory: bool = False
     c0: float | None = None
     keep_iterates: bool = False
-    # Smallness threshold under which the error bound is assumed to hold.
-    # Recorded for bookkeeping only; it has no computational role.
-    error_bound_epsilon: float | None = None
+
+    def __post_init__(self):
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
+        if not self.prox_residual_tol >= 0:
+            raise ValueError("prox_residual_tol must be a nonnegative number")
+        if self.trace_every < 1 or self.check_every < 1:
+            raise ValueError("trace_every and check_every must be positive")
 
 
 @dataclass
@@ -225,6 +233,85 @@ def piag_step(problem: Problem, table: GradientTable, x_k, alpha: float,
     return prox(problem.nonsmooth, y, alpha)
 
 
+def _iterate(problem: Problem, config: SolverConfig, window: StepWindow,
+             advance: Callable[[int, Array, float], Array]) -> Trace:
+    """Drive ``x_{k+1} = advance(k, x_k, alpha)`` to termination.
+
+    Owns the stepsize, the start-point check, termination, divergence, the
+    trace records and the iterate log; ``window`` supplies the staleness and
+    the delay-window sum of each record and receives every step.  F is
+    evaluated at most once per iterate.
+    """
+    tau = config.schedule.tau
+    L, l = smoothness_totals(problem)
+    alpha, warnings = resolve_stepsize(config, L, l, tau)
+    x = as_vector(config.x0, problem.dimension).copy()
+    if not problem.nonsmooth.value(x) < math.inf:
+        raise ValueError("x0 lies outside the domain of the nonsmooth term")
+
+    f0 = f_x = eval_F(problem, x)  # f_x is F(x), or None until needed
+    records: list[TraceRecord] = []
+    keep = config.keep_iterates
+    iterates = [x] if keep else None
+    objective_values = [f0] if keep else None
+    termination = "max_iters"
+
+    def objective() -> float:
+        nonlocal f_x
+        if f_x is None:
+            f_x = eval_F(problem, x)
+        return f_x
+
+    def record(k: int, step_norm: float, residual: float) -> None:
+        records.append(TraceRecord(k, objective(), step_norm, residual,
+                                   window.max_staleness(), window.delta()))
+
+    for k in range(config.max_iters):
+        residual = None
+        if k % config.check_every == 0:
+            residual = prox_residual(problem, alpha, x)
+            f_k = objective()
+            if not math.isfinite(f_k) or f_k > f0 + DIVERGENCE_MARGIN:
+                termination = "diverged"
+            elif residual <= config.prox_residual_tol:
+                termination = "converged"
+            if termination != "max_iters":
+                record(k, 0.0, residual)
+                break
+        try:
+            x_next = advance(k, x, alpha)
+            if not np.all(np.isfinite(x_next)):
+                raise DivergenceError("iterate is not finite")
+        except DivergenceError:
+            termination = "diverged"
+            record(k, 0.0, math.inf)
+            break
+        step = x_next - x
+        if k <= tau or k % config.trace_every == 0:
+            if residual is None:
+                residual = prox_residual(problem, alpha, x)
+            record(k, float(np.linalg.norm(step)), residual)
+        window.push_step(step)
+        x, f_x = x_next, None
+        if keep:
+            iterates.append(x)
+            objective_values.append(objective())
+    else:
+        k = config.max_iters
+        record(k, 0.0, prox_residual(problem, alpha, x))
+
+    return Trace(
+        records=records,
+        final_x=x,
+        termination=termination,
+        iterations=k,
+        alpha=alpha,
+        warnings=warnings,
+        iterates=np.asarray(iterates) if keep else None,
+        objective_values=np.asarray(objective_values) if keep else None,
+    )
+
+
 def solve(problem: Problem, config: SolverConfig) -> Trace:
     """Run the delayed-gradient proximal loop until the prox residual falls
     below tolerance, the iteration budget is exhausted, or divergence.
@@ -236,170 +323,31 @@ def solve(problem: Problem, config: SolverConfig) -> Trace:
     n = problem.n_components
     schedule = config.schedule
     schedule.validate_for(n)
-    tau = schedule.tau
-    L, l = smoothness_totals(problem)
-    alpha, warnings = resolve_stepsize(config, L, l, tau)
-    x0 = as_vector(config.x0, problem.dimension)
-    if not problem.nonsmooth.value(x0) < math.inf:
-        raise ValueError("x0 lies outside the domain of the nonsmooth term")
+    table = GradientTable(problem, config.x0, schedule.tau)
 
-    table = GradientTable(problem, x0, tau)
-    x = x0.copy()
-    f0 = eval_F(problem, x0)
-    records: list[TraceRecord] = []
-    keep = config.keep_iterates
-    iterates = [x0.copy()] if keep else None
-    objective_values = [f0] if keep else None
-    termination = "max_iters"
-    final_k = config.max_iters
+    def advance(k: int, x: Array, alpha: float) -> Array:
+        return piag_step(problem, table, x, alpha,
+                         next_refresh_set(schedule, k, n, table.ages))
 
-    for k in range(config.max_iters):
-        checked_residual = None
-        if k % config.check_every == 0:
-            checked_residual = prox_residual(problem, alpha, x)
-            f_here = eval_F(problem, x)
-            if not math.isfinite(f_here) or f_here > f0 + DIVERGENCE_MARGIN:
-                termination = "diverged"
-            elif checked_residual <= config.prox_residual_tol:
-                termination = "converged"
-            if termination != "max_iters":
-                records.append(TraceRecord(k, f_here, 0.0, checked_residual,
-                                           table.max_staleness(), table.delta()))
-                final_k = k
-                break
-        refresh = next_refresh_set(schedule, k, n, table.ages)
-        try:
-            x_next = piag_step(problem, table, x, alpha, refresh)
-        except DivergenceError:
-            termination = "diverged"
-            records.append(TraceRecord(k, eval_F(problem, x), 0.0,
-                                       math.inf, table.max_staleness(), table.delta()))
-            final_k = k
-            break
-        if not np.all(np.isfinite(x_next)):
-            termination = "diverged"
-            records.append(TraceRecord(k, eval_F(problem, x), 0.0,
-                                       math.inf, table.max_staleness(), table.delta()))
-            final_k = k
-            break
-        step = x_next - x
-        if k <= tau or k % config.trace_every == 0:
-            res = checked_residual
-            if res is None:
-                res = prox_residual(problem, alpha, x)
-            records.append(TraceRecord(k, eval_F(problem, x), float(np.linalg.norm(step)),
-                                       res, table.max_staleness(), table.delta()))
-        table.push_step(step)
-        x = x_next
-        if keep:
-            iterates.append(x.copy())
-            objective_values.append(eval_F(problem, x))
-    else:
-        final_k = config.max_iters
-        records.append(TraceRecord(final_k, eval_F(problem, x), 0.0,
-                                   prox_residual(problem, alpha, x),
-                                   table.max_staleness(), table.delta()))
-
-    if keep:
-        iterates = np.asarray(iterates[: final_k + 1])
-        objective_values = np.asarray(objective_values[: final_k + 1])
-    return Trace(
-        records=records,
-        final_x=x,
-        termination=termination,
-        iterations=final_k,
-        alpha=alpha,
-        warnings=warnings,
-        iterates=iterates if keep else None,
-        objective_values=objective_values if keep else None,
-    )
+    return _iterate(problem, config, table, advance)
 
 
 def reference_fbs(problem: Problem, config: SolverConfig) -> Trace:
     """Forward-backward splitting with the full gradient evaluated directly.
 
-    Mirrors :func:`solve` record for record so the two trajectories can be
-    compared bitwise when the schedule induces zero delay.
+    Shares :func:`solve`'s driver, so records, termination and the iterate
+    log follow the same rules, but forms its step independently: ``grad_f``
+    and ``prox``, with no gradient table.  At zero delay the two trajectories
+    can therefore be compared bitwise.
     """
-    tau = config.schedule.tau
-    L, l = smoothness_totals(problem)
-    alpha, warnings = resolve_stepsize(config, L, l, tau)
-    x0 = as_vector(config.x0, problem.dimension)
-    if not problem.nonsmooth.value(x0) < math.inf:
-        raise ValueError("x0 lies outside the domain of the nonsmooth term")
 
-    x = x0.copy()
-    f0 = eval_F(problem, x0)
-    steps = deque(maxlen=tau)
-    records: list[TraceRecord] = []
-    keep = config.keep_iterates
-    iterates = [x0.copy()] if keep else None
-    objective_values = [f0] if keep else None
-    termination = "max_iters"
-    final_k = config.max_iters
-
-    def window_sum() -> float:
-        total = 0.0
-        for s in steps:
-            total += float(np.dot(s, s))
-        return total
-
-    for k in range(config.max_iters):
-        checked_residual = None
-        if k % config.check_every == 0:
-            checked_residual = prox_residual(problem, alpha, x)
-            f_here = eval_F(problem, x)
-            if not math.isfinite(f_here) or f_here > f0 + DIVERGENCE_MARGIN:
-                termination = "diverged"
-            elif checked_residual <= config.prox_residual_tol:
-                termination = "converged"
-            if termination != "max_iters":
-                records.append(TraceRecord(k, f_here, 0.0, checked_residual, 0, window_sum()))
-                final_k = k
-                break
+    def advance(k: int, x: Array, alpha: float) -> Array:
         g = grad_f(problem, x)
         if not np.all(np.isfinite(g)):
-            termination = "diverged"
-            records.append(TraceRecord(k, eval_F(problem, x), 0.0, math.inf, 0, window_sum()))
-            final_k = k
-            break
-        x_next = prox(problem.nonsmooth, x - alpha * g, alpha)
-        if not np.all(np.isfinite(x_next)):
-            termination = "diverged"
-            records.append(TraceRecord(k, eval_F(problem, x), 0.0, math.inf, 0, window_sum()))
-            final_k = k
-            break
-        step = x_next - x
-        if k <= tau or k % config.trace_every == 0:
-            res = checked_residual
-            if res is None:
-                res = prox_residual(problem, alpha, x)
-            records.append(TraceRecord(k, eval_F(problem, x), float(np.linalg.norm(step)),
-                                       res, 0, window_sum()))
-        if tau > 0:
-            steps.append(step.copy())
-        x = x_next
-        if keep:
-            iterates.append(x.copy())
-            objective_values.append(eval_F(problem, x))
-    else:
-        final_k = config.max_iters
-        records.append(TraceRecord(final_k, eval_F(problem, x), 0.0,
-                                   prox_residual(problem, alpha, x), 0, window_sum()))
+            raise DivergenceError("full gradient is not finite")
+        return prox(problem.nonsmooth, x - alpha * g, alpha)
 
-    if keep:
-        iterates = np.asarray(iterates[: final_k + 1])
-        objective_values = np.asarray(objective_values[: final_k + 1])
-    return Trace(
-        records=records,
-        final_x=x,
-        termination=termination,
-        iterations=final_k,
-        alpha=alpha,
-        warnings=warnings,
-        iterates=iterates if keep else None,
-        objective_values=objective_values if keep else None,
-    )
+    return _iterate(problem, config, StepWindow(config.schedule.tau), advance)
 
 
 # ---------------------------------------------------------------------------

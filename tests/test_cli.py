@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -241,3 +242,38 @@ def test_solve_divergence_exit_code(tmp_path):
     assert rc == 3
     summary = json.loads((tmp_path / "r" / "summary.json").read_text())
     assert summary["termination"] == "diverged"
+
+
+def test_non_finite_problem_data_is_bad_problem(tmp_path, capsys):
+    # json writes and reads the non-finite floats as Infinity and NaN
+    for name, A, b in (("inf_b", [1.0], [math.inf]), ("nan_A", [math.nan], [0.0])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"dimension": 1, "components": [{"A": A, "b": b}],
+                                    "nonsmooth": {"kind": "zero"}}))
+        rc = run(["solve", "--problem", str(path), "--out", str(tmp_path / name), "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("piag: error: bad-problem:") and "finite" in err
+
+
+@pytest.mark.parametrize("flags", [["--max-iters", "-5"], ["--tol", "nan"]])
+def test_out_of_range_solver_settings_are_bad_config(l1_setup, capsys, flags):
+    problem, tmp = l1_setup
+    rc = run(["solve", "--problem", problem, *flags, "--out", str(tmp / "x"), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("piag: error: bad-config:")
+
+
+def test_summary_without_schedule_is_bad_summary(l1_setup, capsys):
+    problem, tmp = l1_setup
+    out = tmp / "run"
+    run(["solve", "--problem", problem, "--tau", "2", "--max-iters", "3000",
+         "--log-iterates", "--config", _write_config(tmp, {"trace_every": 1}),
+         "--out", str(out), "--quiet"])
+    summary = json.loads((out / "summary.json").read_text())
+    del summary["schedule"]
+    (out / "summary.json").write_text(json.dumps(summary))
+    for args in (["verify", "--problem", problem], ["rate"]):
+        rc = run([*args, "--run", str(out), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("piag: error: bad-summary:")

@@ -281,3 +281,13 @@ def test_problem_to_dict_rejects_non_quadratic():
     p = Problem([half_sq_norm_component(1)], NonsmoothTerm.zero(), 1)
     with pytest.raises(ValueError, match="quadratic"):
         problem_to_dict(p)
+
+
+def test_quadratic_component_rejects_non_finite_data():
+    # a NaN must not surface as a symmetry failure, nor an inf as a divergence
+    with pytest.raises(ValueError, match="finite"):
+        quadratic_component(np.array([[1.0, np.nan], [np.nan, 1.0]]), np.zeros(2))
+    with pytest.raises(ValueError, match="finite"):
+        quadratic_component(np.eye(2), np.array([0.0, np.inf]))
+    with pytest.raises(ValueError, match="finite"):
+        quadratic_component(np.eye(2), np.zeros(2), constant=-np.inf)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import piag.solver
 from piag import (DelaySchedule, GradientTable, NonsmoothTerm, Problem,
                   SolverConfig, piag_step, prox_residual, quadratic_component,
                   rate_constants, reference_fbs, solve, stepsize_threshold)
@@ -248,3 +249,32 @@ def test_zero_delay_bitwise_equivalence():
     ref = reference_fbs(p, cfg)
     assert np.array_equal(mine.iterates, ref.iterates)
     assert mine.records == ref.records
+
+
+def test_config_rejects_out_of_range_settings():
+    for bad in (dict(max_iters=-1), dict(prox_residual_tol=-1e-8),
+                dict(prox_residual_tol=math.nan), dict(trace_every=0), dict(check_every=0)):
+        with pytest.raises(ValueError):
+            base_config(np.zeros(2), **bad)
+
+
+@pytest.mark.parametrize("runner", [solve, reference_fbs])
+def test_objective_evaluated_at_most_once_per_iterate(monkeypatch, runner):
+    calls = []
+    real = piag.solver.eval_F
+
+    def counting_eval_F(problem, x):
+        calls.append(x)
+        return real(problem, x)
+
+    monkeypatch.setattr(piag.solver, "eval_F", counting_eval_F)
+    p = make_quadratic_l1(5, 20, seed=7, lam=0.3)
+    sched = DelaySchedule("cyclic", tau=4, block=2)
+    trace = runner(p, base_config(np.zeros(20), alpha="auto_lemma2", schedule=sched,
+                                  max_iters=5000))
+    assert trace.termination == "converged"
+    assert len(calls) == trace.iterations + 1  # one per logged iterate
+    calls.clear()
+    trace = runner(p, base_config(np.zeros(20), alpha="auto_lemma2", schedule=sched,
+                                  max_iters=5000, keep_iterates=False))
+    assert len(calls) <= len(trace.records) + 1
