@@ -60,7 +60,7 @@ def _load_problem(path) -> Problem:
         raise CliError("missing-file", f"problem file not found: {path}")
     try:
         return load_problem(path)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise CliError("bad-problem", str(exc)) from exc
 
 
@@ -98,55 +98,56 @@ def _parse_x0(spec, dimension: int) -> np.ndarray:
     return np.asarray(values)
 
 
-def _default_schedule(tau: int, n_components: int, kind: str | None,
-                      block: int | None, seed: int | None) -> DelaySchedule:
-    if kind is None:
-        kind = "none" if tau == 0 else "cyclic"
-    if kind == "cyclic" and block is None:
-        block = math.ceil(n_components / (tau + 1))
-    return DelaySchedule(kind=kind, tau=tau, block=block, seed=seed)
+# Flags that write over a field of the run config's ``schedule`` object.
+_SCHEDULE_FLAGS = {"schedule_kind": "kind", "tau": "tau", "block": "block", "seed": "seed"}
 
 
-def _build_config(args, problem: Problem) -> SolverConfig:
-    """Merge the run-config file with CLI overrides into a SolverConfig."""
-    cfg = _load_config_dict(getattr(args, "config", None))
-    tau = args.tau if args.tau is not None else int(cfg.get("tau", 0))
-    if tau < 0:
-        raise CliError("bad-config", "tau must be nonnegative")
-    seed = args.seed if args.seed is not None else cfg.get("seed")
+def _settings(args) -> dict:
+    """The run-config file with every given flag written over its top-level
+    keys and over the fields of its ``schedule`` object."""
+    settings = _load_config_dict(getattr(args, "config", None))
+    schedule = settings.setdefault("schedule", {})
+    if not isinstance(schedule, dict):
+        raise CliError("bad-config", "schedule must be a JSON object")
+    given = {flag: value for flag, value in vars(args).items() if value is not None}
+    settings.update((k, v) for k, v in given.items() if k in _CONFIG_KEYS)
+    schedule.update((_SCHEDULE_FLAGS[k], v) for k, v in given.items() if k in _SCHEDULE_FLAGS)
+    return settings
+
+
+def _build_config(problem: Problem, settings: dict, keep_iterates: bool) -> SolverConfig:
+    """Turn merged run settings into a SolverConfig.
+
+    The schedule defaults to ``none`` at tau = 0 and otherwise to ``cyclic``
+    with block ceil(N / (tau + 1)); its tau and seed fall back to the
+    top-level ones.  Out-of-range settings are ``bad-config``.
+    """
+    spec = dict(settings["schedule"])
     try:
-        if "schedule" in cfg:
-            schedule = schedule_from_dict(cfg["schedule"], default_tau=tau,
-                                          default_seed=seed)
-            if args.tau is not None and schedule.tau != args.tau:
-                schedule = _default_schedule(args.tau, problem.n_components,
-                                             schedule.kind, schedule.block, schedule.seed)
-        else:
-            schedule = _default_schedule(tau, problem.n_components,
-                                         getattr(args, "schedule_kind", None),
-                                         getattr(args, "block", None), seed)
+        tau = spec["tau"] = int(spec.get("tau", settings.get("tau", 0)))
+        if tau < 0:
+            raise ValueError("tau must be nonnegative")
+        if spec.setdefault("kind", "none" if tau == 0 else "cyclic") == "cyclic":
+            spec.setdefault("block", math.ceil(problem.n_components / (tau + 1)))
+        schedule = schedule_from_dict(spec, default_seed=settings.get("seed"))
         schedule.validate_for(problem.n_components)
-    except ValueError as exc:
-        raise CliError("bad-config", str(exc)) from exc
-
-    alpha = args.alpha if args.alpha is not None else cfg.get("alpha", "auto_lemma2")
-    if isinstance(alpha, str) and alpha not in ("auto_lemma2", "auto_c8"):
-        try:
+        alpha = settings.get("alpha", "auto_lemma2")
+        if alpha not in ("auto_lemma2", "auto_c8"):
             alpha = float(alpha)
-        except ValueError as exc:
-            raise CliError("bad-config", f"cannot parse alpha {alpha!r}") from exc
-    c0 = args.c0 if getattr(args, "c0", None) is not None else cfg.get("c0")
-    return SolverConfig(
-        alpha=alpha,
-        schedule=schedule,
-        x0=_parse_x0(args.x0 if args.x0 is not None else cfg.get("x0"), problem.dimension),
-        max_iters=args.max_iters if args.max_iters is not None else int(cfg.get("max_iters", 10000)),
-        prox_residual_tol=args.tol if args.tol is not None else float(cfg.get("tol", 1e-8)),
-        trace_every=int(cfg.get("trace_every", 10)),
-        enforce_theory=bool(cfg.get("enforce_theory", False)),
-        c0=float(c0) if c0 is not None else None,
-        keep_iterates=bool(getattr(args, "log_iterates", False)),
-    )
+        c0 = settings.get("c0")
+        return SolverConfig(
+            alpha=alpha,
+            schedule=schedule,
+            x0=_parse_x0(settings.get("x0"), problem.dimension),
+            max_iters=int(settings.get("max_iters", 10000)),
+            prox_residual_tol=float(settings.get("tol", 1e-8)),
+            trace_every=int(settings.get("trace_every", 10)),
+            enforce_theory=bool(settings.get("enforce_theory", False)),
+            c0=float(c0) if c0 is not None else None,
+            keep_iterates=keep_iterates,
+        )
+    except (TypeError, ValueError) as exc:
+        raise CliError("bad-config", str(exc)) from exc
 
 
 def _read_summary(path) -> tuple[float, int]:
@@ -258,20 +259,29 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _run_into(out_dir, runner, problem: Problem, settings: dict, problem_path,
+              keep_iterates: bool = False) -> Trace:
+    """Run one configured solve and write ``trace.csv``, ``summary.json``
+    and, when kept, ``iterates.csv`` to ``out_dir``."""
+    config = _build_config(problem, settings, keep_iterates)
+    os.makedirs(out_dir, exist_ok=True)
+    try:
+        trace = runner(problem, config)
+    except ValueError as exc:  # a start point or stepsize the run rejects
+        raise CliError("bad-config", str(exc)) from exc
+    write_trace_csv(trace, os.path.join(out_dir, "trace.csv"))
+    _write_json(_summary_dict(problem, config, trace, problem_path),
+                os.path.join(out_dir, "summary.json"))
+    if keep_iterates:
+        write_iterates_csv(trace.iterates, os.path.join(out_dir, "iterates.csv"))
+    return trace
+
+
 def cmd_solve(args) -> int:
     problem = _load_problem(args.problem)
     runner = reference_fbs if args.reference_fbs else solve
-    try:
-        config = _build_config(args, problem)  # SolverConfig rejects out-of-range values
-        os.makedirs(args.out, exist_ok=True)
-        trace = runner(problem, config)
-    except ValueError as exc:
-        raise CliError("bad-config", str(exc)) from exc
-    write_trace_csv(trace, os.path.join(args.out, "trace.csv"))
-    _write_json(_summary_dict(problem, config, trace, args.problem),
-                os.path.join(args.out, "summary.json"))
-    if config.keep_iterates:
-        write_iterates_csv(trace.iterates, os.path.join(args.out, "iterates.csv"))
+    trace = _run_into(args.out, runner, problem, _settings(args), args.problem,
+                      keep_iterates=args.log_iterates)
     _info(args, f"{trace.termination} after {trace.iterations} iterations "
                 f"(F={trace.final_objective:.9g}, residual={trace.final_residual:.3g})")
     return _EXIT_BY_TERMINATION[trace.termination]
@@ -296,7 +306,9 @@ def cmd_verify(args) -> int:
     try:
         iterates = read_iterates_csv(iterates_path)
     except ValueError as exc:
-        raise CliError("empty-trace", str(exc)) from exc
+        raise CliError("bad-iterates", str(exc)) from exc
+    if len(iterates) == 0:
+        raise CliError("empty-trace", f"{iterates_path}: iterate log is empty")
     L, l = smoothness_totals(problem)
     # c0 enters neither the descent nor the summability bound.
     constants = rate_constants(L, l, tau, c0=1.0)
@@ -356,6 +368,10 @@ def cmd_rate(args) -> int:
     skip = args.skip if args.skip is not None else 5 * (tau + 1)
     try:
         rate, r2, limit = _fit_rate_from_records(records, skip, args.limit_value)
+    except diagnostics.ShortSeriesError as exc:
+        raise CliError("short-trace", f"{trace_path}: {exc} (skip {skip}); record more "
+                       "often with trace_every in the run config, or pass a smaller --skip"
+                       ) from exc
     except ValueError as exc:
         raise CliError("bad-config", str(exc)) from exc
     _write_json({"rate": rate, "log_linear_r2": r2, "limit": limit,
@@ -373,26 +389,16 @@ def cmd_compare_delays(args) -> int:
     if any(t < 0 for t in tau_list):
         raise CliError("bad-usage", "tau values must be nonnegative")
     os.makedirs(args.out, exist_ok=True)
-    L, l = smoothness_totals(problem)
+    base = _settings(args)
+    base.setdefault("max_iters", 100000)
+    base["trace_every"] = 1  # dense records so the rate fit has enough points
+    base["schedule"].setdefault("seed", 0)
     rows = []
     for tau in tau_list:
         kind = "none" if tau == 0 else args.schedule_kind
-        schedule = _default_schedule(tau, problem.n_components, kind, None,
-                                     args.seed if args.seed is not None else 0)
-        config = SolverConfig(
-            alpha=0.9 * stepsize_threshold(L, l, tau),
-            schedule=schedule,
-            x0=_parse_x0(args.x0, problem.dimension),
-            max_iters=args.max_iters if args.max_iters is not None else 100000,
-            prox_residual_tol=args.tol if args.tol is not None else 1e-8,
-            trace_every=1,  # dense records so the rate fit has enough points
-        )
-        sub_dir = os.path.join(args.out, f"tau_{tau}")
-        os.makedirs(sub_dir, exist_ok=True)
-        trace = solve(problem, config)
-        write_trace_csv(trace, os.path.join(sub_dir, "trace.csv"))
-        _write_json(_summary_dict(problem, config, trace, args.problem),
-                    os.path.join(sub_dir, "summary.json"))
+        settings = {**base, "schedule": {**base["schedule"], "kind": kind, "tau": tau}}
+        trace = _run_into(os.path.join(args.out, f"tau_{tau}"), solve, problem, settings,
+                          args.problem)
         iters = trace.iterations if trace.termination == "converged" else -1
         try:
             rate, _, _ = _fit_rate_from_records(trace.records, 5 * (tau + 1), None)

@@ -116,7 +116,7 @@ def next_refresh_set(schedule: DelaySchedule, k: int, n_components: int,
 
 
 class StepWindow:
-    """The last ``tau`` steps ``x_{k+1} - x_k``, for the delay-window sums.
+    """Squared norms of the last ``tau`` steps, for the delay-window sums.
 
     On its own it serves a loop that forms every gradient fresh: staleness 0.
     """
@@ -127,18 +127,18 @@ class StepWindow:
         self.tau = int(tau)
         # Iterates before the start count as copies of x0, so the pre-history
         # steps are zero and an under-filled buffer is already correct.
-        self.steps = deque(maxlen=self.tau)
+        self.sq_norms = deque(maxlen=self.tau)
 
     def push_step(self, step) -> None:
         """Record the step ``x_{k+1} - x_k`` for the delay-window sums."""
         if self.tau > 0:
-            self.steps.append(np.asarray(step, dtype=float).copy())
+            self.sq_norms.append(float(np.dot(step, step)))
 
     def delta(self) -> float:
-        """Sum of squared norms of the last ``tau`` steps."""
+        """Sum of squared norms of the last ``tau`` steps, oldest first."""
         total = 0.0
-        for s in self.steps:
-            total += float(np.dot(s, s))
+        for v in self.sq_norms:  # not sum(): it is compensated on Python >= 3.12
+            total += v
         return total
 
     def max_staleness(self) -> int:

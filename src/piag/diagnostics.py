@@ -37,6 +37,10 @@ class InequalityReport:
     first_violation_k: int | None = None
 
 
+class ShortSeriesError(ValueError):
+    """Too few points remain for a rate fit."""
+
+
 @dataclass
 class RateFit:
     """Least-squares estimate of a geometric decay rate.
@@ -61,13 +65,16 @@ def delay_window_sums(sq_norms: Array, tau: int) -> Array:
     """Window sums ``sum_{j=k-tau}^{k-1} ||x_{j+1}-x_j||^2`` for each k.
 
     Steps before the start are zero (the run is padded with copies of the
-    first iterate), so truncated windows need no special handling.
+    first iterate), so truncated windows need no special handling.  The
+    terms are added oldest first, one shifted slice at a time; a difference
+    of prefix sums would leave rounding noise, possibly negative, once the
+    steps have decayed.
     """
     sq = np.asarray(sq_norms, dtype=float)
-    out = np.empty(len(sq))
-    for k in range(len(sq)):
-        lo = max(k - tau, 0)
-        out[k] = float(np.sum(sq[lo:k])) if k > lo else 0.0
+    padded = np.concatenate([np.zeros(tau), sq])
+    out = np.zeros(len(sq))
+    for j in range(tau):
+        out += padded[j:j + len(sq)]
     return out
 
 
@@ -96,6 +103,20 @@ def trace_from_iterates(problem: Problem, iterates: Array, alpha: float) -> Trac
     )
 
 
+def _report(name: str, slack: Array, scale: Array, tol: float) -> InequalityReport:
+    """Count the slacks below ``-tol * scale``; NaN slacks count as neither
+    violations nor the worst margin."""
+    bad = np.nonzero(slack < -tol * scale)[0]
+    return InequalityReport(
+        name=name,
+        checked=len(slack),
+        violations=len(bad),
+        worst_margin=float(np.fmin.reduce(slack, initial=math.inf)) if len(slack) else 0.0,
+        tolerance=tol,
+        first_violation_k=int(bad[0]) if len(bad) else None,
+    )
+
+
 def check_sufficient_descent(trace: Trace, constants: TheoryConstants,
                              alpha: float, tol: float = 1e-9) -> InequalityReport:
     """Verify, for every recorded step, that
@@ -110,24 +131,8 @@ def check_sufficient_descent(trace: Trace, constants: TheoryConstants,
     deltas = delay_window_sums(sq, constants.tau)
     coeff = constants.L_bar - 1.0 / alpha
     mix = constants.l_bar + constants.L_bar
-    violations = 0
-    worst = math.inf
-    first_bad = None
-    for k in range(len(sq)):
-        slack = f[k] + coeff * sq[k] + mix * deltas[k] - f[k + 1]
-        worst = min(worst, slack)
-        if slack < -tol * (1.0 + abs(f[k])):
-            violations += 1
-            if first_bad is None:
-                first_bad = k
-    return InequalityReport(
-        name="sufficient_descent",
-        checked=len(sq),
-        violations=violations,
-        worst_margin=0.0 if len(sq) == 0 else worst,
-        tolerance=tol,
-        first_violation_k=first_bad,
-    )
+    slack = f[:-1] + coeff * sq + mix * deltas - f[1:]
+    return _report("sufficient_descent", slack, 1.0 + np.abs(f[:-1]), tol)
 
 
 def check_summability(trace: Trace, alpha: float, constants: TheoryConstants,
@@ -146,28 +151,9 @@ def check_summability(trace: Trace, alpha: float, constants: TheoryConstants,
         raise ValueError("stepsize is not below the descent threshold; prefix bound undefined")
     if np.min(f) < f_lower - 1e-6 * (1.0 + abs(f_lower)):
         raise ValueError("observed objective drops below the declared lower bound")
-    sq = squared_step_norms(x)
-    lhs = 0.0
-    violations = 0
-    worst = math.inf
-    first_bad = None
-    for K in range(len(sq)):
-        lhs += sq[K]
-        rhs = (f[0] - f[K + 1]) / denom
-        slack = rhs - lhs
-        worst = min(worst, slack)
-        if slack < -tol * (1.0 + abs(lhs) + abs(rhs)):
-            violations += 1
-            if first_bad is None:
-                first_bad = K
-    return InequalityReport(
-        name="summability",
-        checked=len(sq),
-        violations=violations,
-        worst_margin=0.0 if len(sq) == 0 else worst,
-        tolerance=tol,
-        first_violation_k=first_bad,
-    )
+    lhs = np.cumsum(squared_step_norms(x))
+    rhs = (f[0] - f[1:]) / denom
+    return _report("summability", rhs - lhs, 1.0 + np.abs(lhs) + np.abs(rhs), tol)
 
 
 def check_perturbed_contraction(a: float, b: float, c: float, window: int,
@@ -252,10 +238,10 @@ def check_delayed_recursion_rate(b0: float, q: float, c: float, tau: int,
     a = np.asarray(seq, dtype=float)
     if np.any(a <= 0):
         raise ValueError("sequence entries must be positive")
-    for k in range(tau, len(a)):
-        bound = b0 * q**k + (c / tau) * float(np.sum(a[k - tau:k]))
-        if a[k] > bound * (1 + 1e-9) + 1e-15:
-            raise ValueError(f"recursion hypothesis violated at k={k}")
+    bound = b0 * q ** np.arange(len(a)) + (c / tau) * delay_window_sums(a, tau)
+    bad = np.nonzero(a[tau:] > bound[tau:] * (1 + 1e-9) + 1e-15)[0]
+    if len(bad):
+        raise ValueError(f"recursion hypothesis violated at k={tau + bad[0]}")
     p = characteristic_root(c, tau)
     skip = max(tau, len(a) // 2)
     fit = fit_rlinear_rate(a, limit=0.0, skip=skip)
@@ -277,7 +263,8 @@ def fit_rlinear_rate(values, limit: float, skip: int = 0, ks=None) -> RateFit:
     keep = ks >= skip
     ks, resid = ks[keep], v[keep] - limit
     if len(resid) < 10:
-        raise ValueError("need at least 10 points after the transient skip")
+        raise ShortSeriesError("need at least 10 points after the transient skip, "
+                               f"got {len(resid)}")
     if np.any(resid <= 0):
         raise ValueError("nonpositive residuals: the limit estimate is too high")
     y = np.log(resid)

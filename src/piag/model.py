@@ -155,11 +155,13 @@ class NonsmoothTerm:
     def __post_init__(self):
         if self.kind not in _NONSMOOTH_KINDS:
             raise ValueError(f"unknown nonsmooth kind {self.kind!r}")
-        if self.lam < 0:
-            raise ValueError("l1 weight must be nonnegative")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError("l1 weight must be a finite nonnegative number")
         if self.kind in ("box", "box_plus_l1"):
             if self.lo is None or self.hi is None:
                 raise ValueError(f"kind {self.kind!r} requires lo and hi bounds")
+            if np.any(np.isnan(self.lo)) or np.any(np.isnan(self.hi)):
+                raise ValueError("box bounds must not be NaN")
             if np.any(np.asarray(self.lo, float) > np.asarray(self.hi, float)):
                 raise ValueError("box bounds must satisfy lo <= hi")
 
@@ -217,6 +219,10 @@ class Problem:
             raise ValueError("problem needs at least one smooth component")
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
+        for bound in (self.nonsmooth.lo, self.nonsmooth.hi):
+            if np.ndim(bound) == 1 and len(bound) != self.dimension:
+                raise ValueError(f"box bound has {len(bound)} entries, "
+                                 f"problem dimension is {self.dimension}")
         L, l = smoothness_totals(self)
         if not (math.isfinite(L) and math.isfinite(l)):
             raise ValueError("aggregate smoothness constants must be finite")
@@ -277,8 +283,13 @@ def smoothness_totals(problem: Problem) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _reject_unknown(obj: dict, allowed: set[str], where: str):
-    unknown = sorted(set(obj) - allowed)
+def _check_fields(obj, required: set[str], optional: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    missing = sorted(required - set(obj))
+    if missing:
+        raise ValueError(f"{where} is missing the field(s) {missing}")
+    unknown = sorted(set(obj) - required - optional)
     if unknown:
         raise ValueError(f"unknown field(s) {unknown} in {where}")
 
@@ -294,22 +305,15 @@ def nonsmooth_to_dict(term: NonsmoothTerm) -> dict:
 
 
 def nonsmooth_from_dict(obj: dict) -> NonsmoothTerm:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("nonsmooth spec must be an object with a 'kind' field")
+    if not isinstance(obj, dict) or obj.get("kind") not in _NONSMOOTH_KINDS:
+        raise ValueError(f"nonsmooth spec must be an object with 'kind' one of {_NONSMOOTH_KINDS}")
     kind = obj["kind"]
-    if kind == "zero":
-        _reject_unknown(obj, {"kind"}, "nonsmooth")
-        return NonsmoothTerm.zero()
-    if kind == "l1":
-        _reject_unknown(obj, {"kind", "lambda"}, "nonsmooth")
-        return NonsmoothTerm.l1(float(obj.get("lambda", 0.0)))
-    if kind == "box":
-        _reject_unknown(obj, {"kind", "lo", "hi"}, "nonsmooth")
-        return NonsmoothTerm.box(obj["lo"], obj["hi"])
-    if kind == "box_plus_l1":
-        _reject_unknown(obj, {"kind", "lo", "hi", "lambda"}, "nonsmooth")
-        return NonsmoothTerm.box_plus_l1(obj["lo"], obj["hi"], float(obj.get("lambda", 0.0)))
-    raise ValueError(f"unknown nonsmooth kind {kind!r}")
+    bounds = {"lo", "hi"} if kind in ("box", "box_plus_l1") else set()
+    _check_fields(obj, {"kind"} | bounds, {"lambda"} if kind in ("l1", "box_plus_l1") else set(),
+                  "nonsmooth")
+    return NonsmoothTerm(kind, lam=float(obj.get("lambda", 0.0)),
+                         lo=_bound(obj["lo"]) if bounds else None,
+                         hi=_bound(obj["hi"]) if bounds else None)
 
 
 def problem_to_dict(problem: Problem) -> dict:
@@ -332,18 +336,15 @@ def problem_to_dict(problem: Problem) -> dict:
 
 
 def problem_from_dict(obj: dict) -> Problem:
-    if not isinstance(obj, dict):
-        raise ValueError("problem spec must be a JSON object")
-    _reject_unknown(obj, {"dimension", "components", "nonsmooth"}, "problem")
-    for key in ("dimension", "components", "nonsmooth"):
-        if key not in obj:
-            raise ValueError(f"problem spec is missing the {key!r} field")
-    d = int(obj["dimension"])
-    if d < 1:
+    _check_fields(obj, {"dimension", "components", "nonsmooth"}, set(), "problem spec")
+    d = obj["dimension"]
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ValueError("dimension must be a positive integer")
+    if not isinstance(obj["components"], list):
+        raise ValueError("components must be a list")
     comps = []
     for i, entry in enumerate(obj["components"]):
-        _reject_unknown(entry, {"A", "b", "c0_term"}, f"components[{i}]")
+        _check_fields(entry, {"A", "b"}, {"c0_term"}, f"components[{i}]")
         flat = np.asarray(entry["A"], dtype=float)
         if flat.shape != (d * d,):
             raise ValueError(

@@ -398,14 +398,19 @@ def write_iterates_csv(iterates: Array, path) -> None:
 
 
 def read_iterates_csv(path) -> Array:
+    """The iterate log as a ``(rows, d)`` array; a header-only log gives 0 rows."""
     rows = []
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("k,"):
             raise ValueError(f"{path}: unexpected iterate-log header")
-        for line in fh:
+        width = header.count(",") + 1
+        for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
-            rows.append([float(v) for v in parts[1:]])
-    if not rows:
-        raise ValueError(f"{path}: iterate log is empty")
-    return np.asarray(rows)
+            try:
+                if len(parts) != width:
+                    raise ValueError(f"{len(parts)} columns, the header has {width}")
+                rows.append([float(v) for v in parts[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    return np.asarray(rows, dtype=float).reshape(len(rows), width - 1)

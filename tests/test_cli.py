@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -277,3 +278,109 @@ def test_summary_without_schedule_is_bad_summary(l1_setup, capsys):
         rc = run([*args, "--run", str(out), "--quiet"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("piag: error: bad-summary:")
+
+
+def _summary(run_dir):
+    return json.loads((run_dir / "summary.json").read_text())
+
+
+def test_schedule_flags_override_config_schedule(tmp_path):
+    gen = tmp_path / "gen"
+    run(["generate", "--family", "l1", "--components", "6", "--dimension", "4",
+         "--seed", "3", "--out", str(gen), "--quiet"])
+    cfg = _write_config(tmp_path, {"schedule": {"kind": "cyclic", "block": 3}, "tau": 2})
+    out = tmp_path / "run"
+    run(["solve", "--problem", str(gen / "problem.json"), "--config", cfg,
+         "--schedule-kind", "adversarial_max", "--block", "6", "--max-iters", "50",
+         "--out", str(out), "--quiet"])
+    assert _summary(out)["schedule"] == {"kind": "adversarial_max", "tau": 2, "block": 6}
+
+
+def test_seed_flag_overrides_config_schedule_seed(l1_setup):
+    problem, tmp = l1_setup
+    cfg = _write_config(tmp, {"schedule": {"kind": "uniform_random", "tau": 2, "seed": 3}})
+    out = tmp / "run"
+    run(["solve", "--problem", problem, "--config", cfg, "--seed", "9",
+         "--max-iters", "50", "--out", str(out), "--quiet"])
+    assert _summary(out)["schedule"]["seed"] == 9
+
+
+def test_config_cyclic_schedule_without_block_gets_default_block(l1_setup):
+    problem, tmp = l1_setup
+    cfg = _write_config(tmp, {"schedule": {"kind": "cyclic"}, "tau": 2})
+    out = tmp / "run"
+    rc = run(["solve", "--problem", problem, "--config", cfg, "--max-iters", "50",
+              "--out", str(out), "--quiet"])
+    assert rc in (0, 2)
+    assert _summary(out)["schedule"] == {"kind": "cyclic", "tau": 2, "block": 1}
+
+
+def test_compare_delays_out_of_range_setting_is_bad_config(l1_setup, capsys):
+    problem, tmp = l1_setup
+    rc = run(["compare-delays", "--problem", problem, "--tau-list", "0,2", "--tol", "nan",
+              "--out", str(tmp / "cmp"), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("piag: error: bad-config:")
+
+
+_BOX_1D = {"kind": "box", "lo": -1.0, "hi": 1.0}
+_GOOD_COMPONENT = {"A": [1.0], "b": [0.0]}
+
+
+@pytest.mark.parametrize("spec", [
+    {"dimension": 1, "components": [_GOOD_COMPONENT], "nonsmooth": {"kind": "box", "hi": 1.0}},
+    {"dimension": 1, "components": [{"b": [0.0]}], "nonsmooth": _BOX_1D},
+    {"dimension": 1, "components": [{"A": [1.0]}], "nonsmooth": _BOX_1D},
+    {"dimension": 1, "components": 3, "nonsmooth": _BOX_1D},
+    {"dimension": 1, "components": [3], "nonsmooth": _BOX_1D},
+    {"dimension": 2.5, "components": [{"A": [1.0, 0.0, 0.0, 1.0], "b": [0.0, 0.0]}],
+     "nonsmooth": {"kind": "zero"}},
+    {"dimension": 1, "components": [_GOOD_COMPONENT],
+     "nonsmooth": {"kind": "box", "lo": [-1.0, -1.0], "hi": 1.0}},
+    {"dimension": 1, "components": [_GOOD_COMPONENT],
+     "nonsmooth": {"kind": "l1", "lambda": math.nan}},
+    {"dimension": 1, "components": [_GOOD_COMPONENT],
+     "nonsmooth": {"kind": "box", "lo": math.nan, "hi": 1.0}},
+], ids=["box-without-lo", "component-without-A", "component-without-b",
+        "components-not-a-list", "component-not-an-object", "fractional-dimension",
+        "lo-of-wrong-length", "nan-lambda", "nan-lo"])
+def test_malformed_problem_file_is_bad_problem(tmp_path, capsys, spec):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(spec))
+    rc = run(["solve", "--problem", str(path), "--out", str(tmp_path / "r"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("piag: error: bad-problem:") and "Traceback" not in err
+
+
+def _non_numeric_first_coordinate(row):
+    k, _, *rest = row.split(",")
+    return ",".join([k, "abc", *rest])
+
+
+@pytest.mark.parametrize("corrupt", [lambda row: row + ",0.5", _non_numeric_first_coordinate],
+                         ids=["extra-column", "non-numeric-column"])
+def test_malformed_iterate_row_is_bad_iterates(l1_setup, capsys, corrupt):
+    problem, tmp = l1_setup
+    out = tmp / "run"
+    run(["solve", "--problem", problem, "--tau", "1", "--max-iters", "20",
+         "--log-iterates", "--out", str(out), "--quiet"])
+    lines = (out / "iterates.csv").read_text().splitlines()
+    lines[3] = corrupt(lines[3])
+    (out / "iterates.csv").write_text("\n".join(lines) + "\n")
+    rc = run(["verify", "--problem", problem, "--run", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("piag: error: bad-iterates:") and "line 4" in err
+
+
+def test_rate_on_short_trace_is_short_trace(l1_setup, capsys):
+    problem, tmp = l1_setup
+    out = tmp / "run"
+    run(["solve", "--problem", problem, "--tau", "0", "--max-iters", "30",
+         "--out", str(out), "--quiet"])
+    rc = run(["rate", "--run", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("piag: error: short-trace:")
+    assert re.search(r"got \d+ ", err) and "trace_every" in err and "--skip" in err

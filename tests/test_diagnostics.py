@@ -6,7 +6,8 @@ import pytest
 from piag import (DelaySchedule, NonsmoothTerm, Problem, SolverConfig,
                   Trace, characteristic_root, check_delayed_recursion_rate,
                   check_perturbed_contraction, check_step_recursion_coefficient,
-                  check_sufficient_descent, check_summability, fit_rlinear_rate,
+                  check_sufficient_descent, check_summability, delay_window_sums,
+                  fit_rlinear_rate,
                   quadratic_component, rate_constants, smoothness_totals,
                   solve, stepsize_threshold, trace_from_iterates)
 from piag.problems import make_quadratic_box, make_quadratic_l1
@@ -307,3 +308,20 @@ def test_step_recursion_coefficient_needs_delay():
     tc = rate_constants(1.0, 0.0, 0, 1.0)
     with pytest.raises(ValueError, match="delay"):
         check_step_recursion_coefficient(tc, tc.c8)
+
+
+@pytest.mark.parametrize("tau", [0, 1, 3, 7, 12])
+def test_delay_window_sums_match_oldest_first_loop(tau):
+    rng = np.random.default_rng(tau)
+    # R-linear decay over many orders of magnitude, where a difference of
+    # prefix sums would leave rounding noise of either sign
+    sq = rng.uniform(0.5, 1.5, 200) * 0.8 ** np.arange(200)
+    expected = np.zeros(len(sq))
+    for k in range(len(sq)):
+        total = 0.0
+        for j in range(max(k - tau, 0), k):
+            total += sq[j]
+        expected[k] = total
+    got = delay_window_sums(sq, tau)
+    assert np.array_equal(got, expected)
+    assert np.all(got >= 0)
