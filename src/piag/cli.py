@@ -9,6 +9,7 @@ exhausted, 3 divergence, 4 inequality violations found by ``verify``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -115,39 +116,55 @@ def _settings(args) -> dict:
     return settings
 
 
+@contextlib.contextmanager
+def _config_field(name: str | None):
+    """Report a TypeError or ValueError raised inside as ``bad-config``,
+    prefixed with the run-config field it concerns."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise CliError("bad-config", f"{name}: {exc}" if name else str(exc)) from exc
+
+
+def _setting(settings: dict, key: str, convert, default=None):
+    with _config_field(key):
+        return convert(settings.get(key, default))
+
+
 def _build_config(problem: Problem, settings: dict, keep_iterates: bool) -> SolverConfig:
     """Turn merged run settings into a SolverConfig.
 
     The schedule defaults to ``none`` at tau = 0 and otherwise to ``cyclic``
     with block ceil(N / (tau + 1)); its tau and seed fall back to the
-    top-level ones.  Out-of-range settings are ``bad-config``.
+    top-level ones.  Out-of-range settings are ``bad-config``, and a value
+    that does not convert names its field.
     """
     spec = dict(settings["schedule"])
-    try:
+    with _config_field("tau"):
         tau = spec["tau"] = int(spec.get("tau", settings.get("tau", 0)))
         if tau < 0:
-            raise ValueError("tau must be nonnegative")
+            raise ValueError("must be nonnegative")
+    with _config_field("schedule"):
         if spec.setdefault("kind", "none" if tau == 0 else "cyclic") == "cyclic":
             spec.setdefault("block", math.ceil(problem.n_components / (tau + 1)))
         schedule = schedule_from_dict(spec, default_seed=settings.get("seed"))
         schedule.validate_for(problem.n_components)
-        alpha = settings.get("alpha", "auto_lemma2")
-        if alpha not in ("auto_lemma2", "auto_c8"):
-            alpha = float(alpha)
-        c0 = settings.get("c0")
+    alpha = settings.get("alpha", "auto_lemma2")
+    if alpha not in ("auto_lemma2", "auto_c8"):
+        alpha = _setting(settings, "alpha", float)
+    c0 = settings.get("c0")
+    with _config_field(None):
         return SolverConfig(
             alpha=alpha,
             schedule=schedule,
-            x0=_parse_x0(settings.get("x0"), problem.dimension),
-            max_iters=int(settings.get("max_iters", 10000)),
-            prox_residual_tol=float(settings.get("tol", 1e-8)),
-            trace_every=int(settings.get("trace_every", 10)),
+            x0=_setting(settings, "x0", lambda v: _parse_x0(v, problem.dimension)),
+            max_iters=_setting(settings, "max_iters", int, 10000),
+            prox_residual_tol=_setting(settings, "tol", float, 1e-8),
+            trace_every=_setting(settings, "trace_every", int, 10),
             enforce_theory=bool(settings.get("enforce_theory", False)),
-            c0=float(c0) if c0 is not None else None,
+            c0=_setting(settings, "c0", float) if c0 is not None else None,
             keep_iterates=keep_iterates,
         )
-    except (TypeError, ValueError) as exc:
-        raise CliError("bad-config", str(exc)) from exc
 
 
 def _read_summary(path) -> tuple[float, int]:
@@ -317,19 +334,21 @@ def cmd_verify(args) -> int:
     if f_lower is None:
         f_lower = float(np.min(trace.objective_values)) - 1.0
     reports = [diagnostics.check_sufficient_descent(trace, constants, alpha)]
+    result = {"alpha": alpha, "tau": tau}
     try:
         reports.append(diagnostics.check_summability(trace, alpha, constants, f_lower))
+    except diagnostics.AboveThresholdError:
+        result["summability"] = (f"not applicable: stepsize {alpha:.6g} is not below the "
+                                 f"descent threshold {constants.step_threshold:.6g}")
     except ValueError as exc:
         raise CliError("bad-config", str(exc)) from exc
     total = sum(r.violations for r in reports)
-    _write_json({
-        "alpha": alpha,
-        "tau": tau,
-        "reports": [vars(r) for r in reports],
-        "violations_total": total,
-    }, os.path.join(run_dir, "verify.json"))
+    result.update(reports=[vars(r) for r in reports], violations_total=total)
+    _write_json(result, os.path.join(run_dir, "verify.json"))
     for r in reports:
         _info(args, _report_line(r))
+    if "summability" in result:
+        _info(args, f"summability: {result['summability']}")
     if total > 0:
         first = min(r.first_violation_k for r in reports if r.first_violation_k is not None)
         print(f"piag: verify: inequality violated at k={first}", file=sys.stderr)
@@ -502,3 +521,7 @@ def main(argv=None) -> int:
 
 def console_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

@@ -41,6 +41,11 @@ class ShortSeriesError(ValueError):
     """Too few points remain for a rate fit."""
 
 
+class AboveThresholdError(ValueError):
+    """The stepsize is not below the descent threshold, so the summability
+    bound is undefined."""
+
+
 @dataclass
 class RateFit:
     """Least-squares estimate of a geometric decay rate.
@@ -148,7 +153,8 @@ def check_summability(trace: Trace, alpha: float, constants: TheoryConstants,
     x, f = _require_full_log(trace)
     denom = 1.0 / alpha - constants.tau * (constants.l_bar + constants.L_bar) - constants.L_bar
     if denom <= 0:
-        raise ValueError("stepsize is not below the descent threshold; prefix bound undefined")
+        raise AboveThresholdError("stepsize is not below the descent threshold; "
+                                  "prefix bound undefined")
     if np.min(f) < f_lower - 1e-6 * (1.0 + abs(f_lower)):
         raise ValueError("observed objective drops below the declared lower bound")
     lhs = np.cumsum(squared_step_norms(x))

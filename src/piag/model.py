@@ -2,15 +2,24 @@
 
 The objective has the form ``F(x) = sum_i f_i(x) + h(x)`` where every ``f_i``
 is smooth (gradient Lipschitz) and possibly nonconvex, and ``h`` is proper,
-closed and convex.  All evaluation helpers accumulate component terms in index
-order so that repeated runs are bitwise reproducible.
+closed and convex.  Evaluation is deterministic, so repeated runs are bitwise
+reproducible.  The full gradient ``grad_f`` accumulates component gradients in
+index order, the same order as the solver's aggregated gradient.  When every
+component is quadratic, the problem also keeps the summed quadratic
+``0.5 x'Sx + sb'x + const`` (formed once, in index order), and ``eval_f`` and
+the prox residual evaluate through it: one d x d matvec instead of N.  Their
+values may therefore differ from a per-component sum in the last bits, and so
+may the ``F`` and ``prox_residual`` columns of ``trace.csv`` and
+``final_objective`` in ``summary.json`` from versions before the summed
+quadratic; the iterates (``iterates.csv``), which only use component
+gradients, do not.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -103,6 +112,19 @@ def quadratic_component(A, b, constant: float = 0.0) -> QuadraticComponent:
     )
 
 
+def sum_quadratics(components) -> tuple[Array, Array, float]:
+    """Summed quadratic ``(S, sb, const)`` of quadratic components, added in
+    index order."""
+    S = np.zeros_like(components[0].matrix)
+    sb = np.zeros_like(components[0].offset)
+    const = 0.0
+    for comp in components:
+        S = S + comp.matrix
+        sb = sb + comp.offset
+        const += comp.constant
+    return S, sb, const
+
+
 @dataclass(frozen=True, eq=False)
 class DCSplit:
     """Difference-of-convex form ``f = f1 - f2`` of a smooth component."""
@@ -162,6 +184,9 @@ class NonsmoothTerm:
                 raise ValueError(f"kind {self.kind!r} requires lo and hi bounds")
             if np.any(np.isnan(self.lo)) or np.any(np.isnan(self.hi)):
                 raise ValueError("box bounds must not be NaN")
+            if np.ndim(self.lo) == np.ndim(self.hi) == 1 and len(self.lo) != len(self.hi):
+                raise ValueError(f"box bounds lo and hi have {len(self.lo)} and "
+                                 f"{len(self.hi)} entries")
             if np.any(np.asarray(self.lo, float) > np.asarray(self.hi, float)):
                 raise ValueError("box bounds must satisfy lo <= hi")
 
@@ -206,12 +231,17 @@ def _bound(v):
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """Composite minimization problem ``min sum_i f_i(x) + h(x)``."""
+    """Composite minimization problem ``min sum_i f_i(x) + h(x)``.
+
+    ``quadratic_sum`` is ``sum_quadratics(components)`` when every component
+    is a ``QuadraticComponent``, else None.
+    """
 
     components: tuple
     nonsmooth: NonsmoothTerm
     dimension: int
     f_lower_bound_hint: float | None = None
+    quadratic_sum: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -228,6 +258,8 @@ class Problem:
             raise ValueError("aggregate smoothness constants must be finite")
         if L < l:
             raise ValueError("aggregate Lipschitz constant must dominate the weak-convexity total")
+        if all(isinstance(c, QuadraticComponent) for c in self.components):
+            object.__setattr__(self, "quadratic_sum", sum_quadratics(self.components))
 
     @property
     def n_components(self) -> int:
@@ -235,8 +267,12 @@ class Problem:
 
 
 def eval_f(problem: Problem, x) -> float:
-    """Smooth part ``sum_i f_i(x)``, accumulated in component index order."""
+    """Smooth part ``sum_i f_i(x)``: through the summed quadratic when the
+    problem has one, else accumulated in component index order."""
     x = as_vector(x, problem.dimension)
+    if problem.quadratic_sum is not None:
+        S, sb, const = problem.quadratic_sum
+        return float(0.5 * np.dot(x, S @ x) + np.dot(sb, x) + const)
     total = 0.0
     for comp in problem.components:
         total += comp.value(x)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (NonsmoothTerm, Problem, QuadraticComponent, as_vector,
-                    eval_F, quadratic_component, smoothness_totals)
+from .model import (NonsmoothTerm, Problem, as_vector, eval_F, quadratic_component,
+                    smoothness_totals, sum_quadratics)
 from .prox import prox_residual, soft_threshold
 
 Array = np.ndarray
@@ -49,17 +49,6 @@ def _random_symmetric(rng: np.random.Generator, d: int, eig_lo: float,
     q = q * np.sign(np.diag(r))  # fix the QR sign ambiguity
     A = (q * lam) @ q.T
     return 0.5 * (A + A.T)
-
-
-def _sum_matrices(components) -> tuple[Array, Array, float]:
-    S = np.zeros_like(components[0].matrix)
-    sb = np.zeros_like(components[0].offset)
-    const = 0.0
-    for comp in components:
-        S = S + comp.matrix
-        sb = sb + comp.offset
-        const += comp.constant
-    return S, sb, const
 
 
 def _quadratic_lower_bound(S: Array, sb: Array, const: float, radius: float) -> float:
@@ -97,7 +86,7 @@ def make_quadratic_box(N: int, d: int, seed: int,
         A = _random_symmetric(rng, d, -negative_curvature, 1.0)
         b = rng.standard_normal(d)
         comps.append(quadratic_component(A, b))
-    S, sb, const = _sum_matrices(comps)
+    S, sb, const = sum_quadratics(comps)
     lam_min = float(np.linalg.eigvalsh(S)[0])
     half_width = 10.0 * (1.0 + float(np.linalg.norm(sb)) / max(lam_min, 0.1))
     hint = _quadratic_lower_bound(S, sb, const, half_width * math.sqrt(d))
@@ -130,7 +119,7 @@ def make_quadratic_l1(N: int, d: int, seed: int, lam: float) -> Problem:
             A = _random_symmetric(rng, d, eig_lo, 1.0)
             b = rng.standard_normal(d)
             comps.append(quadratic_component(A, b))
-        S, sb, const = _sum_matrices(comps)
+        S, sb, const = sum_quadratics(comps)
         if float(np.linalg.eigvalsh(S)[0]) >= 0.1:
             break
     else:
@@ -146,9 +135,9 @@ def make_quadratic_l1(N: int, d: int, seed: int, lam: float) -> Problem:
 
 
 def _require_quadratic(problem: Problem) -> tuple[Array, Array]:
-    if not all(isinstance(c, QuadraticComponent) for c in problem.components):
+    if problem.quadratic_sum is None:
         raise ReferenceUnavailableError("reference solutions need quadratic components")
-    S, sb, _ = _sum_matrices(problem.components)
+    S, sb, _ = problem.quadratic_sum
     return S, sb
 
 

@@ -38,10 +38,15 @@ def prox(term: NonsmoothTerm, anchor, scale: float) -> Array:
 def prox_residual(problem: Problem, scale: float, x) -> float:
     """Stationarity measure ``||prox_{scale*h}(x - scale*grad f(x)) - x||``.
 
-    Vanishes exactly at stationary points of the composite objective.
+    Vanishes exactly at stationary points of the composite objective.  The
+    gradient is ``S x + sb`` when the problem keeps a summed quadratic.
     """
     x = as_vector(x, problem.dimension)
-    g = grad_f(problem, x)
+    if problem.quadratic_sum is not None:
+        S, sb, _ = problem.quadratic_sum
+        g = S @ x + sb
+    else:
+        g = grad_f(problem, x)
     z = prox(problem.nonsmooth, x - scale * g, scale)
     return float(np.linalg.norm(z - x))
 

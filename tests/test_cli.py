@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -341,9 +343,11 @@ _GOOD_COMPONENT = {"A": [1.0], "b": [0.0]}
      "nonsmooth": {"kind": "l1", "lambda": math.nan}},
     {"dimension": 1, "components": [_GOOD_COMPONENT],
      "nonsmooth": {"kind": "box", "lo": math.nan, "hi": 1.0}},
+    {"dimension": 3, "components": [{"A": [1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0], "b": [0, 0, 0]}],
+     "nonsmooth": {"kind": "box", "lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0]}},
 ], ids=["box-without-lo", "component-without-A", "component-without-b",
         "components-not-a-list", "component-not-an-object", "fractional-dimension",
-        "lo-of-wrong-length", "nan-lambda", "nan-lo"])
+        "lo-of-wrong-length", "nan-lambda", "nan-lo", "lo-hi-of-different-lengths"])
 def test_malformed_problem_file_is_bad_problem(tmp_path, capsys, spec):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(spec))
@@ -384,3 +388,38 @@ def test_rate_on_short_trace_is_short_trace(l1_setup, capsys):
     assert rc == 1
     assert err.startswith("piag: error: short-trace:")
     assert re.search(r"got \d+ ", err) and "trace_every" in err and "--skip" in err
+
+
+def test_verify_above_descent_threshold_reports_descent_only(l1_setup, capsys):
+    problem, tmp = l1_setup
+    out = tmp / "run"
+    run(["solve", "--problem", problem, "--alpha", "100", "--max-iters", "20",
+         "--log-iterates", "--out", str(out), "--quiet"])
+    rc = run(["verify", "--problem", problem, "--run", str(out), "--quiet"])
+    assert capsys.readouterr().err.count("piag: error:") == 0
+    result = json.loads((out / "verify.json").read_text())
+    assert [r["name"] for r in result["reports"]] == ["sufficient_descent"]
+    assert result["summability"].startswith("not applicable: stepsize 100 ")
+    assert rc == (4 if result["violations_total"] else 0)
+
+
+@pytest.mark.parametrize("config, field", [({"tol": None}, "tol"), ({"alpha": "fast"}, "alpha"),
+                                           ({"x0": 5}, "x0")], ids=["tol", "alpha", "x0"])
+def test_unconvertible_config_value_names_its_field(l1_setup, capsys, config, field):
+    problem, tmp = l1_setup
+    rc = run(["solve", "--problem", problem, "--config", _write_config(tmp, config),
+              "--out", str(tmp / "x"), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"piag: error: bad-config: {field}: ")
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    out = tmp_path / "gen"
+    proc = subprocess.run([sys.executable, "-m", "piag.cli", "generate", "--family", "l1",
+                           "--components", "2", "--dimension", "3", "--out", str(out),
+                           "--quiet"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "problem.json").exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from piag import (NonsmoothTerm, Problem, SmoothComponent, dc_decompose,
                   eval_F, eval_f, grad_f, quadratic_component,
                   smoothness_totals)
 from piag.model import load_problem, problem_from_dict, problem_to_dict, save_problem
+from piag.prox import prox, prox_residual
 
 from helpers import central_diff_grad, quad_value_loops
 
@@ -291,3 +293,54 @@ def test_quadratic_component_rejects_non_finite_data():
         quadratic_component(np.eye(2), np.array([0.0, np.inf]))
     with pytest.raises(ValueError, match="finite"):
         quadratic_component(np.eye(2), np.zeros(2), constant=-np.inf)
+
+
+def test_box_bounds_of_different_lengths_are_rejected():
+    with pytest.raises(ValueError, match="3 and 2 entries"):
+        NonsmoothTerm.box([-1.0, -1.0, -1.0], [1.0, 1.0])
+
+
+# ------------------------------------------------------------ summed quadratic
+
+
+def _counting(comp, counts):
+    def value(x):
+        counts["value"] += 1
+        return comp.value(x)
+
+    def grad(x):
+        counts["grad"] += 1
+        return comp.grad(x)
+
+    return dataclasses.replace(comp, value=value, grad=grad)
+
+
+def test_all_quadratic_monitoring_calls_no_component():
+    rng = np.random.default_rng(5)
+    base = random_quadratic_problem(rng, 4, 3, NonsmoothTerm.l1(0.2))
+    counts = {"value": 0, "grad": 0}
+    p = Problem([_counting(c, counts) for c in base.components], base.nonsmooth, 3)
+    S, sb, const = p.quadratic_sum
+    expected_S = np.zeros((3, 3))
+    for comp in base.components:
+        expected_S = expected_S + comp.matrix
+    assert np.array_equal(S, expected_S)  # index-order sum
+    x = rng.standard_normal(3)
+    eval_F(p, x)
+    prox_residual(p, 0.3, x)
+    assert counts == {"value": 0, "grad": 0}
+
+
+def test_problem_with_callable_component_keeps_per_component_sums():
+    rng = np.random.default_rng(8)
+    quad = random_quadratic_problem(rng, 3, 4).components
+    p = Problem([*quad, half_sq_norm_component(4, 0.5)], NonsmoothTerm.l1(0.1), 4)
+    assert p.quadratic_sum is None
+    for _ in range(5):
+        x = rng.standard_normal(4)
+        total = 0.0
+        for comp in p.components:
+            total += comp.value(x)
+        assert eval_F(p, x) == total + p.nonsmooth.value(x)
+        z = prox(p.nonsmooth, x - 0.3 * grad_f(p, x), 0.3)
+        assert prox_residual(p, 0.3, x) == float(np.linalg.norm(z - x))

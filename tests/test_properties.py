@@ -4,6 +4,8 @@ Each example draws a problem family, its size, a delay schedule and a start
 point, runs the solver at the ``auto_lemma2`` stepsize for a fixed budget,
 and checks the Lemma-2 descent and summability reports, the staleness bound,
 and (at zero delay) bitwise agreement with the forward-backward reference.
+A second property compares the summed-quadratic objective and prox residual
+with their per-component forms on random all-quadratic problems.
 """
 
 import math
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from piag import (DelaySchedule, SolverConfig, check_sufficient_descent,
                   check_summability, rate_constants, reference_fbs,
                   smoothness_totals, solve)
+from piag import NonsmoothTerm, Problem, eval_F, grad_f, prox, prox_residual, quadratic_component
 from piag.problems import make_quadratic_box, make_quadratic_l1
 
 
@@ -61,3 +64,38 @@ def test_lemma2_guarantees_hold_on_random_runs(case):
         ref = reference_fbs(problem, config)
         assert np.array_equal(ref.iterates, trace.iterates)
         assert np.array_equal(ref.objective_values, trace.objective_values)
+
+
+@st.composite
+def quadratic_problems(draw):
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 5))
+    unit = st.floats(-1.0, 1.0)
+    comps = []
+    for _ in range(n):
+        m = np.reshape(draw(st.lists(unit, min_size=d * d, max_size=d * d)), (d, d))
+        b = draw(st.lists(unit, min_size=d, max_size=d))
+        constant = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 1.0))
+        comps.append(quadratic_component(0.5 * (m + m.T), b, constant))
+    nonsmooth = draw(st.sampled_from([NonsmoothTerm.zero(), NonsmoothTerm.l1(0.3),
+                                      NonsmoothTerm.box(-2.0, 2.0)]))
+    x = np.asarray(draw(st.lists(st.floats(-1.5, 1.5), min_size=d, max_size=d)))
+    return Problem(comps, nonsmooth, d), x, draw(st.floats(0.01, 2.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(quadratic_problems())
+def test_summed_quadratic_matches_per_component_sums(case):
+    problem, x, scale = case
+    assert problem.quadratic_sum is not None
+    values = [comp.value(x) for comp in problem.components]
+    total = 0.0
+    for v in values:
+        total += v
+    expected_F = total + problem.nonsmooth.value(x)
+    assert abs(eval_F(problem, x) - expected_F) <= 1e-12 * (1.0 + sum(map(abs, values)))
+
+    z = prox(problem.nonsmooth, x - scale * grad_f(problem, x), scale)
+    expected_r = float(np.linalg.norm(z - x))
+    grad_scale = sum(float(np.linalg.norm(comp.grad(x))) for comp in problem.components)
+    assert abs(prox_residual(problem, scale, x) - expected_r) <= 1e-12 * (1.0 + scale * grad_scale)
