@@ -19,6 +19,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import shutil
+import tempfile
+import zipfile
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -316,6 +320,13 @@ def smoothness_totals(problem: Problem) -> tuple[float, float]:
 #                 | {"kind": "box", "lo": x, "hi": x}
 #                 | {"kind": "box_plus_l1", "lo": x, "hi": x, "lambda": w}}
 # Unknown fields are rejected at every level.
+#
+# save_problem also writes a binary sidecar <path>.npz (e.g. problem.json.npz)
+# holding "sha256" (hex digest of the JSON file's bytes), "meta" (JSON text of
+# dimension and nonsmooth), "A" (N, d, d), "b" (N, d) and "c0" (N,).
+# load_problem takes the numbers from it only when the digest matches the
+# JSON file and falls back to the JSON text otherwise; the JSON stays the
+# schema, and the sidecar is a cache that is safe to delete.
 # ---------------------------------------------------------------------------
 
 
@@ -397,15 +408,84 @@ def problem_from_dict(obj: dict) -> Problem:
 
 
 def save_problem(problem: Problem, path) -> None:
+    """Write ``problem`` to the JSON file ``path`` and its sidecar ``<path>.npz``.
+
+    The sidecar holds the SHA-256 of the JSON bytes and the same numbers in
+    binary form, so ``load_problem`` can skip the text parse.  It is written
+    to a temporary file and renamed into place.
+    """
+    spec = problem_to_dict(problem)
     with open(path, "w") as fh:
-        json.dump(problem_to_dict(problem), fh, indent=2, sort_keys=True)
+        json.dump(spec, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    meta = json.dumps({"dimension": spec["dimension"], "nonsmooth": spec["nonsmooth"]})
+    c0 = np.array([entry.get("c0_term", 0.0) for entry in spec["components"]])
+    del spec  # frees the JSON lists before the matrices are stacked
+    sidecar = _sidecar_path(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(sidecar) or ".",
+                               prefix=os.path.basename(sidecar) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, sha256=np.array(_sha256(path)), meta=np.array(meta), c0=c0,
+                     A=np.array([c.matrix for c in problem.components], dtype=float),
+                     b=np.array([c.offset for c in problem.components], dtype=float))
+        shutil.copymode(path, tmp)  # mkstemp makes it owner-only; match the JSON file
+        os.replace(tmp, sidecar)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_problem(path) -> Problem:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    """Read a problem file.
+
+    The numbers come from the sidecar ``<path>.npz`` when its digest matches
+    the JSON bytes, else from the JSON text; either way ``problem_from_dict``
+    checks and builds the problem.
+    """
+    obj = _read_sidecar(path)
+    if obj is None:
+        with open(path) as fh:
+            try:
+                obj = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     return problem_from_dict(obj)
+
+
+def _sidecar_path(path) -> str:
+    return os.fspath(path) + ".npz"
+
+
+def _sha256(path) -> str:
+    """Hex SHA-256 of a file's bytes, read in 1 MiB chunks."""
+    # Imported here: it maps OpenSSL (~3.6 MB resident), which a process that
+    # never digests a problem file should not pay.
+    import hashlib
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _read_sidecar(path) -> dict | None:
+    """The problem spec stored in ``<path>.npz``, with the component arrays in
+    place of the JSON lists, or None when the sidecar is missing, unreadable,
+    inconsistent or written for other JSON bytes."""
+    try:
+        # A plain .npy raises TypeError (no context manager), an empty file EOFError.
+        with np.load(_sidecar_path(path), allow_pickle=False) as z:
+            if str(z["sha256"]) != _sha256(path):
+                return None
+            obj = json.loads(str(z["meta"]))
+            A, b, c0 = z["A"], z["b"], z["c0"]
+        n, d = len(c0), obj["dimension"]
+        if A.shape != (n, d, d) or b.shape != (n, d) or c0.shape != (n,):
+            return None
+    except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile):
+        return None
+    obj["components"] = [{"A": A[i].reshape(-1), "b": b[i], "c0_term": float(c0[i])}
+                         for i in range(n)]
+    return obj

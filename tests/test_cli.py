@@ -357,6 +357,33 @@ def test_malformed_problem_file_is_bad_problem(tmp_path, capsys, spec):
     assert err.startswith("piag: error: bad-problem:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("damage", [lambda text: text[: len(text) // 2],
+                                    lambda text: text.replace('"nonsmooth"', '"smooth"')],
+                         ids=["truncated", "renamed-field"])
+def test_malformed_problem_file_with_stale_sidecar_is_bad_problem(l1_setup, capsys, damage):
+    problem, tmp = l1_setup
+    assert os.path.exists(problem + ".npz")
+    with open(problem) as fh:
+        text = fh.read()
+    with open(problem, "w") as fh:
+        fh.write(damage(text))
+    rc = run(["solve", "--problem", problem, "--out", str(tmp / "r"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("piag: error: bad-problem:") and "Traceback" not in err
+
+
+def test_solve_outputs_do_not_depend_on_the_sidecar(l1_setup):
+    problem, tmp = l1_setup
+    args = ["solve", "--problem", problem, "--tau", "2", "--max-iters", "300",
+            "--log-iterates", "--quiet"]
+    run(args + ["--out", str(tmp / "a")])
+    os.remove(problem + ".npz")
+    run(args + ["--out", str(tmp / "b")])
+    for name in ("trace.csv", "summary.json", "iterates.csv"):
+        assert (tmp / "a" / name).read_bytes() == (tmp / "b" / name).read_bytes()
+
+
 def _non_numeric_first_coordinate(row):
     k, _, *rest = row.split(",")
     return ",".join([k, "abc", *rest])

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from piag import (NonsmoothTerm, Problem, SmoothComponent, dc_decompose,
                   eval_F, eval_f, grad_f, quadratic_component,
                   smoothness_totals)
+from piag import model
 from piag.model import load_problem, problem_from_dict, problem_to_dict, save_problem
 from piag.prox import prox, prox_residual
 
@@ -298,6 +300,118 @@ def test_quadratic_component_rejects_non_finite_data():
 def test_box_bounds_of_different_lengths_are_rejected():
     with pytest.raises(ValueError, match="3 and 2 entries"):
         NonsmoothTerm.box([-1.0, -1.0, -1.0], [1.0, 1.0])
+
+
+def _sidecar_case(nonsmooth):
+    """A problem file whose components have zero and nonzero constants."""
+    rng = np.random.default_rng(53)
+    base = random_quadratic_problem(rng, 3, 4).components
+    comps = [quadratic_component(c.matrix, c.offset, k) for c, k in zip(base, (0.0, -1.25, 0.1))]
+    return Problem(comps, nonsmooth, 4)
+
+
+_SIDECAR_NONSMOOTH = [NonsmoothTerm.zero(), NonsmoothTerm.l1(0.3), NonsmoothTerm.box(-2.0, 2.0),
+                      NonsmoothTerm.box_plus_l1(-np.arange(1.0, 5.0), [2.0, np.inf, 3.0, 4.0], 0.25)]
+
+
+def _parse_json(path) -> Problem:
+    with open(path) as fh:
+        return problem_from_dict(json.load(fh))
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def _assert_bitwise_equal(p, q):
+    assert q.dimension == p.dimension
+    for name in ("kind", "lam", "lo", "hi"):
+        a, b = getattr(p.nonsmooth, name), getattr(q.nonsmooth, name)
+        assert a == b if isinstance(a, str) or a is None else _bits(a) == _bits(b)
+    assert len(p.components) == len(q.components)
+    for a, b in zip(p.components, q.components):
+        for name in ("matrix", "offset", "constant", "lipschitz", "weak_convexity"):
+            assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
+    assert [_bits(v) for v in p.quadratic_sum] == [_bits(v) for v in q.quadratic_sum]
+
+
+@pytest.mark.parametrize("nonsmooth", _SIDECAR_NONSMOOTH, ids=lambda t: t.kind)
+def test_sidecar_load_is_bitwise_equal_to_json_parse(tmp_path, monkeypatch, nonsmooth):
+    path = tmp_path / "problem.json"
+    save_problem(_sidecar_case(nonsmooth), path)
+    expected = _parse_json(path)
+
+    def no_parse(fh):
+        raise AssertionError("the JSON text was parsed although the sidecar matches")
+
+    monkeypatch.setattr(model.json, "load", no_parse)
+    _assert_bitwise_equal(expected, load_problem(path))
+
+
+def test_save_problem_writes_the_interchange_bytes(tmp_path):
+    p = _sidecar_case(_SIDECAR_NONSMOOTH[-1])
+    path = tmp_path / "problem.json"
+    save_problem(p, path)
+    assert path.read_text() == json.dumps(problem_to_dict(p), indent=2, sort_keys=True) + "\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["problem.json", "problem.json.npz"]
+
+
+def test_edited_problem_file_loads_its_edited_content(tmp_path):
+    p = _sidecar_case(NonsmoothTerm.l1(0.3))
+    path = tmp_path / "problem.json"
+    save_problem(p, path)
+    spec = json.loads(path.read_text())
+    spec["components"][1]["b"][0] += 1.0
+    spec["nonsmooth"]["lambda"] = 0.5
+    path.write_text(json.dumps(spec))
+    q = load_problem(path)
+    assert q.components[1].offset[0] == p.components[1].offset[0] + 1.0
+    assert q.nonsmooth.lam == 0.5
+    _assert_bitwise_equal(_parse_json(path), q)
+
+
+def _rewrite_sidecar(path, **members):
+    with np.load(path) as z:
+        arrays = {**dict(z), **members}
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _write_npy(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+@pytest.mark.parametrize("damage", [
+    lambda s: s.unlink(),
+    lambda s: s.write_bytes(s.read_bytes()[:-100]),
+    lambda s: s.write_bytes(b"not a sidecar " * 20),
+    lambda s: s.write_bytes(b""),
+    _write_npy,
+    lambda s: _rewrite_sidecar(s, A=np.zeros((3, 4, 3))),
+    lambda s: _rewrite_sidecar(s, meta=np.array("[]")),
+], ids=["missing", "truncated", "garbage", "empty", "plain-npy", "wrong-shape", "bad-meta"])
+def test_unusable_sidecar_falls_back_to_the_json(tmp_path, damage):
+    path = tmp_path / "problem.json"
+    save_problem(_sidecar_case(NonsmoothTerm.l1(0.3)), path)
+    damage(tmp_path / "problem.json.npz")
+    _assert_bitwise_equal(_parse_json(path), load_problem(path))
+
+
+@pytest.mark.parametrize("with_sidecar", [True, False], ids=["sidecar", "no-sidecar"])
+def test_load_problem_writes_no_file(tmp_path, with_sidecar):
+    path = tmp_path / "problem.json"
+    save_problem(_sidecar_case(NonsmoothTerm.l1(0.3)), path)
+    if not with_sidecar:
+        (tmp_path / "problem.json.npz").unlink()
+
+    def listing():
+        return {f.name: (f.stat().st_ino, f.stat().st_size, f.stat().st_mtime_ns)
+                for f in tmp_path.iterdir()}
+
+    before = listing()
+    load_problem(path)
+    assert listing() == before
 
 
 # ------------------------------------------------------------ summed quadratic

@@ -5,12 +5,16 @@ point, runs the solver at the ``auto_lemma2`` stepsize for a fixed budget,
 and checks the Lemma-2 descent and summability reports, the staleness bound,
 and (at zero delay) bitwise agreement with the forward-backward reference.
 A second property compares the summed-quadratic objective and prox residual
-with their per-component forms on random all-quadratic problems.
+with their per-component forms on random all-quadratic problems.  The last
+two check the gradient table's running aggregate against the index-order sum
+of its entries, and the prox of every nonsmooth kind against its optimality
+condition.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +22,16 @@ from piag import (DelaySchedule, SolverConfig, check_sufficient_descent,
                   check_summability, rate_constants, reference_fbs,
                   smoothness_totals, solve)
 from piag import NonsmoothTerm, Problem, eval_F, grad_f, prox, prox_residual, quadratic_component
+from piag.delay import GradientTable, next_refresh_set
 from piag.problems import make_quadratic_box, make_quadratic_l1
+
+
+def draw_schedule(draw, n):
+    tau = draw(st.integers(0, 5))
+    kind = "none" if tau == 0 else draw(
+        st.sampled_from(["cyclic", "uniform_random", "adversarial_max"]))
+    block = draw(st.integers(math.ceil(n / (tau + 1)), n)) if kind == "cyclic" else None
+    return DelaySchedule(kind, tau=tau, block=block, seed=draw(st.integers(0, 99)))
 
 
 @st.composite
@@ -32,11 +45,7 @@ def runs(draw):
     else:
         problem = make_quadratic_box(n, d, seed,
                                      negative_curvature=draw(st.floats(0.0, 0.8)))
-    tau = draw(st.integers(0, 5))
-    kind = "none" if tau == 0 else draw(
-        st.sampled_from(["cyclic", "uniform_random", "adversarial_max"]))
-    block = draw(st.integers(math.ceil(n / (tau + 1)), n)) if kind == "cyclic" else None
-    schedule = DelaySchedule(kind, tau=tau, block=block, seed=draw(st.integers(0, 99)))
+    schedule = draw_schedule(draw, n)
     # Every generated box has half-width at least 10, so x0 starts inside it.
     x0 = np.asarray(draw(st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d)))
     config = SolverConfig(alpha="auto_lemma2", schedule=schedule, x0=x0, max_iters=400,
@@ -99,3 +108,79 @@ def test_summed_quadratic_matches_per_component_sums(case):
     expected_r = float(np.linalg.norm(z - x))
     grad_scale = sum(float(np.linalg.norm(comp.grad(x))) for comp in problem.components)
     assert abs(prox_residual(problem, scale, x) - expected_r) <= 1e-12 * (1.0 + scale * grad_scale)
+
+
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+@st.composite
+def gradient_tables(draw):
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 5))
+    problem = make_quadratic_l1(n, d, draw(st.integers(0, 2**16)), lam=0.0)
+    return problem, draw_schedule(draw, n), draw(st.integers(1, 40)), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gradient_tables())
+def test_aggregate_stays_within_drift_bound_of_entry_sum(case):
+    # Drift bound: with G the largest |entry| seen so far, every incremental
+    # update fl(fl(a - old) + new) rounds twice on values of size at most
+    # (N + 2) G, adding at most (2N + 4) u G per coordinate (the extra G covers
+    # the drift itself), and the index-order reference sum is itself within
+    # (N - 1) N u G of the exact sum.  An exact recompute (a full refresh or
+    # every `recompute_every` cycles) must match the reference bitwise.
+    problem, schedule, recompute_every, seed = case
+    n, d = problem.n_components, problem.dimension
+    rng = np.random.default_rng(seed)
+    table = GradientTable(problem, rng.standard_normal(d), schedule.tau, recompute_every)
+    g_max = float(np.max(np.abs(table.entries)))
+    updates = 0  # incremental entry updates since the last exact recompute
+    for k in range(60):
+        refresh = next_refresh_set(schedule, k, n, table.ages)
+        table.refresh_and_aggregate(problem, 10.0 * rng.standard_normal(d), refresh)
+        reference = np.zeros(d)
+        for row in table.entries:
+            reference += row
+        g_max = max(g_max, float(np.max(np.abs(table.entries))))
+        if len(refresh) == n or table.refresh_cycles % recompute_every == 0:
+            assert np.array_equal(table.aggregate, reference)
+            updates = 0
+        else:
+            updates += len(refresh)
+            bound = UNIT_ROUNDOFF * g_max * (updates * (2 * n + 4) + n * n)
+            assert float(np.max(np.abs(table.aggregate - reference))) <= bound
+
+
+@st.composite
+def prox_cases(draw, kind):
+    d = draw(st.integers(1, 6))
+
+    def vector():
+        return np.asarray(draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d)))
+
+    lam = draw(st.floats(0.0, 3.0)) if kind in ("l1", "box_plus_l1") else 0.0
+    lo = hi = None
+    if kind in ("box", "box_plus_l1"):
+        a, b = vector(), vector()
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return NonsmoothTerm(kind, lam=lam, lo=lo, hi=hi), vector(), draw(st.floats(1e-3, 10.0))
+
+
+@pytest.mark.parametrize("kind", ["zero", "l1", "box", "box_plus_l1"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_prox_satisfies_its_optimality_condition(kind, data):
+    # p = prox_{t h}(y) iff (y - p) / t lies in the subdifferential of h at p,
+    # coordinatewise lam * d|p_i| plus the box's normal cone at p_i.
+    term, y, t = data.draw(prox_cases(kind))
+    p = prox(term, y, t)
+    g = (y - p) / t
+    lo = -np.inf if term.lo is None else term.lo
+    hi = np.inf if term.hi is None else term.hi
+    assert np.all(lo <= p) and np.all(p <= hi)
+    sign = np.sign(p)
+    lower = np.where(p == lo, -np.inf, np.where(p != 0, term.lam * sign, -term.lam))
+    upper = np.where(p == hi, np.inf, np.where(p != 0, term.lam * sign, term.lam))
+    tol = 1e-12 * (1.0 + term.lam + (np.abs(y) + np.abs(p)) / t)
+    assert np.all(lower - tol <= g) and np.all(g <= upper + tol)
