@@ -18,11 +18,11 @@ import sys
 import numpy as np
 
 from . import diagnostics, problems
-from .delay import DelaySchedule, schedule_from_dict
+from .delay import SCHEDULE_KINDS, min_cyclic_block, schedule_from_dict
 from .model import Problem, load_problem, save_problem, smoothness_totals
-from .solver import (SolverConfig, Trace, rate_constants, read_iterates_csv,
-                     read_trace_csv, reference_fbs, solve, stepsize_threshold,
-                     write_iterates_csv, write_trace_csv)
+from .solver import (SolverConfig, Trace, format_exact, rate_constants,
+                     read_iterates_csv, read_trace_csv, reference_fbs, solve,
+                     stepsize_threshold, write_iterates_csv, write_trace_csv)
 
 _EXIT_BY_TERMINATION = {"converged": 0, "max_iters": 2, "diverged": 3}
 
@@ -65,16 +65,21 @@ def _load_problem(path) -> Problem:
         raise CliError("bad-problem", str(exc)) from exc
 
 
+def _read_json(path, code: str):
+    """The JSON in ``path``; text that does not parse is a ``code`` error."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CliError(code, f"{path}: line {exc.lineno}: {exc.msg}") from exc
+
+
 def _load_config_dict(path) -> dict:
     if path is None:
         return {}
     if not os.path.exists(path):
         raise CliError("missing-file", f"config file not found: {path}")
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CliError("bad-config", f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    obj = _read_json(path, "bad-config")
     if not isinstance(obj, dict):
         raise CliError("bad-config", f"{path}: run config must be a JSON object")
     unknown = sorted(set(obj) - _CONFIG_KEYS)
@@ -146,7 +151,7 @@ def _build_config(problem: Problem, settings: dict, keep_iterates: bool) -> Solv
             raise ValueError("must be nonnegative")
     with _config_field("schedule"):
         if spec.setdefault("kind", "none" if tau == 0 else "cyclic") == "cyclic":
-            spec.setdefault("block", math.ceil(problem.n_components / (tau + 1)))
+            spec.setdefault("block", min_cyclic_block(problem.n_components, tau))
         schedule = schedule_from_dict(spec, default_seed=settings.get("seed"))
         schedule.validate_for(problem.n_components)
     alpha = settings.get("alpha", "auto_lemma2")
@@ -169,8 +174,7 @@ def _build_config(problem: Problem, settings: dict, keep_iterates: bool) -> Solv
 
 def _read_summary(path) -> tuple[float, int]:
     """The stepsize ``alpha`` and delay bound ``schedule.tau`` of a finished run."""
-    with open(path) as fh:
-        summary = json.load(fh)
+    summary = _read_json(path, "bad-summary")
     try:
         alpha, tau = float(summary["alpha"]), int(summary["schedule"]["tau"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -178,15 +182,6 @@ def _read_summary(path) -> tuple[float, int]:
     if not (alpha > 0 and math.isfinite(alpha) and tau >= 0):
         raise CliError("bad-summary", f"{path}: needs alpha > 0 and schedule.tau >= 0")
     return alpha, tau
-
-
-def _schedule_dict(schedule: DelaySchedule) -> dict:
-    out = {"kind": schedule.kind, "tau": schedule.tau}
-    if schedule.block is not None:
-        out["block"] = schedule.block
-    if schedule.seed is not None:
-        out["seed"] = schedule.seed
-    return out
 
 
 def _summary_dict(problem: Problem, config: SolverConfig, trace: Trace,
@@ -207,7 +202,7 @@ def _summary_dict(problem: Problem, config: SolverConfig, trace: Trace,
         "alpha": trace.alpha,
         "final_objective": trace.final_objective,
         "final_residual": trace.final_residual,
-        "schedule": _schedule_dict(config.schedule),
+        "schedule": {k: v for k, v in vars(config.schedule).items() if v is not None},
         "constants": constants,
         "warnings": trace.warnings,
     }
@@ -234,11 +229,9 @@ def cmd_generate(args) -> int:
     if args.family == "box":
         problem = problems.make_quadratic_box(args.components, args.dimension, seed,
                                               negative_curvature=args.negative_curvature)
-    elif args.family == "l1":
+    else:
         problem = problems.make_quadratic_l1(args.components, args.dimension, seed,
                                              lam=args.l1_weight)
-    else:
-        raise CliError("bad-usage", f"unknown family {args.family!r}")
     problem_path = os.path.join(out_dir, "problem.json")
     save_problem(problem, problem_path)
     L, l = smoothness_totals(problem)
@@ -330,9 +323,7 @@ def cmd_verify(args) -> int:
     # c0 enters neither the descent nor the summability bound.
     constants = rate_constants(L, l, tau, c0=1.0)
     trace = diagnostics.trace_from_iterates(problem, iterates, alpha)
-    f_lower = problem.f_lower_bound_hint
-    if f_lower is None:
-        f_lower = float(np.min(trace.objective_values)) - 1.0
+    f_lower = float(np.min(trace.objective_values)) - 1.0
     reports = [diagnostics.check_sufficient_descent(trace, constants, alpha)]
     result = {"alpha": alpha, "tau": tau}
     try:
@@ -340,8 +331,6 @@ def cmd_verify(args) -> int:
     except diagnostics.AboveThresholdError:
         result["summability"] = (f"not applicable: stepsize {alpha:.6g} is not below the "
                                  f"descent threshold {constants.step_threshold:.6g}")
-    except ValueError as exc:
-        raise CliError("bad-config", str(exc)) from exc
     total = sum(r.violations for r in reports)
     result.update(reports=[vars(r) for r in reports], violations_total=total)
     _write_json(result, os.path.join(run_dir, "verify.json"))
@@ -354,6 +343,11 @@ def cmd_verify(args) -> int:
         print(f"piag: verify: inequality violated at k={first}", file=sys.stderr)
         return 4
     return 0
+
+
+def _transient_skip(tau: int) -> int:
+    """Iterations the rate fit skips by default: five delay windows."""
+    return 5 * (tau + 1)
 
 
 def _fit_rate_from_records(records, skip_iters: int, limit: float | None):
@@ -384,7 +378,7 @@ def cmd_rate(args) -> int:
             raise CliError("missing-file", f"not found: {path}")
     records = read_trace_csv(trace_path)
     _, tau = _read_summary(summary_path)
-    skip = args.skip if args.skip is not None else 5 * (tau + 1)
+    skip = args.skip if args.skip is not None else _transient_skip(tau)
     try:
         rate, r2, limit = _fit_rate_from_records(records, skip, args.limit_value)
     except diagnostics.ShortSeriesError as exc:
@@ -420,7 +414,7 @@ def cmd_compare_delays(args) -> int:
                           args.problem)
         iters = trace.iterations if trace.termination == "converged" else -1
         try:
-            rate, _, _ = _fit_rate_from_records(trace.records, 5 * (tau + 1), None)
+            rate, _, _ = _fit_rate_from_records(trace.records, _transient_skip(tau), None)
         except ValueError:
             rate = math.nan
         rows.append((tau, trace.alpha, iters, rate))
@@ -428,7 +422,7 @@ def cmd_compare_delays(args) -> int:
     with open(table_path, "w") as fh:
         fh.write("tau,alpha,iters_to_tol,fitted_rate\n")
         for tau, alpha, iters, rate in rows:
-            fh.write(f"{tau},{format(alpha, '.17g')},{iters},{format(rate, '.17g')}\n")
+            fh.write(f"{tau},{format_exact(alpha)},{iters},{format_exact(rate)}\n")
     _info(args, "tau alpha iters_to_tol fitted_rate")
     for tau, alpha, iters, rate in rows:
         _info(args, f"{tau} {alpha:.6g} {iters} {rate:.6g}")
@@ -436,17 +430,19 @@ def cmd_compare_delays(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--seed", type=int, default=None, help="seed override")
-    common.add_argument("--quiet", action="store_true", help="suppress progress output")
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true", help="suppress progress output")
+    # verify and rate write into their --run directory and draw nothing.
+    out_seed = argparse.ArgumentParser(add_help=False)
+    out_seed.add_argument("--out", default=".", help="output directory")
+    out_seed.add_argument("--seed", type=int, default=None, help="seed override")
 
     parser = _Parser(prog="piag",
                      description="Incremental aggregated proximal gradient solver "
                                  "and convergence diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("generate", parents=[common],
+    p_gen = sub.add_parser("generate", parents=[out_seed, quiet],
                            help="write a random test problem and its metadata")
     p_gen.add_argument("--family", choices=("box", "l1"), required=True)
     p_gen.add_argument("--components", type=int, required=True)
@@ -455,14 +451,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--l1-weight", type=float, default=1.0)
     p_gen.set_defaults(func=cmd_generate)
 
-    p_solve = sub.add_parser("solve", parents=[common], help="run the solver")
+    p_solve = sub.add_parser("solve", parents=[out_seed, quiet], help="run the solver")
     p_solve.add_argument("--problem", required=True)
     p_solve.add_argument("--config", default=None, help="run-config JSON file")
     p_solve.add_argument("--alpha", default=None,
                          help="stepsize, or auto_lemma2 / auto_c8")
     p_solve.add_argument("--tau", type=int, default=None)
-    p_solve.add_argument("--schedule-kind", default=None,
-                         choices=("none", "cyclic", "uniform_random", "adversarial_max"))
+    p_solve.add_argument("--schedule-kind", default=None, choices=SCHEDULE_KINDS)
     p_solve.add_argument("--block", type=int, default=None)
     p_solve.add_argument("--max-iters", type=int, default=None)
     p_solve.add_argument("--tol", type=float, default=None)
@@ -474,25 +469,25 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run the direct forward-backward reference loop")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[quiet],
                               help="check the descent inequalities on a recorded run")
     p_verify.add_argument("--problem", required=True)
     p_verify.add_argument("--run", required=True, help="directory of a completed solve")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_rate = sub.add_parser("rate", parents=[common],
+    p_rate = sub.add_parser("rate", parents=[quiet],
                             help="fit a geometric rate to the recorded objective")
     p_rate.add_argument("--run", required=True)
     p_rate.add_argument("--skip", type=int, default=None)
     p_rate.add_argument("--limit-value", type=float, default=None)
     p_rate.set_defaults(func=cmd_rate)
 
-    p_cmp = sub.add_parser("compare-delays", parents=[common],
+    p_cmp = sub.add_parser("compare-delays", parents=[out_seed, quiet],
                            help="sweep the delay parameter on one problem")
     p_cmp.add_argument("--problem", required=True)
     p_cmp.add_argument("--tau-list", required=True)
     p_cmp.add_argument("--schedule-kind", default="adversarial_max",
-                       choices=("cyclic", "uniform_random", "adversarial_max"))
+                       choices=SCHEDULE_KINDS[1:])  # tau = 0 always runs "none"
     p_cmp.add_argument("--max-iters", type=int, default=None)
     p_cmp.add_argument("--tol", type=float, default=None)
     p_cmp.add_argument("--x0", default=None)

@@ -20,7 +20,7 @@ from .model import Problem, as_vector
 
 Array = np.ndarray
 
-_SCHEDULE_KINDS = ("none", "cyclic", "uniform_random", "adversarial_max")
+SCHEDULE_KINDS = ("none", "cyclic", "uniform_random", "adversarial_max")
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class DelaySchedule:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _SCHEDULE_KINDS:
+        if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.tau < 0:
             raise ValueError("delay parameter tau must be nonnegative")
@@ -54,12 +54,18 @@ class DelaySchedule:
     def validate_for(self, n_components: int) -> None:
         """Reject configurations that cannot respect the delay bound."""
         if self.kind == "cyclic":
-            min_block = math.ceil(n_components / (self.tau + 1))
+            min_block = min_cyclic_block(n_components, self.tau)
             if self.block < min_block:
                 raise ValueError(
                     f"cyclic block {self.block} too small for N={n_components}, "
                     f"tau={self.tau}; need at least {min_block}"
                 )
+
+
+def min_cyclic_block(n_components: int, tau: int) -> int:
+    """Smallest cyclic block that refreshes every component within ``tau + 1``
+    iterations, ``ceil(N / (tau + 1))``."""
+    return math.ceil(n_components / (tau + 1))
 
 
 def schedule_from_dict(obj: dict, default_tau: int | None = None,

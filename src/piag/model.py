@@ -369,8 +369,8 @@ def problem_to_dict(problem: Problem) -> dict:
         if not isinstance(comp, QuadraticComponent):
             raise ValueError(f"component {i} is not quadratic and cannot be serialized")
         entry = {
-            "A": [float(v) for v in comp.matrix.reshape(-1)],
-            "b": [float(v) for v in comp.offset],
+            "A": comp.matrix.reshape(-1).tolist(),
+            "b": comp.offset.tolist(),
         }
         if comp.constant != 0.0:
             entry["c0_term"] = comp.constant

@@ -65,6 +65,26 @@ def _quadratic_lower_bound(S: Array, sb: Array, const: float, radius: float) -> 
     return min(phi(r) for r in candidates)
 
 
+def _check_generator_args(N: int, d: int, param: float, param_name: str) -> None:
+    if not 1 <= d <= MAX_DIMENSION:
+        raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}]")
+    if not 1 <= N <= MAX_COMPONENTS:
+        raise ValueError(f"component count must be in [1, {MAX_COMPONENTS}]")
+    if param < 0:
+        raise ValueError(f"{param_name} must be nonnegative")
+
+
+def _draw_components(rng: np.random.Generator, N: int, d: int, eig_lo: float) -> list:
+    """``N`` quadratic components, each a random symmetric matrix with
+    eigenvalues in ``[eig_lo, 1]`` and a standard normal linear term."""
+    comps = []
+    for _ in range(N):
+        A = _random_symmetric(rng, d, eig_lo, 1.0)
+        b = rng.standard_normal(d)
+        comps.append(quadratic_component(A, b))
+    return comps
+
+
 def make_quadratic_box(N: int, d: int, seed: int,
                        negative_curvature: float = 0.0) -> Problem:
     """Sum of ``N`` random quadratics over a symmetric box.
@@ -74,18 +94,8 @@ def make_quadratic_box(N: int, d: int, seed: int,
     half-width scales with the linear terms so that interior stationary
     points stay reachable, and compactness bounds the objective below.
     """
-    if not 1 <= d <= MAX_DIMENSION:
-        raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}]")
-    if not 1 <= N <= MAX_COMPONENTS:
-        raise ValueError(f"component count must be in [1, {MAX_COMPONENTS}]")
-    if negative_curvature < 0:
-        raise ValueError("negative_curvature must be nonnegative")
-    rng = np.random.default_rng(seed)
-    comps = []
-    for _ in range(N):
-        A = _random_symmetric(rng, d, -negative_curvature, 1.0)
-        b = rng.standard_normal(d)
-        comps.append(quadratic_component(A, b))
+    _check_generator_args(N, d, negative_curvature, "negative_curvature")
+    comps = _draw_components(np.random.default_rng(seed), N, d, -negative_curvature)
     S, sb, const = sum_quadratics(comps)
     lam_min = float(np.linalg.eigvalsh(S)[0])
     half_width = 10.0 * (1.0 + float(np.linalg.norm(sb)) / max(lam_min, 0.1))
@@ -105,20 +115,11 @@ def make_quadratic_l1(N: int, d: int, seed: int, lam: float) -> Problem:
     until the summed matrix has smallest eigenvalue at least 0.1 (up to 100
     attempts).
     """
-    if not 1 <= d <= MAX_DIMENSION:
-        raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}]")
-    if not 1 <= N <= MAX_COMPONENTS:
-        raise ValueError(f"component count must be in [1, {MAX_COMPONENTS}]")
-    if lam < 0:
-        raise ValueError("l1 weight must be nonnegative")
+    _check_generator_args(N, d, lam, "l1 weight")
     rng = np.random.default_rng(seed)
     eig_lo = 0.15 if N == 1 else -0.2
     for _ in range(100):
-        comps = []
-        for _ in range(N):
-            A = _random_symmetric(rng, d, eig_lo, 1.0)
-            b = rng.standard_normal(d)
-            comps.append(quadratic_component(A, b))
+        comps = _draw_components(rng, N, d, eig_lo)
         S, sb, const = sum_quadratics(comps)
         if float(np.linalg.eigvalsh(S)[0]) >= 0.1:
             break

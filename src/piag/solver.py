@@ -39,10 +39,6 @@ TRACE_HEADER = "k,F,step_norm,prox_residual,max_staleness,delta_k"
 class DivergenceError(RuntimeError):
     """Raised when the iteration produces non-finite quantities."""
 
-    def __init__(self, message: str, iteration: int | None = None):
-        super().__init__(message if iteration is None else f"{message} (iteration {iteration})")
-        self.iteration = iteration
-
 
 def stepsize_threshold(L: float, l: float, tau: int) -> float:
     """Largest stepsize (exclusive) with guaranteed descent and summable
@@ -356,7 +352,8 @@ def reference_fbs(problem: Problem, config: SolverConfig) -> Trace:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
+def format_exact(v: float) -> str:
+    """``v`` with 17 significant digits, which any float round-trips through."""
     return format(v, ".17g")
 
 
@@ -365,8 +362,8 @@ def write_trace_csv(trace: Trace, path) -> None:
         fh.write(TRACE_HEADER + "\n")
         for r in trace.records:
             fh.write(
-                f"{r.k},{_fmt(r.objective)},{_fmt(r.step_norm)},"
-                f"{_fmt(r.prox_residual)},{r.max_staleness},{_fmt(r.delta)}\n"
+                f"{r.k},{format_exact(r.objective)},{format_exact(r.step_norm)},"
+                f"{format_exact(r.prox_residual)},{r.max_staleness},{format_exact(r.delta)}\n"
             )
 
 
@@ -394,7 +391,7 @@ def write_iterates_csv(iterates: Array, path) -> None:
     with open(path, "w") as fh:
         fh.write("k," + ",".join(f"x_{j}" for j in range(d)) + "\n")
         for k, row in enumerate(iterates):
-            fh.write(str(k) + "," + ",".join(_fmt(v) for v in row) + "\n")
+            fh.write(str(k) + "," + ",".join(format_exact(v) for v in row) + "\n")
 
 
 def read_iterates_csv(path) -> Array:

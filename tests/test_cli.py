@@ -217,6 +217,16 @@ def test_usage_error_exits_one(capsys):
     assert "bad-usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["verify", "--problem", "p.json", "--run", "r"],
+                                     ["rate", "--run", "r"]], ids=["verify", "rate"])
+@pytest.mark.parametrize("flag", [["--out", "elsewhere"], ["--seed", "3"]], ids=["out", "seed"])
+def test_verify_and_rate_reject_out_and_seed(tmp_path, capsys, command, flag):
+    # Both read and write only the run directory and draw no random numbers.
+    rc = run([*command, *flag, "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("piag: error: bad-usage:")
+
+
 def _one_d_box_problem(tmp_path, nonsmooth):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({
@@ -280,6 +290,20 @@ def test_summary_without_schedule_is_bad_summary(l1_setup, capsys):
         rc = run([*args, "--run", str(out), "--quiet"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("piag: error: bad-summary:")
+
+
+def test_unparsable_summary_is_bad_summary(l1_setup, capsys):
+    problem, tmp = l1_setup
+    out = tmp / "run"
+    run(["solve", "--problem", problem, "--max-iters", "30", "--log-iterates",
+         "--out", str(out), "--quiet"])
+    (out / "summary.json").write_text("{not json")
+    for args in (["verify", "--problem", problem], ["rate"]):
+        rc = run([*args, "--run", str(out), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"piag: error: bad-summary: {out / 'summary.json'}: line 1: "
+            "Expecting property name enclosed in double quotes\n")
 
 
 def _summary(run_dir):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ from piag import (DelaySchedule, NonsmoothTerm, Problem, SolverConfig,
                   dist_to_stationary, eval_F, fit_error_bound_constant,
                   prox, prox_residual, quadratic_component, reference_fbs,
                   reference_solution, smoothness_totals, solve)
+from piag.model import problem_to_dict
 from piag.problems import (ReferenceSolution, ReferenceUnavailableError,
                            make_quadratic_box, make_quadratic_l1)
 
@@ -59,6 +62,31 @@ def test_generator_caps():
         make_quadratic_box(1, 500, seed=0)
     with pytest.raises(ValueError):
         make_quadratic_l1(200, 2, seed=0, lam=0.1)
+
+
+def _generated_bits(problem):
+    spec = json.dumps(problem_to_dict(problem), sort_keys=True).encode()
+    return hashlib.sha256(spec).hexdigest(), problem.f_lower_bound_hint.hex()
+
+
+# Exact outputs of the generators, so that a change to the order of the random
+# draws shows.  The first l1 case redraws once to reach a strongly convex sum.
+@pytest.mark.parametrize("make, expected", [
+    (lambda: make_quadratic_l1(2, 3, seed=1, lam=0.5),
+     ("04affe09fcc578c021dc154e9de0f1a7854eac80a37c1ca25a13ab9c1955a5a2",
+      "-0x1.13fdf83e18b50p+2")),
+    (lambda: make_quadratic_l1(2, 3, seed=2, lam=0.5),
+     ("bcd1f5a4dc055701e1bb95c67a8c839af2a3507e9a9e159cbb32247dfbf26bb1",
+      "-0x1.c18e464d3ed89p+2")),
+    (lambda: make_quadratic_box(3, 2, seed=1, negative_curvature=0.5),
+     ("f41144f35db11090c9df3ea8bdcc4d69fe90fecc08b4ee479efa7c3ebf76d800",
+      "-0x1.1c3958e415416p+7")),
+    (lambda: make_quadratic_box(3, 2, seed=2, negative_curvature=0.5),
+     ("5299a6857cd1529c89fb724af07f1ae65d601882385453db834cdacb381e0075",
+      "-0x1.d3c86fd4de01fp+0")),
+], ids=["l1-seed1", "l1-seed2", "box-seed1", "box-seed2"])
+def test_generators_draw_the_pinned_problems(make, expected):
+    assert _generated_bits(make()) == expected
 
 
 # ---------------------------------------------------------------- references
