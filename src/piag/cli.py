@@ -61,17 +61,21 @@ def _load_problem(path) -> Problem:
         raise CliError("missing-file", f"problem file not found: {path}")
     try:
         return load_problem(path)
+    except UnicodeDecodeError as exc:
+        raise CliError("bad-problem", f"{path}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise CliError("bad-problem", str(exc)) from exc
 
 
 def _read_json(path, code: str):
-    """The JSON in ``path``; text that does not parse is a ``code`` error."""
+    """The JSON in ``path``; text that does not decode or parse is a ``code`` error."""
     with open(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise CliError(code, f"{path}: line {exc.lineno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise CliError(code, f"{path}: {exc}") from exc
 
 
 def _load_config_dict(path) -> dict:
@@ -101,6 +105,8 @@ def _parse_x0(spec, dimension: int) -> np.ndarray:
     if len(values) != dimension:
         raise CliError("bad-config",
                        f"x0 has {len(values)} entries, problem dimension is {dimension}")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"entries must be finite, got {values}")
     return np.asarray(values)
 
 
@@ -136,19 +142,34 @@ def _setting(settings: dict, key: str, convert, default=None):
         return convert(settings.get(key, default))
 
 
+def _check_value_types(settings: dict) -> None:
+    """Reject a count, seed or switch of the wrong JSON type instead of
+    coercing it: ``int(1.5)`` is 1 and ``bool("false")`` is true."""
+    schedule = settings["schedule"]
+    fields = {key: settings.get(key, 0) for key in ("tau", "max_iters", "trace_every", "seed")}
+    fields.update((f"schedule.{key}", schedule.get(key, 0)) for key in ("tau", "block", "seed"))
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise CliError("bad-config", f"{name}: must be an integer, got {json.dumps(value)}")
+    value = settings.get("enforce_theory", False)
+    if not isinstance(value, bool):
+        raise CliError("bad-config",
+                       f"enforce_theory: must be true or false, got {json.dumps(value)}")
+
+
 def _build_config(problem: Problem, settings: dict, keep_iterates: bool) -> SolverConfig:
     """Turn merged run settings into a SolverConfig.
 
     The schedule defaults to ``none`` at tau = 0 and otherwise to ``cyclic``
     with block ceil(N / (tau + 1)); its tau and seed fall back to the
     top-level ones.  Out-of-range settings are ``bad-config``, and a value
-    that does not convert names its field.
+    that does not convert or has the wrong JSON type names its field.
     """
+    _check_value_types(settings)
     spec = dict(settings["schedule"])
-    with _config_field("tau"):
-        tau = spec["tau"] = int(spec.get("tau", settings.get("tau", 0)))
-        if tau < 0:
-            raise ValueError("must be nonnegative")
+    tau = spec["tau"] = spec.get("tau", settings.get("tau", 0))
+    if tau < 0:
+        raise CliError("bad-config", "tau: must be nonnegative")
     with _config_field("schedule"):
         if spec.setdefault("kind", "none" if tau == 0 else "cyclic") == "cyclic":
             spec.setdefault("block", min_cyclic_block(problem.n_components, tau))
@@ -163,10 +184,10 @@ def _build_config(problem: Problem, settings: dict, keep_iterates: bool) -> Solv
             alpha=alpha,
             schedule=schedule,
             x0=_setting(settings, "x0", lambda v: _parse_x0(v, problem.dimension)),
-            max_iters=_setting(settings, "max_iters", int, 10000),
+            max_iters=settings.get("max_iters", 10000),
             prox_residual_tol=_setting(settings, "tol", float, 1e-8),
-            trace_every=_setting(settings, "trace_every", int, 10),
-            enforce_theory=bool(settings.get("enforce_theory", False)),
+            trace_every=settings.get("trace_every", 10),
+            enforce_theory=settings.get("enforce_theory", False),
             c0=_setting(settings, "c0", float) if c0 is not None else None,
             keep_iterates=keep_iterates,
         )

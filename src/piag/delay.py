@@ -2,10 +2,10 @@
 
 A schedule decides which component gradients are re-evaluated at the current
 iterate each iteration.  The gradient table caches one gradient per component,
-tracks how stale each entry is, and maintains the running aggregate used by
-the solver step.  Staleness never exceeds the delay parameter ``tau``: every
-schedule refreshes a component at the latest when its cached entry would
-otherwise be used with age ``tau + 1``.
+tracks how stale each entry is, and returns the sum of its entries as the
+aggregate used by the solver step.  Staleness never exceeds the delay
+parameter ``tau``: every schedule refreshes a component at the latest when its
+cached entry would otherwise be used with age ``tau + 1``.
 """
 
 from __future__ import annotations
@@ -153,57 +153,47 @@ class StepWindow:
 
 
 class GradientTable(StepWindow):
-    """Per-component gradient cache with ages, aggregate, and step history.
+    """Per-component gradient cache with ages and step history.
 
-    The aggregate is updated incrementally (subtract old entry, add new one)
-    and recomputed from scratch every ``recompute_every`` refresh cycles to
-    bound floating-point drift.  A full refresh always triggers the exact
-    recompute, which makes the zero-delay trajectory bitwise identical to a
-    direct forward-backward loop.
+    ``entries[i]`` is the gradient of component ``i`` at the iterate where it
+    was last evaluated.  The aggregate is the sum of the entries, formed
+    afresh after every refresh by the same ``np.sum(..., axis=0)`` reduction
+    that :func:`piag.model.grad_f` uses, so a full refresh gives bitwise the
+    direct full gradient and the zero-delay trajectory matches a direct
+    forward-backward loop.
 
     Single-owner mutable state; not safe for concurrent mutation.
     """
 
-    def __init__(self, problem: Problem, x0, tau: int, recompute_every: int = 1000):
+    def __init__(self, problem: Problem, x0, tau: int):
         super().__init__(tau)
         x0 = as_vector(x0, problem.dimension)
-        self.recompute_every = int(recompute_every)
         n = problem.n_components
         self.entries = np.empty((n, problem.dimension))
         for i, comp in enumerate(problem.components):
             self.entries[i] = comp.grad(x0)
         self.ages = np.zeros(n, dtype=int)
-        self.recompute_aggregate()
-        self.refresh_cycles = 0
+        self.refreshed = False
 
     def refresh_and_aggregate(self, problem: Problem, x, refresh_set) -> Array:
-        """Re-evaluate the given components at ``x`` and return the aggregate.
+        """Re-evaluate the given components at ``x`` and return the aggregate,
+        the sum of all entries.
 
-        Entries are committed in ascending index order.  Ages are updated so
-        that ``ages[i]`` is the staleness of entry ``i`` as used in the
-        aggregate just returned.
+        Ages are updated so that ``ages[i]`` is the staleness of entry ``i``
+        as used in the aggregate just returned.
         """
         x = as_vector(x, problem.dimension)
         n = len(self.entries)
-        indices = sorted(int(i) for i in refresh_set)
-        if indices and (indices[0] < 0 or indices[-1] >= n):
+        indices = [int(i) for i in refresh_set]
+        if indices and (min(indices) < 0 or max(indices) >= n):
             raise ValueError("refresh set contains an out-of-range component index")
-        first_cycle = self.refresh_cycles == 0
-        self.refresh_cycles += 1
-        full = len(indices) == n
-        if full or self.refresh_cycles % self.recompute_every == 0:
-            for i in indices:
-                self.entries[i] = problem.components[i].grad(x)
-            self.recompute_aggregate()
-        else:
-            for i in indices:
-                fresh = problem.components[i].grad(x)
-                self.aggregate = self.aggregate - self.entries[i] + fresh
-                self.entries[i] = fresh
-        # On the first cycle every entry was just evaluated at the start
+        for i in indices:
+            self.entries[i] = problem.components[i].grad(x)
+        # On the first refresh every entry was just evaluated at the start
         # point, which is the current iterate, so all ages stay 0.
-        if not first_cycle:
+        if self.refreshed:
             self.ages += 1
+        self.refreshed = True
         self.ages[indices] = 0
         if np.any(self.ages > self.tau):
             worst = int(np.argmax(self.ages))
@@ -211,16 +201,8 @@ class GradientTable(StepWindow):
                 f"delay bound violated: component {worst} reached staleness "
                 f"{int(self.ages[worst])} > tau={self.tau}"
             )
-        return self.aggregate.copy()
+        return np.sum(self.entries, axis=0)
 
     def max_staleness(self) -> int:
         """Largest entry age as of the most recent aggregation."""
         return int(np.max(self.ages))
-
-    def recompute_aggregate(self) -> Array:
-        """Exact index-order recomputation of the aggregate from the entries."""
-        agg = np.zeros(self.entries.shape[1])
-        for i in range(len(self.entries)):
-            agg += self.entries[i]
-        self.aggregate = agg
-        return self.aggregate.copy()

@@ -3,9 +3,9 @@
 The objective has the form ``F(x) = sum_i f_i(x) + h(x)`` where every ``f_i``
 is smooth (gradient Lipschitz) and possibly nonconvex, and ``h`` is proper,
 closed and convex.  Evaluation is deterministic, so repeated runs are bitwise
-reproducible.  The full gradient ``grad_f`` accumulates component gradients in
-index order, the same order as the solver's aggregated gradient.  When every
-component is quadratic, the problem also keeps the summed quadratic
+reproducible.  The full gradient ``grad_f`` sums the component gradients with
+the same reduction as the solver's aggregated gradient.  When every component
+is quadratic, the problem also keeps the summed quadratic
 ``0.5 x'Sx + sb'x + const`` (formed once, in index order), and ``eval_f`` and
 the prox residual evaluate through it: one d x d matvec instead of N.  Their
 values may therefore differ from a per-component sum in the last bits, and so
@@ -284,12 +284,13 @@ def eval_f(problem: Problem, x) -> float:
 
 
 def grad_f(problem: Problem, x) -> Array:
-    """Full gradient ``sum_i grad f_i(x)``, accumulated in index order."""
+    """Full gradient ``sum_i grad f_i(x)``: the component gradients stacked as
+    rows and reduced by ``np.sum(..., axis=0)``, as the gradient table does."""
     x = as_vector(x, problem.dimension)
-    g = np.zeros(problem.dimension)
-    for comp in problem.components:
-        g += comp.grad(x)
-    return g
+    grads = np.empty((problem.n_components, problem.dimension))
+    for i, comp in enumerate(problem.components):
+        grads[i] = comp.grad(x)
+    return np.sum(grads, axis=0)
 
 
 def eval_F(problem: Problem, x) -> float:

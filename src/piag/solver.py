@@ -242,6 +242,8 @@ def _iterate(problem: Problem, config: SolverConfig, window: StepWindow,
     L, l = smoothness_totals(problem)
     alpha, warnings = resolve_stepsize(config, L, l, tau)
     x = as_vector(config.x0, problem.dimension).copy()
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be finite")
     if not problem.nonsmooth.value(x) < math.inf:
         raise ValueError("x0 lies outside the domain of the nonsmooth term")
 

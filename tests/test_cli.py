@@ -464,6 +464,60 @@ def test_unconvertible_config_value_names_its_field(l1_setup, capsys, config, fi
     assert capsys.readouterr().err.startswith(f"piag: error: bad-config: {field}: ")
 
 
+@pytest.mark.parametrize("nonsmooth", [{"kind": "zero"}, {"kind": "l1", "lambda": 0.5}, _BOX_1D],
+                         ids=["zero", "l1", "box"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_x0_is_bad_config(tmp_path, capsys, nonsmooth, value):
+    problem = _one_d_box_problem(tmp_path, nonsmooth)
+    for source in (["--x0", value], ["--config", _write_config(tmp_path, {"x0": [float(value)]})]):
+        rc = run(["solve", "--problem", problem, *source, "--out", str(tmp_path / "r"), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("piag: error: bad-config: x0: ")
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"schedule": {"kind": "cyclic", "block": 1.5}, "tau": 2}, "schedule.block"),
+    ({"schedule": {"kind": "cyclic", "tau": "2"}}, "schedule.tau"),
+    ({"schedule": {"kind": "uniform_random", "seed": 1.5}, "tau": 2}, "schedule.seed"),
+    ({"tau": 1.0}, "tau"),
+    ({"tau": True}, "tau"),
+    ({"max_iters": "50"}, "max_iters"),
+    ({"max_iters": None}, "max_iters"),
+    ({"trace_every": 2.5}, "trace_every"),
+    ({"seed": False, "tau": 2, "schedule": {"kind": "uniform_random"}}, "seed"),
+    ({"enforce_theory": "false", "c0": 1.0}, "enforce_theory"),
+    ({"enforce_theory": 0}, "enforce_theory"),
+], ids=["block-float", "schedule-tau-string", "schedule-seed-float", "tau-float", "tau-bool",
+        "max-iters-string", "max-iters-null", "trace-every-float", "seed-bool",
+        "enforce-theory-string", "enforce-theory-int"])
+def test_config_value_of_wrong_json_type_is_bad_config(l1_setup, capsys, config, field):
+    problem, tmp = l1_setup
+    config = {"max_iters": 50, **config}
+    rc = run(["solve", "--problem", problem, "--config", _write_config(tmp, config),
+              "--out", str(tmp / "x"), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"piag: error: bad-config: {field}: must be ")
+
+
+def test_invalid_utf8_file_is_reported_with_its_path(l1_setup, capsys):
+    problem, tmp = l1_setup
+    out = tmp / "run"
+    run(["solve", "--problem", problem, "--max-iters", "30", "--log-iterates",
+         "--out", str(out), "--quiet"])
+    summary, config, bad_problem = out / "summary.json", tmp / "c.json", tmp / "p.json"
+    for path in (summary, config, bad_problem):
+        path.write_bytes(b"\xff{")
+    for args, code, path in ((["verify", "--problem", problem, "--run", str(out)], "bad-summary",
+                              summary),
+                             (["rate", "--run", str(out)], "bad-summary", summary),
+                             (["solve", "--problem", problem, "--config", str(config),
+                               "--out", str(tmp / "x")], "bad-config", config),
+                             (["solve", "--problem", str(bad_problem), "--out", str(tmp / "x")],
+                              "bad-problem", bad_problem)):
+        assert run([*args, "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith(f"piag: error: {code}: {path}: ")
+
+
 def test_module_entry_point_runs_the_cli(tmp_path):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(

@@ -195,6 +195,10 @@ def test_solve_validates_start_point():
     p = scalar_problem(1.0, NonsmoothTerm.box(-1.0, 1.0))
     with pytest.raises(ValueError, match="domain"):
         solve(p, base_config(np.array([2.0])))
+    for nonsmooth in (NonsmoothTerm.zero(), NonsmoothTerm.l1(0.5), NonsmoothTerm.box(-1.0, 1.0)):
+        for runner in (solve, reference_fbs):
+            with pytest.raises(ValueError, match="x0 must be finite"):
+                runner(scalar_problem(1.0, nonsmooth), base_config(np.array([math.nan])))
 
 
 def test_solve_stepsize_specs():
@@ -241,9 +245,11 @@ def test_trace_record_structure():
         assert 0 <= r.max_staleness <= 3
 
 
-def test_zero_delay_bitwise_equivalence():
-    p = make_quadratic_l1(4, 8, seed=7, lam=0.2)
-    cfg = base_config(np.zeros(8), alpha="auto_lemma2", max_iters=300,
+# (9, 1): numpy sums an (N, 1) column pairwise from N = 8 on, rows in order otherwise.
+@pytest.mark.parametrize("n, d", [(4, 8), (9, 1)])
+def test_zero_delay_bitwise_equivalence(n, d):
+    p = make_quadratic_l1(n, d, seed=7, lam=0.2)
+    cfg = base_config(np.zeros(d), alpha="auto_lemma2", max_iters=300,
                       prox_residual_tol=0.0)
     mine = solve(p, cfg)
     ref = reference_fbs(p, cfg)
