@@ -89,7 +89,33 @@ def _load_config_dict(path) -> dict:
     unknown = sorted(set(obj) - _CONFIG_KEYS)
     if unknown:
         raise CliError("bad-config", f"{path}: unknown field(s) {unknown}")
+    _check_number_types(obj)
     return obj
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_number_types(config: dict) -> None:
+    """Reject a stepsize, tolerance, ``c0`` or start point of the wrong JSON
+    type in a run config instead of coercing it: ``float(True)`` is 1.0 and
+    ``float("0.01")`` parses.  Flag values are strings, so this checks the
+    file before they are merged."""
+    def reject(field: str, expected: str):
+        raise CliError("bad-config",
+                       f"{field}: must be {expected}, got {json.dumps(config[field])}")
+
+    if "tol" in config and not _is_number(config["tol"]):
+        reject("tol", "a number")
+    if config.get("c0") is not None and not _is_number(config["c0"]):
+        reject("c0", "a number")
+    alpha = config.get("alpha", "auto_lemma2")
+    if not (_is_number(alpha) or alpha in ("auto_lemma2", "auto_c8")):
+        reject("alpha", 'a number, "auto_lemma2" or "auto_c8"')
+    x0 = config.get("x0")
+    if not (x0 is None or isinstance(x0, str) or isinstance(x0, list) and all(map(_is_number, x0))):
+        reject("x0", "a list of numbers or a string")
 
 
 def _parse_x0(spec, dimension: int) -> np.ndarray:
@@ -397,7 +423,14 @@ def cmd_rate(args) -> int:
     for path in (trace_path, summary_path):
         if not os.path.exists(path):
             raise CliError("missing-file", f"not found: {path}")
-    records = read_trace_csv(trace_path)
+    try:
+        records = read_trace_csv(trace_path)
+    except UnicodeDecodeError as exc:
+        raise CliError("bad-trace", f"{trace_path}: {exc}") from exc
+    except ValueError as exc:
+        raise CliError("bad-trace", str(exc)) from exc
+    if not records:
+        raise CliError("empty-trace", f"{trace_path}: trace has no records")
     _, tau = _read_summary(summary_path)
     skip = args.skip if args.skip is not None else _transient_skip(tau)
     try:

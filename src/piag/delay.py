@@ -11,6 +11,7 @@ cached entry would otherwise be used with age ``tau + 1``.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -79,6 +80,10 @@ def schedule_from_dict(obj: dict, default_tau: int | None = None,
     unknown = sorted(set(obj) - {"kind", "tau", "block", "seed"})
     if unknown:
         raise ValueError(f"unknown field(s) {unknown} in schedule")
+    for name in ("tau", "block", "seed"):
+        value = obj.get(name)
+        if name in obj and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"schedule {name} must be an integer, got {value!r}")
     tau = obj.get("tau", default_tau)
     if tau is None:
         raise ValueError("schedule spec needs 'tau' (given neither inline nor as default)")

@@ -375,15 +375,18 @@ def read_trace_csv(path) -> list[TraceRecord]:
         header = fh.readline().strip()
         if header != TRACE_HEADER:
             raise ValueError(f"{path}: unexpected trace header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
-            if len(parts) != 6:
-                raise ValueError(f"{path}: malformed trace row {line!r}")
-            records.append(TraceRecord(
-                k=int(parts[0]), objective=float(parts[1]), step_norm=float(parts[2]),
-                prox_residual=float(parts[3]), max_staleness=int(parts[4]),
-                delta=float(parts[5]),
-            ))
+            try:
+                if len(parts) != 6:
+                    raise ValueError(f"{len(parts)} columns, the header has 6")
+                records.append(TraceRecord(
+                    k=int(parts[0]), objective=float(parts[1]), step_norm=float(parts[2]),
+                    prox_residual=float(parts[3]), max_staleness=int(parts[4]),
+                    delta=float(parts[5]),
+                ))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return records
 
 

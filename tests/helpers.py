@@ -7,6 +7,7 @@ values.
 """
 
 import math
+import os
 
 import numpy as np
 
@@ -174,3 +175,18 @@ def simulate_max_staleness(schedule, n_components, iters):
         ages[sorted(refresh)] = 0
         worst = max(worst, int(ages.max()))
     return worst
+
+
+class KillsTheWorker(np.ndarray):
+    """An array that ends the process unpickling it, as a crashed worker would."""
+
+    def __reduce_ex__(self, protocol):
+        return os._exit, (1,)
+
+
+def with_last_matrix_as(problem, matrix_class):
+    """``problem`` with its last component's matrix viewed as ``matrix_class``,
+    so that the problem writer fails only after the earlier components."""
+    last = problem.components[-1]
+    object.__setattr__(last, "matrix", last.matrix.view(matrix_class))
+    return problem

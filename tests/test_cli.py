@@ -10,6 +10,8 @@ import pytest
 
 from piag import cli
 
+from helpers import KillsTheWorker, with_last_matrix_as
+
 
 def run(args):
     return cli.main(args)
@@ -441,6 +443,28 @@ def test_rate_on_short_trace_is_short_trace(l1_setup, capsys):
     assert re.search(r"got \d+ ", err) and "trace_every" in err and "--skip" in err
 
 
+@pytest.mark.parametrize("damage, code", [
+    (lambda lines: ["k,F"] + lines[1:], "bad-trace"),
+    (lambda lines: [], "bad-trace"),
+    (lambda lines: lines[:3] + [lines[3] + ",0.5"] + lines[4:], "bad-trace"),
+    (lambda lines: lines[:3] + [re.sub(",[^,]*", ",abc", lines[3], count=1)] + lines[4:],
+     "bad-trace"),
+    (lambda lines: lines[:1], "empty-trace"),
+], ids=["wrong-header", "empty-file", "extra-column", "non-numeric", "header-only"])
+def test_rate_on_malformed_trace_names_the_file(l1_setup, capsys, damage, code):
+    problem, tmp = l1_setup
+    out = tmp / "run"
+    run(["solve", "--problem", problem, "--tau", "1", "--max-iters", "200", "--out", str(out),
+         "--quiet"])
+    trace = out / "trace.csv"
+    lines = damage(trace.read_text().splitlines())
+    trace.write_text("".join(line + "\n" for line in lines))
+    assert run(["rate", "--run", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"piag: error: {code}: {trace}: ")
+    assert "Traceback" not in err
+
+
 def test_verify_above_descent_threshold_reports_descent_only(l1_setup, capsys):
     problem, tmp = l1_setup
     out = tmp / "run"
@@ -497,6 +521,57 @@ def test_config_value_of_wrong_json_type_is_bad_config(l1_setup, capsys, config,
               "--out", str(tmp / "x"), "--quiet"])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"piag: error: bad-config: {field}: must be ")
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"tol": True}, "tol"),
+    ({"tol": "1e-8"}, "tol"),
+    ({"c0": "0.5"}, "c0"),
+    ({"c0": False}, "c0"),
+    ({"alpha": "0.01"}, "alpha"),
+    ({"alpha": True}, "alpha"),
+    ({"alpha": None}, "alpha"),
+    ({"x0": [True, 0, 0, 0]}, "x0"),
+    ({"x0": [1, "2", 3, 4]}, "x0"),
+    ({"x0": {"0": 1}}, "x0"),
+], ids=["tol-bool", "tol-string", "c0-string", "c0-bool", "alpha-string", "alpha-bool",
+        "alpha-null", "x0-bool-entry", "x0-string-entry", "x0-object"])
+def test_float_config_value_of_wrong_json_type_is_bad_config(l1_setup, capsys, config, field):
+    problem, tmp = l1_setup
+    # The flags for the same fields must not hide the file's value.
+    rc = run(["solve", "--problem", problem, "--config", _write_config(tmp, config),
+              "--alpha", "0.01", "--tol", "1e-6", "--x0", "0,0,0,0", "--c0", "1",
+              "--out", str(tmp / "x"), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"piag: error: bad-config: {field}: must be ")
+
+
+def test_float_settings_from_flags_and_numbers_from_a_config_are_accepted(l1_setup):
+    problem, tmp = l1_setup
+    run(["solve", "--problem", problem, "--alpha", "0.01", "--tol", "1e-6", "--x0", "1,2,0,0",
+         "--c0", "0.5", "--max-iters", "20", "--out", str(tmp / "flags"), "--quiet"])
+    config = _write_config(tmp, {"alpha": 0.01, "tol": 1e-6, "x0": [1, 2.0, 0, 0], "c0": 0.5,
+                                 "max_iters": 20})
+    run(["solve", "--problem", problem, "--config", config, "--out", str(tmp / "file"),
+         "--quiet"])
+    for name in ("trace.csv", "summary.json"):
+        assert (tmp / "flags" / name).read_bytes() == (tmp / "file" / name).read_bytes()
+    assert _summary(tmp / "flags")["alpha"] == 0.01
+    assert _summary(tmp / "flags")["constants"]["c0"] == 0.5
+
+
+def test_generate_whose_worker_dies_leaves_the_old_problem_file(tmp_path, capsys, monkeypatch):
+    args = ["generate", "--family", "l1", "--components", "3", "--dimension", "4",
+            "--out", str(tmp_path), "--quiet"]
+    assert run(args) == 0
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    make = cli.problems.make_quadratic_l1
+    monkeypatch.setattr(cli.problems, "make_quadratic_l1",
+                        lambda *a, **k: with_last_matrix_as(make(*a, **k), KillsTheWorker))
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("piag: error: ") and "Traceback" not in err
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
 
 def test_invalid_utf8_file_is_reported_with_its_path(l1_setup, capsys):

@@ -105,6 +105,26 @@ def test_schedule_from_dict():
         schedule_from_dict({"kind": "none"})
 
 
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "cyclic", "block": 1.5, "tau": 1},
+    {"kind": "cyclic", "block": 1, "tau": True},
+    {"kind": "none", "tau": 0.0},
+    {"kind": "uniform_random", "tau": 1, "seed": "3"},
+    {"kind": "uniform_random", "tau": 1, "seed": None},
+    {"kind": "cyclic", "block": None, "tau": 1},
+], ids=["block-float", "tau-bool", "tau-float", "seed-string", "seed-null", "block-null"])
+def test_schedule_from_dict_rejects_non_integer_fields(spec):
+    with pytest.raises(ValueError, match="must be an integer"):
+        schedule_from_dict(spec)
+
+
+def test_schedule_from_dict_accepts_numpy_integers():
+    sched = schedule_from_dict({"kind": "uniform_random", "tau": np.int64(3),
+                                "seed": np.int32(7)})
+    assert sched == DelaySchedule("uniform_random", tau=3, seed=7)
+    assert type(sched.tau) is int and type(sched.seed) is int
+
 # ---------------------------------------------------------------- gradient table
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from piag import (NonsmoothTerm, Problem, SmoothComponent, dc_decompose,
                   eval_F, eval_f, grad_f, quadratic_component,
@@ -12,7 +14,7 @@ from piag import model
 from piag.model import load_problem, problem_from_dict, problem_to_dict, save_problem
 from piag.prox import prox, prox_residual
 
-from helpers import central_diff_grad, quad_value_loops
+from helpers import KillsTheWorker, central_diff_grad, quad_value_loops, with_last_matrix_as
 
 
 def half_sq_norm_component(d, factor=1.0):
@@ -354,6 +356,98 @@ def test_save_problem_writes_the_interchange_bytes(tmp_path):
     save_problem(p, path)
     assert path.read_text() == json.dumps(problem_to_dict(p), indent=2, sort_keys=True) + "\n"
     assert sorted(f.name for f in tmp_path.iterdir()) == ["problem.json", "problem.json.npz"]
+
+
+# Finite floats, with the edge cases of float repr drawn on purpose: -0.0,
+# subnormals and exponents near +-308.
+_REPR_EDGES = [-0.0, 5e-324, -2.2250738585072014e-308, 1e-308, -1e308, 1.7976931348623157e308]
+_ANY_FINITE = st.one_of(st.sampled_from(_REPR_EDGES), st.floats(allow_nan=False,
+                                                                 allow_infinity=False))
+# Matrix entries stay within 1e300, so eigvalsh and the summed constants of
+# a few components stay finite.
+_MATRIX_ENTRY = st.one_of(st.sampled_from(_REPR_EDGES[:4] + [-1e300, 1e300]),
+                          st.floats(min_value=-1e300, max_value=1e300))
+
+
+def _indent2(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), d=st.integers(0, 5), with_c0=st.booleans())
+def test_component_text_is_the_indenting_encoders_text(data, d, with_c0):
+    A = np.array(data.draw(st.lists(_ANY_FINITE, min_size=d * d, max_size=d * d))).reshape(d, d)
+    b = np.array(data.draw(st.lists(_ANY_FINITE, min_size=d, max_size=d)))
+    c0 = data.draw(_ANY_FINITE) if with_c0 else 0.0
+    entry = {"A": A.reshape(-1).tolist(), "b": b.tolist()}
+    if c0 != 0.0:
+        entry["c0_term"] = c0
+    head, tail = _indent2({"components": [None]}).split("null")
+    document = _indent2({"components": [entry]})
+    assert model._component_text(A, b, c0) == document[len(head):len(document) - len(tail)]
+
+
+def _bound_strategy(d):
+    return st.one_of(st.sampled_from([-math.inf, math.inf]), _ANY_FINITE,
+                     st.lists(st.one_of(st.sampled_from([-math.inf, math.inf]), _ANY_FINITE),
+                              min_size=d, max_size=d))
+
+
+@st.composite
+def _nonsmooth_terms(draw, d):
+    kind = draw(st.sampled_from(["zero", "l1", "box", "box_plus_l1"]))
+    lam = draw(st.floats(min_value=0.0, max_value=1e308))
+    if kind in ("zero", "l1"):
+        return NonsmoothTerm.zero() if kind == "zero" else NonsmoothTerm.l1(lam)
+    lo, hi = draw(_bound_strategy(d)), draw(_bound_strategy(d))
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    lo, hi = (float(lo), float(hi)) if lo.ndim == 0 else (lo, hi)
+    return NonsmoothTerm.box(lo, hi) if kind == "box" else NonsmoothTerm.box_plus_l1(lo, hi, lam)
+
+
+@st.composite
+def _writable_problems(draw):
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    comps = []
+    for _ in range(n):
+        upper = draw(st.lists(_MATRIX_ENTRY, min_size=d * d, max_size=d * d))
+        A = np.triu(np.array(upper).reshape(d, d))
+        A = A + np.triu(A, 1).T
+        b = draw(st.lists(_ANY_FINITE, min_size=d, max_size=d))
+        c0 = draw(st.one_of(st.just(0.0), st.just(-0.0), _ANY_FINITE))
+        comps.append(quadratic_component(A, b, c0))
+    with np.errstate(over="ignore"):  # the summed b of entries near 1e308 may overflow
+        return Problem(comps, draw(_nonsmooth_terms(d)), d)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(p=_writable_problems())
+def test_save_problem_writes_the_indenting_encoders_bytes(tmp_path_factory, p):
+    path = tmp_path_factory.mktemp("save") / "problem.json"
+    save_problem(p, path)
+    assert path.read_bytes() == (_indent2(problem_to_dict(p)) + "\n").encode()
+    with np.load(model._sidecar_path(path)) as z:
+        assert str(z["sha256"]) == model._sha256(path)
+    assert sorted(f.name for f in path.parent.iterdir()) == ["problem.json", "problem.json.npz"]
+    with np.errstate(over="ignore"):  # as in _writable_problems
+        _assert_bitwise_equal(_parse_json(path), load_problem(path))
+
+
+class _FailsToPickle(np.ndarray):
+    def __reduce_ex__(self, protocol):
+        raise RuntimeError("this matrix cannot be sent to a worker")
+
+
+@pytest.mark.parametrize("matrix_class", [_FailsToPickle, KillsTheWorker],
+                         ids=["encode-raises", "worker-dies"])
+def test_failed_write_leaves_the_existing_files_untouched(tmp_path, matrix_class):
+    path = tmp_path / "problem.json"
+    save_problem(_sidecar_case(NonsmoothTerm.zero()), path)
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    with pytest.raises(RuntimeError):
+        save_problem(with_last_matrix_as(_sidecar_case(NonsmoothTerm.l1(0.3)), matrix_class),
+                     path)
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
 
 def test_edited_problem_file_loads_its_edited_content(tmp_path):
