@@ -362,6 +362,8 @@ def cmd_verify(args) -> int:
     alpha, tau = _read_summary(summary_path)
     try:
         iterates = read_iterates_csv(iterates_path)
+    except UnicodeDecodeError as exc:
+        raise CliError("bad-iterates", f"{iterates_path}: {exc}") from exc
     except ValueError as exc:
         raise CliError("bad-iterates", str(exc)) from exc
     if len(iterates) == 0:

@@ -367,7 +367,8 @@ def nonsmooth_from_dict(obj: dict) -> NonsmoothTerm:
 def problem_to_dict(problem: Problem) -> dict:
     return {
         "dimension": problem.dimension,
-        "components": [_component_entry(c.matrix, c.offset, c.constant)
+        "components": [_component_entry(c.matrix.reshape(-1).tolist(), c.offset.tolist(),
+                                        c.constant)
                        for c in _quadratic_components(problem)],
         "nonsmooth": nonsmooth_to_dict(problem.nonsmooth),
     }
@@ -381,8 +382,9 @@ def _quadratic_components(problem: Problem) -> tuple:
 
 
 def _component_entry(A, b, c0: float) -> dict:
-    """One entry of the problem file's ``components`` list."""
-    entry = {"A": A.reshape(-1).tolist(), "b": b.tolist()}
+    """One entry of the problem file's ``components`` list, holding ``A`` and
+    ``b`` as given."""
+    entry = {"A": A, "b": b}
     if c0 != 0.0:
         entry["c0_term"] = c0
     return entry
@@ -417,10 +419,15 @@ def problem_from_dict(obj: dict) -> Problem:
 # plus a newline.  That call always takes the pure-Python encoder, so the
 # writer below produces the same bytes another way: the indenting encoder
 # lays out the small skeleton, with the one-line string _SLOT standing in
-# for each component and each nonempty float list, and the C encoder writes
-# the float lists with the separator that puts each number on its own line.
+# for each component and each nonempty float list, and the float lists are
+# laid out one number per line.  Formatting the numbers is most of the work,
+# and a symmetric d x d matrix holds at most d(d+1)/2 distinct ones, so each
+# distinct bit pattern of a list is formatted once, by the C encoder (which
+# also gives NaN and Infinity their JSON spelling), and the list is gathered
+# from those texts.  Bit patterns, not values: 0.0 and -0.0 are written
+# differently.
 _SLOT = "\0"
-_FLOAT_SEPARATORS = (",\n" + 8 * " ", ": ")  # items of a component's lists, depth 4
+_FLOAT_SEPARATOR = ",\n" + 8 * " "  # between the items of a component's lists, depth 4
 
 
 def _indented(obj, depth: int = 0) -> list[str]:
@@ -430,16 +437,24 @@ def _indented(obj, depth: int = 0) -> list[str]:
     return text.split(json.dumps(_SLOT))
 
 
+def _list_items(values: Array) -> str:
+    """The items of the nonempty array ``values``, flattened, as the C encoder
+    writes them, joined by the separator of a component's lists."""
+    flat = values.reshape(-1)
+    bits, inverse = np.unique(flat.view(f"u{flat.itemsize}"), return_inverse=True)
+    texts = json.dumps(bits.view(flat.dtype).tolist(), separators=("\n", ": "))[1:-1]
+    return _FLOAT_SEPARATOR.join(np.array(texts.split("\n"), dtype=object)[inverse].tolist())
+
+
 def _component_text(A, b, c0: float) -> str:
     """One component as it appears in ``problem.json``, from its opening
     brace to its closing brace."""
-    entry = _component_entry(A, b, c0)
-    lists = {key: entry[key] for key in ("A", "b") if entry[key]}
-    pieces = _indented({**entry, **dict.fromkeys(lists, _SLOT)}, depth=2)
+    lists = [v for v in (A, b) if v.size]
+    slots = [_SLOT if v.size else [] for v in (A, b)]
+    pieces = _indented(_component_entry(*slots, c0), depth=2)
     out = [pieces[0]]
-    for values, piece in zip(lists.values(), pieces[1:]):  # "A" then "b", as their slots
-        out += ["[\n" + 8 * " ", json.dumps(values, separators=_FLOAT_SEPARATORS)[1:-1],
-                "\n" + 6 * " " + "]", piece]
+    for values, piece in zip(lists, pieces[1:]):  # "A" then "b", as their slots
+        out += ["[\n" + 8 * " ", _list_items(values), "\n" + 6 * " " + "]", piece]
     return "".join(out)
 
 
@@ -547,7 +562,8 @@ def _read_sidecar(path) -> dict | None:
     inconsistent or written for other JSON bytes."""
     try:
         # A plain .npy raises TypeError (no context manager), an empty file EOFError.
-        with np.load(_sidecar_path(path), allow_pickle=False) as z:
+        # np.load is given the open file: on a damaged zip it would leave its own open.
+        with open(_sidecar_path(path), "rb") as fh, np.load(fh, allow_pickle=False) as z:
             if str(z["sha256"]) != _sha256(path):
                 return None
             obj = json.loads(str(z["meta"]))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (NonsmoothTerm, Problem, as_vector, eval_F, quadratic_component,
-                    smoothness_totals, sum_quadratics)
+                    smoothness_totals)
 from .prox import prox_residual, soft_threshold
 
 Array = np.ndarray
@@ -51,9 +51,9 @@ def _random_symmetric(rng: np.random.Generator, d: int, eig_lo: float,
     return 0.5 * (A + A.T)
 
 
-def _quadratic_lower_bound(S: Array, sb: Array, const: float, radius: float) -> float:
-    """Lower bound of ``0.5 x'Sx + sb'x + const`` over ``||x|| <= radius``."""
-    lam_min = float(np.linalg.eigvalsh(S)[0])
+def _quadratic_lower_bound(lam_min: float, sb: Array, const: float, radius: float) -> float:
+    """Lower bound of ``0.5 x'Sx + sb'x + const`` over ``||x|| <= radius``,
+    where ``lam_min`` is the smallest eigenvalue of ``S``."""
     b = float(np.linalg.norm(sb))
 
     def phi(r: float) -> float:
@@ -72,6 +72,16 @@ def _check_generator_args(N: int, d: int, param: float, param_name: str) -> None
         raise ValueError(f"component count must be in [1, {MAX_COMPONENTS}]")
     if param < 0:
         raise ValueError(f"{param_name} must be nonnegative")
+
+
+def _with_fields(problem: Problem, **fields) -> Problem:
+    """``problem`` with ``fields`` set in place and not checked again.  The
+    generators derive the box and the lower-bound hint from the summed
+    quadratic the problem keeps; ``dataclasses.replace`` would sum the
+    components again."""
+    for name, value in fields.items():
+        object.__setattr__(problem, name, value)
+    return problem
 
 
 def _draw_components(rng: np.random.Generator, N: int, d: int, eig_lo: float) -> list:
@@ -96,15 +106,14 @@ def make_quadratic_box(N: int, d: int, seed: int,
     """
     _check_generator_args(N, d, negative_curvature, "negative_curvature")
     comps = _draw_components(np.random.default_rng(seed), N, d, -negative_curvature)
-    S, sb, const = sum_quadratics(comps)
+    problem = Problem(components=tuple(comps), nonsmooth=NonsmoothTerm.zero(), dimension=d)
+    S, sb, const = problem.quadratic_sum
     lam_min = float(np.linalg.eigvalsh(S)[0])
     half_width = 10.0 * (1.0 + float(np.linalg.norm(sb)) / max(lam_min, 0.1))
-    hint = _quadratic_lower_bound(S, sb, const, half_width * math.sqrt(d))
-    return Problem(
-        components=tuple(comps),
+    return _with_fields(
+        problem,
         nonsmooth=NonsmoothTerm.box(-half_width, half_width),
-        dimension=d,
-        f_lower_bound_hint=hint,
+        f_lower_bound_hint=_quadratic_lower_bound(lam_min, sb, const, half_width * math.sqrt(d)),
     )
 
 
@@ -118,21 +127,18 @@ def make_quadratic_l1(N: int, d: int, seed: int, lam: float) -> Problem:
     _check_generator_args(N, d, lam, "l1 weight")
     rng = np.random.default_rng(seed)
     eig_lo = 0.15 if N == 1 else -0.2
+    nonsmooth = NonsmoothTerm.l1(lam)
     for _ in range(100):
-        comps = _draw_components(rng, N, d, eig_lo)
-        S, sb, const = sum_quadratics(comps)
+        problem = Problem(components=tuple(_draw_components(rng, N, d, eig_lo)),
+                          nonsmooth=nonsmooth, dimension=d)
+        S, sb, const = problem.quadratic_sum
         if float(np.linalg.eigvalsh(S)[0]) >= 0.1:
             break
     else:
         raise RuntimeError("failed to draw a strongly convex component sum in 100 attempts")
     x_free = np.linalg.solve(S, -sb)
     hint = float(0.5 * x_free @ (S @ x_free) + sb @ x_free + const)
-    return Problem(
-        components=tuple(comps),
-        nonsmooth=NonsmoothTerm.l1(lam),
-        dimension=d,
-        f_lower_bound_hint=hint,
-    )
+    return _with_fields(problem, f_lower_bound_hint=hint)
 
 
 def _require_quadratic(problem: Problem) -> tuple[Array, Array]:

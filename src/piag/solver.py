@@ -354,9 +354,12 @@ def reference_fbs(problem: Problem, config: SolverConfig) -> Trace:
 # ---------------------------------------------------------------------------
 
 
+_EXACT = ".17g"  # the spec of format_exact, which write_iterates_csv applies row by row
+
+
 def format_exact(v: float) -> str:
     """``v`` with 17 significant digits, which any float round-trips through."""
-    return format(v, ".17g")
+    return format(v, _EXACT)
 
 
 def write_trace_csv(trace: Trace, path) -> None:
@@ -393,10 +396,11 @@ def read_trace_csv(path) -> list[TraceRecord]:
 def write_iterates_csv(iterates: Array, path) -> None:
     iterates = np.atleast_2d(np.asarray(iterates, dtype=float))
     d = iterates.shape[1]
+    row_text = "%d," + ",".join(["%" + _EXACT] * d) + "\n"  # format_exact on each float
     with open(path, "w") as fh:
         fh.write("k," + ",".join(f"x_{j}" for j in range(d)) + "\n")
-        for k, row in enumerate(iterates):
-            fh.write(str(k) + "," + ",".join(format_exact(v) for v in row) + "\n")
+        for k, row in enumerate(iterates.tolist()):
+            fh.write(row_text % (k, *row))
 
 
 def read_iterates_csv(path) -> Array:

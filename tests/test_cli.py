@@ -593,6 +593,17 @@ def test_invalid_utf8_file_is_reported_with_its_path(l1_setup, capsys):
         assert capsys.readouterr().err.startswith(f"piag: error: {code}: {path}: ")
 
 
+def test_invalid_utf8_iterate_log_is_reported_with_its_path(l1_setup, capsys):
+    problem, tmp = l1_setup
+    out = tmp / "run"
+    run(["solve", "--problem", problem, "--max-iters", "30", "--log-iterates",
+         "--out", str(out), "--quiet"])
+    iterates = out / "iterates.csv"
+    iterates.write_bytes(b"\xffk,x_0\n")
+    assert run(["verify", "--problem", problem, "--run", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith(f"piag: error: bad-iterates: {iterates}: ")
+
+
 def test_module_entry_point_runs_the_cli(tmp_path):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(

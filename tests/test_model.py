@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piag import (NonsmoothTerm, Problem, SmoothComponent, dc_decompose,
-                  eval_F, eval_f, grad_f, quadratic_component,
+from piag import (NonsmoothTerm, Problem, QuadraticComponent, SmoothComponent,
+                  dc_decompose, eval_F, eval_f, grad_f, quadratic_component,
                   smoothness_totals)
 from piag import model
 from piag.model import load_problem, problem_from_dict, problem_to_dict, save_problem
@@ -431,6 +431,41 @@ def test_save_problem_writes_the_indenting_encoders_bytes(tmp_path_factory, p):
     assert sorted(f.name for f in path.parent.iterdir()) == ["problem.json", "problem.json.npz"]
     with np.errstate(over="ignore"):  # as in _writable_problems
         _assert_bitwise_equal(_parse_json(path), load_problem(path))
+
+
+# The writer formats each distinct bit pattern of a list once, so lists that
+# repeat a few values are its main case.  The pools hold values equal as
+# floats but written differently (0.0 and -0.0; NaNs of either sign and
+# another payload), values near the ends of the exponent range, and the
+# non-finite values that only a directly built component can hold.
+_OTHER_NAN = float(np.array(0x7FF8000000000001, dtype=np.uint64).view(float))
+_POOL_VALUES = _REPR_EDGES + [1e308, -1e308, math.nan, -math.nan, _OTHER_NAN, math.inf,
+                              -math.inf, 1.0, 0.1]
+
+
+@st.composite
+def _repetitive_problems(draw):
+    n, d = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    comps = []
+    for _ in range(n):
+        extra = draw(st.lists(st.one_of(st.sampled_from(_POOL_VALUES), _ANY_FINITE),
+                              min_size=1, max_size=3))
+        pool = st.sampled_from([0.0, -0.0, *extra])
+        M = np.array(draw(st.lists(pool, min_size=d * d, max_size=d * d))).reshape(d, d)
+        A = np.where(np.triu(np.ones((d, d), dtype=bool)), M, M.T)  # symmetric, bits kept
+        b = np.array(draw(st.lists(pool, min_size=d, max_size=d)), dtype=float)
+        comps.append(QuadraticComponent(value=lambda x: 0.0, grad=np.zeros_like, lipschitz=1.0,
+                                        matrix=A, offset=b, constant=draw(pool)))
+    with np.errstate(all="ignore"):  # the summed quadratic of non-finite entries
+        return Problem(comps, NonsmoothTerm.l1(0.5), max(d, 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(p=_repetitive_problems())
+def test_save_problem_writes_repeated_values_as_the_indenting_encoder(tmp_path_factory, p):
+    path = tmp_path_factory.mktemp("save") / "problem.json"
+    save_problem(p, path)
+    assert path.read_bytes() == (_indent2(problem_to_dict(p)) + "\n").encode()
 
 
 class _FailsToPickle(np.ndarray):

@@ -8,6 +8,7 @@ from piag import (DelaySchedule, GradientTable, NonsmoothTerm, Problem,
                   SolverConfig, piag_step, prox_residual, quadratic_component,
                   rate_constants, reference_fbs, solve, stepsize_threshold)
 from piag.problems import make_quadratic_box, make_quadratic_l1
+from piag.solver import read_iterates_csv, write_iterates_csv
 
 
 def scalar_problem(factor, nonsmooth):
@@ -284,3 +285,21 @@ def test_objective_evaluated_at_most_once_per_iterate(monkeypatch, runner):
     trace = runner(p, base_config(np.zeros(20), alpha="auto_lemma2", schedule=sched,
                                   max_iters=5000, keep_iterates=False))
     assert len(calls) <= len(trace.records) + 1
+
+
+# Values whose "%.17g" text is easy to get wrong: signed zero, non-finite
+# values, subnormals, and the switch points of the exponent notation.
+_CSV_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308,
+              1e16, -1e16, 1e-5, 1e-4, 0.1, 1.7976931348623157e308, 12345.678, -3.0]
+
+
+def test_iterate_log_bytes_match_formatting_each_float(tmp_path):
+    iterates = np.array([_CSV_EDGES, _CSV_EDGES[::-1], np.arange(len(_CSV_EDGES)) * 1e-3])
+    path = tmp_path / "iterates.csv"
+    write_iterates_csv(iterates, path)
+    d = iterates.shape[1]
+    expected = "k," + ",".join(f"x_{j}" for j in range(d)) + "\n" + "".join(
+        str(k) + "," + ",".join(format(v, ".17g") for v in row) + "\n"
+        for k, row in enumerate(iterates))
+    assert path.read_text() == expected
+    assert np.array_equal(read_iterates_csv(path), iterates, equal_nan=True)
