@@ -368,6 +368,10 @@ def cmd_verify(args) -> int:
         raise CliError("bad-iterates", str(exc)) from exc
     if len(iterates) == 0:
         raise CliError("empty-trace", f"{iterates_path}: iterate log is empty")
+    if iterates.shape[1] != problem.dimension:
+        raise CliError("bad-iterates", f"{iterates_path}: rows hold {iterates.shape[1]} "
+                                       f"coordinates, the problem dimension is "
+                                       f"{problem.dimension}")
     L, l = smoothness_totals(problem)
     # c0 enters neither the descent nor the summability bound.
     constants = rate_constants(L, l, tau, c0=1.0)

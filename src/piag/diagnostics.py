@@ -94,9 +94,11 @@ def _require_full_log(trace: Trace) -> tuple[Array, Array]:
 
 
 def trace_from_iterates(problem: Problem, iterates: Array, alpha: float) -> Trace:
-    """Rebuild a checkable trace from a stored iterate log."""
+    """Rebuild a checkable trace from a stored iterate log.  The objective
+    values are one stacked ``eval_F`` call, bitwise equal to evaluating the
+    rows one by one."""
     x = np.atleast_2d(np.asarray(iterates, dtype=float))
-    values = np.asarray([eval_F(problem, row) for row in x])
+    values = eval_F(problem, x)
     return Trace(
         records=[],
         final_x=x[-1],

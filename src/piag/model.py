@@ -31,6 +31,7 @@ import numpy as np
 Array = np.ndarray
 
 _NONSMOOTH_KINDS = ("zero", "l1", "box", "box_plus_l1")
+_STACK_BLOCK_BYTES = 1 << 18  # eval_F takes a stack of points this many bytes at a time
 
 
 def as_vector(x, dim: int | None = None) -> Array:
@@ -43,6 +44,17 @@ def as_vector(x, dim: int | None = None) -> Array:
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.shape[0]}")
     return v
+
+
+def _as_points(x, dim: int) -> Array:
+    """Coerce to a point of ``dim`` entries (see ``as_vector``) or to a
+    C-contiguous (K, dim) float stack of them."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 2:
+        return as_vector(v, dim)
+    if v.shape[1] != dim:
+        raise ValueError(f"dimension mismatch: expected {dim}, got {v.shape[1]}")
+    return np.ascontiguousarray(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,9 +222,13 @@ class NonsmoothTerm:
     def box_plus_l1(cls, lo, hi, lam: float) -> "NonsmoothTerm":
         return cls(kind="box_plus_l1", lo=_bound(lo), hi=_bound(hi), lam=float(lam))
 
-    def value(self, x) -> float:
-        """Evaluate the term, returning ``inf`` outside its domain."""
+    def value(self, x) -> float | Array:
+        """Evaluate the term, returning ``inf`` outside its domain.  Given a
+        (K, d) stack of points, returns the K values, each bitwise equal to
+        the value at its row."""
         x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return self._row_values(x)
         if self.kind == "zero":
             return 0.0
         if self.kind == "l1":
@@ -223,6 +239,17 @@ class NonsmoothTerm:
         if self.kind == "box":
             return 0.0
         return float(self.lam * np.sum(np.abs(x)))
+
+    def _row_values(self, X: Array) -> Array:
+        """``value`` of each row of ``X``; ``np.sum`` along a C-contiguous row
+        adds in the order it uses on the row alone."""
+        if self.kind in ("zero", "box"):
+            out = np.zeros(len(X))
+        else:
+            out = self.lam * np.sum(np.abs(np.ascontiguousarray(X)), axis=1)
+        if self.kind in ("box", "box_plus_l1"):
+            out[~(np.all(X >= self.lo, axis=1) & np.all(X <= self.hi, axis=1))] = math.inf
+        return out
 
 
 def _bound(v):
@@ -257,6 +284,13 @@ class Problem:
             if np.ndim(bound) == 1 and len(bound) != self.dimension:
                 raise ValueError(f"box bound has {len(bound)} entries, "
                                  f"problem dimension is {self.dimension}")
+        d = self.dimension
+        for i, comp in enumerate(self.components):
+            if isinstance(comp, QuadraticComponent) and (
+                    np.shape(comp.matrix) != (d, d) or np.shape(comp.offset) != (d,)):
+                raise ValueError(f"component {i} has a matrix of shape {np.shape(comp.matrix)} "
+                                 f"and an offset of shape {np.shape(comp.offset)}, problem "
+                                 f"dimension is {d}")
         L, l = smoothness_totals(self)
         if not (math.isfinite(L) and math.isfinite(l)):
             raise ValueError("aggregate smoothness constants must be finite")
@@ -270,10 +304,14 @@ class Problem:
         return len(self.components)
 
 
-def eval_f(problem: Problem, x) -> float:
+def eval_f(problem: Problem, x) -> float | Array:
     """Smooth part ``sum_i f_i(x)``: through the summed quadratic when the
-    problem has one, else accumulated in component index order."""
-    x = as_vector(x, problem.dimension)
+    problem has one, else accumulated in component index order.  Given a
+    (K, d) stack of points, returns the K values, each bitwise equal to the
+    value at its row."""
+    x = _as_points(x, problem.dimension)
+    if x.ndim == 2:
+        return _row_values_f(problem, x)
     if problem.quadratic_sum is not None:
         S, sb, const = problem.quadratic_sum
         return float(0.5 * np.dot(x, S @ x) + np.dot(sb, x) + const)
@@ -281,6 +319,23 @@ def eval_f(problem: Problem, x) -> float:
     for comp in problem.components:
         total += comp.value(x)
     return total
+
+
+def _row_values_f(problem: Problem, X: Array) -> Array:
+    """``eval_f`` of each row of the C-contiguous stack ``X``.
+
+    With a summed quadratic, numpy's matmul gufunc makes, for each row, the
+    same BLAS calls as the vector path: ``S @ x`` is one gemv and each dot
+    product of a row with a column is one dot.  A single ``X @ S`` product
+    would be faster but rounds differently.
+    """
+    if problem.quadratic_sum is None:
+        return np.array([eval_f(problem, x) for x in X], dtype=float)
+    S, sb, const = problem.quadratic_sum
+    columns = X[:, :, None]
+    xSx = np.matmul(X[:, None, :], np.matmul(S, columns))[:, 0, 0]
+    sbx = np.matmul(sb, columns)[:, 0]
+    return 0.5 * xSx + sbx + const
 
 
 def grad_f(problem: Problem, x) -> Array:
@@ -293,12 +348,23 @@ def grad_f(problem: Problem, x) -> Array:
     return np.sum(grads, axis=0)
 
 
-def eval_F(problem: Problem, x) -> float:
+def eval_F(problem: Problem, x) -> float | Array:
     """Composite objective. Exactly ``eval_f(problem, x) + nonsmooth.value(x)``
     in that expression order; ``inf`` outside the domain of the nonsmooth term.
+
+    Given a (K, d) stack of points, returns the K values, each bitwise equal
+    to the value at its row.  The stack is evaluated in blocks of rows so
+    that its temporaries stay within about ``_STACK_BLOCK_BYTES``.
     """
-    x = as_vector(x, problem.dimension)
-    return eval_f(problem, x) + problem.nonsmooth.value(x)
+    x = _as_points(x, problem.dimension)
+    if x.ndim == 1:
+        return eval_f(problem, x) + problem.nonsmooth.value(x)
+    out = np.empty(len(x))
+    rows = max(1, _STACK_BLOCK_BYTES // (x.itemsize * problem.dimension))
+    for start in range(0, len(x), rows):
+        block = x[start:start + rows]
+        out[start:start + rows] = eval_f(problem, block) + problem.nonsmooth.value(block)
+    return out
 
 
 def smoothness_totals(problem: Problem) -> tuple[float, float]:

@@ -604,6 +604,23 @@ def test_invalid_utf8_iterate_log_is_reported_with_its_path(l1_setup, capsys):
     assert capsys.readouterr().err.startswith(f"piag: error: bad-iterates: {iterates}: ")
 
 
+@pytest.mark.parametrize("dimension", [3, 5])
+def test_iterate_log_of_another_dimension_is_bad_iterates(l1_setup, capsys, dimension):
+    problem, tmp = l1_setup
+    out = tmp / "run"
+    run(["solve", "--problem", problem, "--max-iters", "30", "--log-iterates",
+         "--out", str(out), "--quiet"])
+    other = tmp / "other"
+    run(["generate", "--family", "l1", "--components", "3", "--dimension", str(dimension),
+         "--out", str(other), "--quiet"])
+    rc = run(["verify", "--problem", str(other / "problem.json"), "--run", str(out), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"piag: error: bad-iterates: {out / 'iterates.csv'}: rows hold 4 coordinates, "
+        f"the problem dimension is {dimension}\n")
+    assert not (out / "verify.json").exists()
+
+
 def test_module_entry_point_runs_the_cli(tmp_path):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(

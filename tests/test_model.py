@@ -62,8 +62,11 @@ def test_eval_f_matches_loop_summation_oracle():
 
 def test_eval_f_dimension_mismatch():
     p = Problem([half_sq_norm_component(2)], NonsmoothTerm.zero(), 2)
-    with pytest.raises(ValueError, match="dimension"):
-        eval_f(p, np.zeros(3))
+    for x in (np.zeros(3), np.zeros((4, 3)), np.zeros((1, 1))):
+        with pytest.raises(ValueError, match="dimension mismatch: expected 2"):
+            eval_f(p, x)
+        with pytest.raises(ValueError, match="dimension mismatch: expected 2"):
+            eval_F(p, x)
 
 
 def test_eval_F_indicator_outside_domain():
@@ -304,6 +307,18 @@ def test_box_bounds_of_different_lengths_are_rejected():
         NonsmoothTerm.box([-1.0, -1.0, -1.0], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("matrix, offset", [(np.eye(3), np.zeros(2)), (np.eye(2), np.zeros(3)),
+                                            (np.ones((2, 3)), np.zeros(2)),
+                                            (np.eye(2), np.zeros((2, 1))), (None, np.zeros(2))])
+def test_problem_rejects_a_quadratic_component_of_another_dimension(matrix, offset):
+    # such a problem would be written to a problem file that cannot be read back
+    comp = QuadraticComponent(value=lambda x: 0.0, grad=np.zeros_like, lipschitz=1.0,
+                              matrix=matrix, offset=offset)
+    with pytest.raises(ValueError, match="component 0 has a matrix of shape .*problem "
+                                         "dimension is 2"):
+        Problem([comp], NonsmoothTerm.zero(), 2)
+
+
 def _sidecar_case(nonsmooth):
     """A problem file whose components have zero and nonzero constants."""
     rng = np.random.default_rng(53)
@@ -445,7 +460,7 @@ _POOL_VALUES = _REPR_EDGES + [1e308, -1e308, math.nan, -math.nan, _OTHER_NAN, ma
 
 @st.composite
 def _repetitive_problems(draw):
-    n, d = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 6))
     comps = []
     for _ in range(n):
         extra = draw(st.lists(st.one_of(st.sampled_from(_POOL_VALUES), _ANY_FINITE),
@@ -457,7 +472,7 @@ def _repetitive_problems(draw):
         comps.append(QuadraticComponent(value=lambda x: 0.0, grad=np.zeros_like, lipschitz=1.0,
                                         matrix=A, offset=b, constant=draw(pool)))
     with np.errstate(all="ignore"):  # the summed quadratic of non-finite entries
-        return Problem(comps, NonsmoothTerm.l1(0.5), max(d, 1))
+        return Problem(comps, NonsmoothTerm.l1(0.5), d)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

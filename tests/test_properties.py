@@ -8,7 +8,8 @@ A second property compares the summed-quadratic objective and prox residual
 with their per-component forms on random all-quadratic problems.  The last
 two check the gradient table's aggregate against the sum of its entries
 after every refresh, and the prox of every nonsmooth kind against its optimality
-condition.
+condition.  The last property and test check that the objective of a stack of
+points, and so the replay of an iterate log, is bitwise the row-by-row one.
 """
 
 import math
@@ -21,8 +22,9 @@ from hypothesis import strategies as st
 from piag import (DelaySchedule, SolverConfig, check_sufficient_descent,
                   check_summability, rate_constants, reference_fbs,
                   smoothness_totals, solve)
-from piag import NonsmoothTerm, Problem, eval_F, grad_f, prox, prox_residual, quadratic_component
-from piag.delay import GradientTable, next_refresh_set
+from piag import (NonsmoothTerm, Problem, SmoothComponent, eval_F, eval_f, grad_f, prox,
+                  prox_residual, quadratic_component, trace_from_iterates)
+from piag.delay import SCHEDULE_KINDS, GradientTable, next_refresh_set
 from piag.problems import make_quadratic_box, make_quadratic_l1
 
 
@@ -163,3 +165,68 @@ def test_prox_satisfies_its_optimality_condition(kind, data):
     upper = np.where(p == hi, np.inf, np.where(p != 0, term.lam * sign, term.lam))
     tol = 1e-12 * (1.0 + term.lam + (np.abs(y) + np.abs(p)) / t)
     assert np.all(lower - tol <= g) and np.all(g <= upper + tol)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@st.composite
+def point_stacks(draw):
+    """A problem of any nonsmooth kind, with infinite box bounds among the
+    finite ones and sometimes a callable component, and a (K, d) stack of
+    points of which, at the larger scales, some leave the box."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.sampled_from([1, 2, 3, 5, 9, 130, 200]))  # np.sum goes pairwise past 128
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    comps = []
+    for _ in range(n):
+        m = rng.standard_normal((d, d))
+        comps.append(quadratic_component(0.5 * (m + m.T), rng.standard_normal(d),
+                                         rng.standard_normal()))
+    if draw(st.booleans()):
+        comps.append(SmoothComponent(lambda x: 0.5 * float(np.dot(x, x)), lambda x: x, 1.0))
+    kind = draw(st.sampled_from(["zero", "l1", "box", "box_plus_l1"]))
+    lo = hi = None
+    if kind in ("box", "box_plus_l1"):
+        if draw(st.booleans()):
+            lo, hi = draw(st.sampled_from([-np.inf, -1.0])), draw(st.sampled_from([np.inf, 1.5]))
+        else:
+            lo, hi = rng.choice([-np.inf, -1.0, -2.5], d), rng.choice([np.inf, 1.0, 2.0], d)
+    nonsmooth = NonsmoothTerm(kind, lam=draw(st.floats(0.0, 2.0)), lo=lo, hi=hi)
+    k = draw(st.one_of(st.just(1), st.integers(1, 300)))  # 300 rows of 200 span two blocks
+    points = draw(st.sampled_from([0.01, 1.0, 3.0])) * rng.standard_normal((k, d))
+    return Problem(comps, nonsmooth, d), points
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(point_stacks())
+def test_stacked_objective_is_the_row_by_row_objective_bit_for_bit(case):
+    problem, points = case
+    values = eval_F(problem, points)
+    assert values.shape == (len(points),)
+    assert _bits(values) == _bits([eval_F(problem, x) for x in points])
+    assert _bits(eval_f(problem, points)) == _bits([eval_f(problem, x) for x in points])
+    term = problem.nonsmooth
+    assert _bits(term.value(points)) == _bits([term.value(x) for x in points])
+    if term.kind in ("box", "box_plus_l1"):
+        outside = ~(np.all(points >= term.lo, axis=1) & np.all(points <= term.hi, axis=1))
+        assert np.all(values[outside] == math.inf)
+        assert np.all(np.isfinite(values[~outside]))
+
+
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+@pytest.mark.parametrize("family, n, d", [("l1", 6, 5), ("box", 12, 150)])
+def test_replayed_objective_is_the_solvers_bit_for_bit(kind, family, n, d):
+    if family == "l1":
+        problem = make_quadratic_l1(n, d, 7, lam=0.2)
+    else:
+        problem = make_quadratic_box(n, d, 7, negative_curvature=0.4)
+    tau = 0 if kind == "none" else 3
+    block = math.ceil(n / (tau + 1)) if kind == "cyclic" else None
+    config = SolverConfig(alpha="auto_lemma2", schedule=DelaySchedule(kind, tau, block, seed=4),
+                          x0=np.linspace(-3.0, 3.0, d), max_iters=300, prox_residual_tol=0.0,
+                          keep_iterates=True)
+    trace = solve(problem, config)
+    replay = trace_from_iterates(problem, trace.iterates, trace.alpha)
+    assert _bits(replay.objective_values) == _bits(trace.objective_values)
