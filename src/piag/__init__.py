@@ -9,10 +9,9 @@ from .diagnostics import (InequalityReport, RateFit, characteristic_root,
                           check_sufficient_descent, check_summability,
                           delay_window_sums, fit_rlinear_rate,
                           squared_step_norms, trace_from_iterates)
-from .model import (DCSplit, NonsmoothTerm, Problem, QuadraticComponent,
-                    SmoothComponent, dc_decompose, eval_F, eval_f, grad_f,
-                    load_problem, quadratic_component, save_problem,
-                    smoothness_totals)
+from .model import (NonsmoothTerm, Problem, QuadraticComponent, SmoothComponent,
+                    eval_F, eval_f, grad_f, load_problem, quadratic_component,
+                    save_problem, smoothness_totals)
 from .problems import (ReferenceSolution, ReferenceUnavailableError,
                        dist_to_stationary, fit_error_bound_constant,
                        make_quadratic_box, make_quadratic_l1,
@@ -25,14 +24,14 @@ from .solver import (DivergenceError, SolverConfig, TheoryConstants, Trace,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DCSplit", "DelaySchedule", "DivergenceError", "GradientTable",
+    "DelaySchedule", "DivergenceError", "GradientTable",
     "InequalityReport", "NonsmoothTerm", "Problem", "QuadraticComponent",
     "RateFit", "ReferenceSolution", "ReferenceUnavailableError",
     "SmoothComponent", "SolverConfig", "TheoryConstants", "Trace",
     "TraceRecord", "characteristic_root", "check_delayed_recursion_rate",
     "check_perturbed_contraction", "check_prox_scaling_monotonicity",
     "check_step_recursion_coefficient", "check_sufficient_descent",
-    "check_summability", "dc_decompose", "delay_window_sums",
+    "check_summability", "delay_window_sums",
     "dist_to_stationary", "eval_F", "eval_f", "fit_error_bound_constant",
     "fit_rlinear_rate", "grad_f", "load_problem", "make_quadratic_box",
     "make_quadratic_l1", "next_refresh_set", "piag_step", "prox",

@@ -372,6 +372,10 @@ def cmd_verify(args) -> int:
         raise CliError("bad-iterates", f"{iterates_path}: rows hold {iterates.shape[1]} "
                                        f"coordinates, the problem dimension is "
                                        f"{problem.dimension}")
+    non_finite = np.flatnonzero(~np.all(np.isfinite(iterates), axis=1))
+    if len(non_finite):  # solve never logs one, so the log is corrupt
+        raise CliError("bad-iterates", f"{iterates_path}: line {non_finite[0] + 2}: "
+                                       "the iterate is not finite")
     L, l = smoothness_totals(problem)
     # c0 enters neither the descent nor the summability bound.
     constants = rate_constants(L, l, tau, c0=1.0)

@@ -13,6 +13,11 @@ may the ``F`` and ``prox_residual`` columns of ``trace.csv`` and
 ``final_objective`` in ``summary.json`` from versions before the summed
 quadratic; the iterates (``iterates.csv``), which only use component
 gradients, do not.
+
+``eval_F``, ``eval_f`` and ``NonsmoothTerm.value`` have one body each, which
+takes a (K, d) stack of points and returns the K values.  A single point is
+evaluated as a one-row stack, so a point's value is bitwise its value as a
+row of any stack, such as a whole iterate log.
 """
 
 from __future__ import annotations
@@ -47,12 +52,12 @@ def as_vector(x, dim: int | None = None) -> Array:
 
 
 def _as_points(x, dim: int) -> Array:
-    """Coerce to a point of ``dim`` entries (see ``as_vector``) or to a
-    C-contiguous (K, dim) float stack of them."""
+    """Coerce to a C-contiguous float point of ``dim`` entries (see
+    ``as_vector``) or (K, dim) stack of them."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 2:
-        return as_vector(v, dim)
-    if v.shape[1] != dim:
+        v = as_vector(v, dim)
+    elif v.shape[1] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.shape[1]}")
     return np.ascontiguousarray(v)
 
@@ -142,46 +147,6 @@ def sum_quadratics(components) -> tuple[Array, Array, float]:
 
 
 @dataclass(frozen=True, eq=False)
-class DCSplit:
-    """Difference-of-convex form ``f = f1 - f2`` of a smooth component."""
-
-    f1: SmoothComponent
-    f2: SmoothComponent
-    shift: float
-
-
-def dc_decompose(component: SmoothComponent, shift: float) -> DCSplit:
-    """Split ``f`` into convex parts ``f1 = f + (shift/2)||.||^2`` and
-    ``f2 = (shift/2)||.||^2``.
-
-    Requires ``shift`` above the component's gradient Lipschitz constant so
-    that both parts are convex.
-    """
-    c = float(shift)
-    if c <= component.lipschitz:
-        raise ValueError(
-            f"shift {c} must exceed the component Lipschitz constant "
-            f"{component.lipschitz} to make both parts convex"
-        )
-
-    def f1_value(x, _f=component.value, _c=c) -> float:
-        return float(_f(x) + 0.5 * _c * np.dot(x, x))
-
-    def f1_grad(x, _g=component.grad, _c=c) -> Array:
-        return _g(x) + _c * x
-
-    def f2_value(x, _c=c) -> float:
-        return float(0.5 * _c * np.dot(x, x))
-
-    def f2_grad(x, _c=c) -> Array:
-        return _c * x
-
-    f1 = SmoothComponent(f1_value, f1_grad, lipschitz=component.lipschitz + c)
-    f2 = SmoothComponent(f2_value, f2_grad, lipschitz=c)
-    return DCSplit(f1=f1, f2=f2, shift=c)
-
-
-@dataclass(frozen=True, eq=False)
 class NonsmoothTerm:
     """Proximable convex term. Kinds: zero, l1, box, box_plus_l1."""
 
@@ -223,33 +188,19 @@ class NonsmoothTerm:
         return cls(kind="box_plus_l1", lo=_bound(lo), hi=_bound(hi), lam=float(lam))
 
     def value(self, x) -> float | Array:
-        """Evaluate the term, returning ``inf`` outside its domain.  Given a
-        (K, d) stack of points, returns the K values, each bitwise equal to
-        the value at its row."""
+        """Evaluate the term at a point, or at each row of a (K, d) stack of
+        points, returning ``inf`` outside its domain.  A point is a one-row
+        stack; ``np.sum`` along a C-contiguous row adds in the order it uses
+        on that row alone, so a row's value does not depend on the stack."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return self._row_values(x)
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "l1":
-            return float(self.lam * np.sum(np.abs(x)))
-        inside = bool(np.all(x >= self.lo) and np.all(x <= self.hi))
-        if not inside:
-            return math.inf
-        if self.kind == "box":
-            return 0.0
-        return float(self.lam * np.sum(np.abs(x)))
-
-    def _row_values(self, X: Array) -> Array:
-        """``value`` of each row of ``X``; ``np.sum`` along a C-contiguous row
-        adds in the order it uses on the row alone."""
+        X = np.atleast_2d(x)
         if self.kind in ("zero", "box"):
             out = np.zeros(len(X))
         else:
             out = self.lam * np.sum(np.abs(np.ascontiguousarray(X)), axis=1)
         if self.kind in ("box", "box_plus_l1"):
             out[~(np.all(X >= self.lo, axis=1) & np.all(X <= self.hi, axis=1))] = math.inf
-        return out
+        return out if x.ndim == 2 else float(out[0])
 
 
 def _bound(v):
@@ -305,37 +256,30 @@ class Problem:
 
 
 def eval_f(problem: Problem, x) -> float | Array:
-    """Smooth part ``sum_i f_i(x)``: through the summed quadratic when the
-    problem has one, else accumulated in component index order.  Given a
-    (K, d) stack of points, returns the K values, each bitwise equal to the
-    value at its row."""
+    """Smooth part ``sum_i f_i(x)`` at a point, or at each row of a (K, d)
+    stack of points.
+
+    With a summed quadratic, ``0.5 x'Sx + sb'x + const`` goes row by row
+    through numpy's matmul gufunc: ``S @ x`` is one gemv and each product of
+    a row with a column is one dot, so a row's value does not depend on the
+    stack.  A single ``X @ S`` product would be faster but rounds
+    differently.  Otherwise the components are added in index order.
+    """
     x = _as_points(x, problem.dimension)
-    if x.ndim == 2:
-        return _row_values_f(problem, x)
+    X = np.atleast_2d(x)
     if problem.quadratic_sum is not None:
         S, sb, const = problem.quadratic_sum
-        return float(0.5 * np.dot(x, S @ x) + np.dot(sb, x) + const)
-    total = 0.0
-    for comp in problem.components:
-        total += comp.value(x)
-    return total
-
-
-def _row_values_f(problem: Problem, X: Array) -> Array:
-    """``eval_f`` of each row of the C-contiguous stack ``X``.
-
-    With a summed quadratic, numpy's matmul gufunc makes, for each row, the
-    same BLAS calls as the vector path: ``S @ x`` is one gemv and each dot
-    product of a row with a column is one dot.  A single ``X @ S`` product
-    would be faster but rounds differently.
-    """
-    if problem.quadratic_sum is None:
-        return np.array([eval_f(problem, x) for x in X], dtype=float)
-    S, sb, const = problem.quadratic_sum
-    columns = X[:, :, None]
-    xSx = np.matmul(X[:, None, :], np.matmul(S, columns))[:, 0, 0]
-    sbx = np.matmul(sb, columns)[:, 0]
-    return 0.5 * xSx + sbx + const
+        columns = X[:, :, None]
+        xSx = np.matmul(X[:, None, :], np.matmul(S, columns))[:, 0, 0]
+        out = 0.5 * xSx + np.matmul(sb, columns)[:, 0] + const
+    else:
+        out = np.empty(len(X))
+        for r, row in enumerate(X):
+            total = 0.0
+            for comp in problem.components:
+                total += comp.value(row)
+            out[r] = total
+    return out if x.ndim == 2 else float(out[0])
 
 
 def grad_f(problem: Problem, x) -> Array:
@@ -349,22 +293,22 @@ def grad_f(problem: Problem, x) -> Array:
 
 
 def eval_F(problem: Problem, x) -> float | Array:
-    """Composite objective. Exactly ``eval_f(problem, x) + nonsmooth.value(x)``
-    in that expression order; ``inf`` outside the domain of the nonsmooth term.
+    """Composite objective at a point, or at each row of a (K, d) stack of
+    points.  Exactly ``eval_f(problem, x) + nonsmooth.value(x)`` in that
+    expression order; ``inf`` outside the domain of the nonsmooth term.
 
-    Given a (K, d) stack of points, returns the K values, each bitwise equal
-    to the value at its row.  The stack is evaluated in blocks of rows so
-    that its temporaries stay within about ``_STACK_BLOCK_BYTES``.
+    A point is a one-row stack, and each row's value is the same in any
+    stack.  The stack is evaluated in blocks of rows so that its temporaries
+    stay within about ``_STACK_BLOCK_BYTES``.
     """
     x = _as_points(x, problem.dimension)
-    if x.ndim == 1:
-        return eval_f(problem, x) + problem.nonsmooth.value(x)
-    out = np.empty(len(x))
-    rows = max(1, _STACK_BLOCK_BYTES // (x.itemsize * problem.dimension))
-    for start in range(0, len(x), rows):
-        block = x[start:start + rows]
+    X = np.atleast_2d(x)
+    out = np.empty(len(X))
+    rows = max(1, _STACK_BLOCK_BYTES // (X.itemsize * problem.dimension))
+    for start in range(0, len(X), rows):
+        block = X[start:start + rows]
         out[start:start + rows] = eval_f(problem, block) + problem.nonsmooth.value(block)
-    return out
+    return out if x.ndim == 2 else float(out[0])
 
 
 def smoothness_totals(problem: Problem) -> tuple[float, float]:

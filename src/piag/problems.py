@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (NonsmoothTerm, Problem, as_vector, eval_F, quadratic_component,
+from .model import (NonsmoothTerm, Problem, as_vector, eval_f, eval_F, quadratic_component,
                     smoothness_totals)
 from .prox import prox_residual, soft_threshold
 
@@ -131,14 +131,13 @@ def make_quadratic_l1(N: int, d: int, seed: int, lam: float) -> Problem:
     for _ in range(100):
         problem = Problem(components=tuple(_draw_components(rng, N, d, eig_lo)),
                           nonsmooth=nonsmooth, dimension=d)
-        S, sb, const = problem.quadratic_sum
+        S, sb, _ = problem.quadratic_sum
         if float(np.linalg.eigvalsh(S)[0]) >= 0.1:
             break
     else:
         raise RuntimeError("failed to draw a strongly convex component sum in 100 attempts")
     x_free = np.linalg.solve(S, -sb)
-    hint = float(0.5 * x_free @ (S @ x_free) + sb @ x_free + const)
-    return _with_fields(problem, f_lower_bound_hint=hint)
+    return _with_fields(problem, f_lower_bound_hint=eval_f(problem, x_free))
 
 
 def _require_quadratic(problem: Problem) -> tuple[Array, Array]:

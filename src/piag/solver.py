@@ -10,10 +10,12 @@ term:
 
 With zero delay this is exactly forward-backward splitting.  ``solve`` and
 ``reference_fbs`` share one driver, which owns the stepsize, termination,
-divergence handling, trace records and the iterate log and evaluates F at
-most once per iterate.  They differ only in the step: ``solve`` aggregates
-through a ``GradientTable``, while ``reference_fbs`` forms the full gradient
-directly, so it stays an independent implementation for equivalence testing.
+divergence handling, trace records and the iterate log.  It evaluates F in
+the loop only where a check or a record reads it, and the F of a kept
+iterate log in one stacked call after the loop.  They differ only in the
+step: ``solve`` aggregates through a ``GradientTable``, while
+``reference_fbs`` forms the full gradient directly, so it stays an
+independent implementation for equivalence testing.
 """
 
 from __future__ import annotations
@@ -235,8 +237,10 @@ def _iterate(problem: Problem, config: SolverConfig, window: StepWindow,
 
     Owns the stepsize, the start-point check, termination, divergence, the
     trace records and the iterate log; ``window`` supplies the staleness and
-    the delay-window sum of each record and receives every step.  F is
-    evaluated at most once per iterate.
+    the delay-window sum of each record and receives every step.  In the
+    loop, F is evaluated only where a check or a record reads it, at most
+    once per iterate; the objective values of a kept iterate log are one
+    stacked ``eval_F`` call after the loop.
     """
     tau = config.schedule.tau
     L, l = smoothness_totals(problem)
@@ -251,7 +255,6 @@ def _iterate(problem: Problem, config: SolverConfig, window: StepWindow,
     records: list[TraceRecord] = []
     keep = config.keep_iterates
     iterates = [x] if keep else None
-    objective_values = [f0] if keep else None
     termination = "max_iters"
 
     def objective() -> float:
@@ -293,11 +296,11 @@ def _iterate(problem: Problem, config: SolverConfig, window: StepWindow,
         x, f_x = x_next, None
         if keep:
             iterates.append(x)
-            objective_values.append(objective())
     else:
         k = config.max_iters
         record(k, 0.0, prox_residual(problem, alpha, x))
 
+    iterates = np.asarray(iterates) if keep else None
     return Trace(
         records=records,
         final_x=x,
@@ -305,8 +308,8 @@ def _iterate(problem: Problem, config: SolverConfig, window: StepWindow,
         iterations=k,
         alpha=alpha,
         warnings=warnings,
-        iterates=np.asarray(iterates) if keep else None,
-        objective_values=np.asarray(objective_values) if keep else None,
+        iterates=iterates,
+        objective_values=eval_F(problem, iterates) if keep else None,
     )
 
 

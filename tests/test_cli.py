@@ -431,6 +431,27 @@ def test_malformed_iterate_row_is_bad_iterates(l1_setup, capsys, corrupt):
     assert err.startswith("piag: error: bad-iterates:") and "line 4" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_iterate_is_bad_iterates(l1_setup, capsys, value):
+    # A log that solve wrote holds only finite iterates; one that does not is
+    # corrupt, and the descent checks would count nothing on it.
+    problem, tmp = l1_setup
+    out = tmp / "run"
+    run(["solve", "--problem", problem, "--tau", "2", "--max-iters", "20",
+         "--log-iterates", "--out", str(out), "--quiet"])
+    path = out / "iterates.csv"
+    lines = path.read_text().splitlines()
+    for i, text in [(3, value), (6, "inf")]:
+        k, _, *rest = lines[i].split(",")
+        lines[i] = ",".join([k, text, *rest])
+    path.write_text("\n".join(lines) + "\n")
+    rc = run(["verify", "--problem", problem, "--run", str(out), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"piag: error: bad-iterates: {path}: line 4: the iterate is not finite\n")
+    assert not (out / "verify.json").exists()
+
+
 def test_rate_on_short_trace_is_short_trace(l1_setup, capsys):
     problem, tmp = l1_setup
     out = tmp / "run"

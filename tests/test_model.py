@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piag import (NonsmoothTerm, Problem, QuadraticComponent, SmoothComponent,
-                  dc_decompose, eval_F, eval_f, grad_f, quadratic_component,
-                  smoothness_totals)
+                  eval_F, eval_f, grad_f, quadratic_component, smoothness_totals)
 from piag import model
 from piag.model import load_problem, problem_from_dict, problem_to_dict, save_problem
 from piag.prox import prox, prox_residual
@@ -85,61 +84,6 @@ def test_eval_F_equals_eval_f_for_zero_term():
     for _ in range(50):
         x = rng.standard_normal(3)
         assert eval_F(p, x) == eval_f(p, x)
-
-
-# ---------------------------------------------------------------- dc_decompose
-
-
-def test_dc_decompose_concave_quadratic():
-    comp = half_sq_norm_component(1, -1.0)  # f(x) = -x^2/2, lipschitz 1
-    split = dc_decompose(comp, 2.0)
-    for x in np.linspace(-3, 3, 13):
-        xv = np.array([x])
-        assert split.f1.value(xv) == pytest.approx(0.5 * x * x, abs=1e-12)
-        assert split.f2.value(xv) == pytest.approx(x * x, abs=1e-12)
-    assert split.f1.lipschitz == pytest.approx(3.0)
-    assert split.f2.lipschitz == pytest.approx(2.0)
-
-
-def test_dc_decompose_reproduces_value_and_gradient():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((3, 3))
-    comp = quadratic_component(0.5 * (m + m.T), rng.standard_normal(3))
-    split = dc_decompose(comp, comp.lipschitz + 1.0)
-    for _ in range(100):
-        x = rng.standard_normal(3)
-        diff = split.f1.value(x) - split.f2.value(x)
-        assert diff == pytest.approx(comp.value(x), rel=1e-12, abs=1e-12)
-        gdiff = split.f1.grad(x) - split.f2.grad(x)
-        assert np.allclose(gdiff, comp.grad(x), rtol=1e-10, atol=1e-10)
-
-
-def test_dc_decompose_zero_function():
-    comp = half_sq_norm_component(2, 0.0)  # identically zero, tiny lipschitz
-    split = dc_decompose(comp, 1.0)
-    x = np.array([1.5, -2.0])
-    assert split.f1.value(x) == pytest.approx(split.f2.value(x), abs=1e-12)
-    assert split.f1.value(x) == pytest.approx(0.5 * float(np.dot(x, x)), abs=1e-12)
-
-
-def test_dc_decompose_rejects_small_shift():
-    comp = half_sq_norm_component(1, -1.0)
-    with pytest.raises(ValueError, match="shift"):
-        dc_decompose(comp, 1.0)
-
-
-def test_dc_split_parts_are_midpoint_convex():
-    rng = np.random.default_rng(11)
-    m = rng.standard_normal((2, 2))
-    comp = quadratic_component(0.5 * (m + m.T), rng.standard_normal(2))
-    split = dc_decompose(comp, comp.lipschitz + 0.5)
-    for part in (split.f1, split.f2):
-        for _ in range(50):
-            x, y = rng.standard_normal(2), rng.standard_normal(2)
-            mid = part.value(0.5 * (x + y))
-            avg = 0.5 * (part.value(x) + part.value(y))
-            scale = 1.0 + abs(part.value(x)) + abs(part.value(y))
-            assert mid <= avg + 1e-10 * scale
 
 
 # ---------------------------------------------------------------- totals

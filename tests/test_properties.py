@@ -9,7 +9,8 @@ with their per-component forms on random all-quadratic problems.  The last
 two check the gradient table's aggregate against the sum of its entries
 after every refresh, and the prox of every nonsmooth kind against its optimality
 condition.  The last property and test check that the objective of a stack of
-points, and so the replay of an iterate log, is bitwise the row-by-row one.
+points, the solver's iterate log and its replay are bitwise the row-by-row
+objective, and the row-by-row objective is bitwise its formula on one vector.
 """
 
 import math
@@ -199,6 +200,30 @@ def point_stacks(draw):
     return Problem(comps, nonsmooth, d), points
 
 
+def _point_f(problem, x) -> float:
+    """``eval_f`` at one point, as a formula on the vector: the oracle for
+    the stacked evaluation."""
+    if problem.quadratic_sum is None:
+        total = 0.0
+        for comp in problem.components:
+            total += comp.value(x)
+        return total
+    S, sb, const = problem.quadratic_sum
+    return float(0.5 * np.dot(x, S @ x) + np.dot(sb, x) + const)
+
+
+def _point_h(term, x) -> float:
+    """``NonsmoothTerm.value`` at one point, as a formula on the vector."""
+    if term.kind in ("box", "box_plus_l1") and not (np.all(x >= term.lo)
+                                                     and np.all(x <= term.hi)):
+        return math.inf
+    return float(term.lam * np.sum(np.abs(x))) if term.kind in ("l1", "box_plus_l1") else 0.0
+
+
+def _point_F(problem, x) -> float:
+    return _point_f(problem, x) + _point_h(problem.nonsmooth, x)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(point_stacks())
 def test_stacked_objective_is_the_row_by_row_objective_bit_for_bit(case):
@@ -206,9 +231,14 @@ def test_stacked_objective_is_the_row_by_row_objective_bit_for_bit(case):
     values = eval_F(problem, points)
     assert values.shape == (len(points),)
     assert _bits(values) == _bits([eval_F(problem, x) for x in points])
-    assert _bits(eval_f(problem, points)) == _bits([eval_f(problem, x) for x in points])
+    assert _bits(values) == _bits([_point_F(problem, x) for x in points])
+    f_values = eval_f(problem, points)
+    assert _bits(f_values) == _bits([eval_f(problem, x) for x in points])
+    assert _bits(f_values) == _bits([_point_f(problem, x) for x in points])
     term = problem.nonsmooth
-    assert _bits(term.value(points)) == _bits([term.value(x) for x in points])
+    h_values = term.value(points)
+    assert _bits(h_values) == _bits([term.value(x) for x in points])
+    assert _bits(h_values) == _bits([_point_h(term, x) for x in points])
     if term.kind in ("box", "box_plus_l1"):
         outside = ~(np.all(points >= term.lo, axis=1) & np.all(points <= term.hi, axis=1))
         assert np.all(values[outside] == math.inf)
@@ -228,5 +258,6 @@ def test_replayed_objective_is_the_solvers_bit_for_bit(kind, family, n, d):
                           x0=np.linspace(-3.0, 3.0, d), max_iters=300, prox_residual_tol=0.0,
                           keep_iterates=True)
     trace = solve(problem, config)
+    assert _bits(trace.objective_values) == _bits([_point_F(problem, x) for x in trace.iterates])
     replay = trace_from_iterates(problem, trace.iterates, trace.alpha)
     assert _bits(replay.objective_values) == _bits(trace.objective_values)

@@ -267,12 +267,14 @@ def test_config_rejects_out_of_range_settings():
 
 @pytest.mark.parametrize("runner", [solve, reference_fbs])
 def test_objective_evaluated_at_most_once_per_iterate(monkeypatch, runner):
+    # The loop reads F only at checks and records; a kept log is evaluated
+    # once, as one stack, after the loop.
     calls = []
     real = piag.solver.eval_F
 
     def counting_eval_F(problem, x):
-        calls.append(x)
-        return real(problem, x)
+        calls.append((np.shape(x), real(problem, x)))
+        return calls[-1][1]
 
     monkeypatch.setattr(piag.solver, "eval_F", counting_eval_F)
     p = make_quadratic_l1(5, 20, seed=7, lam=0.3)
@@ -280,7 +282,11 @@ def test_objective_evaluated_at_most_once_per_iterate(monkeypatch, runner):
     trace = runner(p, base_config(np.zeros(20), alpha="auto_lemma2", schedule=sched,
                                   max_iters=5000))
     assert trace.termination == "converged"
-    assert len(calls) == trace.iterations + 1  # one per logged iterate
+    points = [shape for shape, _ in calls if len(shape) == 1]
+    stacks = [(shape, values) for shape, values in calls if len(shape) == 2]
+    assert len(points) <= len(trace.records) + 1
+    assert [shape for shape, _ in stacks] == [(trace.iterations + 1, 20)]
+    assert stacks[0][1] is trace.objective_values
     calls.clear()
     trace = runner(p, base_config(np.zeros(20), alpha="auto_lemma2", schedule=sched,
                                   max_iters=5000, keep_iterates=False))
