@@ -52,11 +52,10 @@ def as_vector(x, dim: int | None = None) -> Array:
 
 
 def _as_points(x, dim: int) -> Array:
-    """Coerce to a C-contiguous float point of ``dim`` entries (see
-    ``as_vector``) or (K, dim) stack of them."""
+    """Coerce a point (see ``as_vector``) or a (K, dim) stack to a C-contiguous float stack."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 2:
-        v = as_vector(v, dim)
+        v = as_vector(v, dim).reshape(1, dim)
     elif v.shape[1] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.shape[1]}")
     return np.ascontiguousarray(v)
@@ -190,17 +189,21 @@ class NonsmoothTerm:
     def value(self, x) -> float | Array:
         """Evaluate the term at a point, or at each row of a (K, d) stack of
         points, returning ``inf`` outside its domain.  A point is a one-row
-        stack; ``np.sum`` along a C-contiguous row adds in the order it uses
-        on that row alone, so a row's value does not depend on the stack."""
-        x = np.asarray(x, dtype=float)
-        X = np.atleast_2d(x)
+        stack; ``np.add.reduce`` along a C-contiguous row adds in the order
+        it uses on that row alone, so each row's value is the same in any stack."""
+        X = np.asarray(x, dtype=float)
+        out = self._stack_values(X if X.ndim == 2 else X.reshape(1, -1))
+        return out if X.ndim == 2 else float(out[0])
+
+    def _stack_values(self, X: Array) -> Array:
+        """``value`` at each row of the (K, d) stack ``X``."""
         if self.kind in ("zero", "box"):
             out = np.zeros(len(X))
         else:
-            out = self.lam * np.sum(np.abs(np.ascontiguousarray(X)), axis=1)
+            out = self.lam * np.add.reduce(np.abs(np.ascontiguousarray(X)), axis=1)
         if self.kind in ("box", "box_plus_l1"):
-            out[~(np.all(X >= self.lo, axis=1) & np.all(X <= self.hi, axis=1))] = math.inf
-        return out if x.ndim == 2 else float(out[0])
+            out[~np.logical_and.reduce((X >= self.lo) & (X <= self.hi), axis=1)] = math.inf
+        return out
 
 
 def _bound(v):
@@ -265,21 +268,21 @@ def eval_f(problem: Problem, x) -> float | Array:
     stack.  A single ``X @ S`` product would be faster but rounds
     differently.  Otherwise the components are added in index order.
     """
-    x = _as_points(x, problem.dimension)
-    X = np.atleast_2d(x)
+    out = _smooth_stack_values(problem, _as_points(x, problem.dimension))
+    return out if np.ndim(x) == 2 else float(out[0])
+
+
+def _smooth_stack_values(problem: Problem, X: Array) -> Array:
+    """``eval_f`` at each row of the C-contiguous (K, d) stack ``X``."""
     if problem.quadratic_sum is not None:
         S, sb, const = problem.quadratic_sum
         columns = X[:, :, None]
         xSx = np.matmul(X[:, None, :], np.matmul(S, columns))[:, 0, 0]
-        out = 0.5 * xSx + np.matmul(sb, columns)[:, 0] + const
-    else:
-        out = np.empty(len(X))
-        for r, row in enumerate(X):
-            total = 0.0
-            for comp in problem.components:
-                total += comp.value(row)
-            out[r] = total
-    return out if x.ndim == 2 else float(out[0])
+        return 0.5 * xSx + np.matmul(sb, columns)[:, 0] + const
+    out = np.zeros(len(X))
+    for comp in problem.components:
+        out += [comp.value(row) for row in X]
+    return out
 
 
 def grad_f(problem: Problem, x) -> Array:
@@ -301,14 +304,13 @@ def eval_F(problem: Problem, x) -> float | Array:
     stack.  The stack is evaluated in blocks of rows so that its temporaries
     stay within about ``_STACK_BLOCK_BYTES``.
     """
-    x = _as_points(x, problem.dimension)
-    X = np.atleast_2d(x)
-    out = np.empty(len(X))
+    X = _as_points(x, problem.dimension)
     rows = max(1, _STACK_BLOCK_BYTES // (X.itemsize * problem.dimension))
-    for start in range(0, len(X), rows):
-        block = X[start:start + rows]
-        out[start:start + rows] = eval_f(problem, block) + problem.nonsmooth.value(block)
-    return out if x.ndim == 2 else float(out[0])
+    if len(X) <= rows:  # a point, or a stack of one block
+        out = _smooth_stack_values(problem, X) + problem.nonsmooth._stack_values(X)
+    else:
+        out = np.concatenate([eval_F(problem, X[i:i + rows]) for i in range(0, len(X), rows)])
+    return out if np.ndim(x) == 2 else float(out[0])
 
 
 def smoothness_totals(problem: Problem) -> tuple[float, float]:

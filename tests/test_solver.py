@@ -267,8 +267,11 @@ def test_config_rejects_out_of_range_settings():
 
 @pytest.mark.parametrize("runner", [solve, reference_fbs])
 def test_objective_evaluated_at_most_once_per_iterate(monkeypatch, runner):
-    # The loop reads F only at checks and records; a kept log is evaluated
-    # once, as one stack, after the loop.
+    # The loop reads F only at checks and records, at most once per iterate;
+    # a kept log is evaluated once, as one stack, after the loop.  So with
+    # the log kept, x0 and each iterate read at a check or a record are
+    # evaluated twice: once as a point in the loop and once as a row of the
+    # stack.
     calls = []
     real = piag.solver.eval_F
 
