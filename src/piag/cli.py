@@ -56,26 +56,33 @@ def _write_json(obj, path) -> None:
         fh.write("\n")
 
 
+@contextlib.contextmanager
+def _reading(path, code: str):
+    """Report a file read inside that does not decode or parse as a ``code``
+    error: a JSON syntax error as ``<path>: line <n>: <msg>``, bytes that are
+    not UTF-8 as ``<path>: <exc>``, and any other TypeError or ValueError
+    with its own message."""
+    try:
+        yield
+    except json.JSONDecodeError as exc:
+        raise CliError(code, f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(code, f"{path}: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CliError(code, str(exc)) from exc
+
+
 def _load_problem(path) -> Problem:
     if not os.path.exists(path):
         raise CliError("missing-file", f"problem file not found: {path}")
-    try:
+    with _reading(path, "bad-problem"):
         return load_problem(path)
-    except UnicodeDecodeError as exc:
-        raise CliError("bad-problem", f"{path}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise CliError("bad-problem", str(exc)) from exc
 
 
 def _read_json(path, code: str):
     """The JSON in ``path``; text that does not decode or parse is a ``code`` error."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CliError(code, f"{path}: line {exc.lineno}: {exc.msg}") from exc
-        except UnicodeDecodeError as exc:
-            raise CliError(code, f"{path}: {exc}") from exc
+    with open(path) as fh, _reading(path, code):
+        return json.load(fh)
 
 
 def _load_config_dict(path) -> dict:
@@ -224,7 +231,7 @@ def _read_summary(path) -> tuple[float, int]:
     summary = _read_json(path, "bad-summary")
     try:
         alpha, tau = float(summary["alpha"]), int(summary["schedule"]["tau"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(1e309) overflows
         raise CliError("bad-summary", f"{path}: needs numeric 'alpha' and 'schedule.tau'") from exc
     if not (alpha > 0 and math.isfinite(alpha) and tau >= 0):
         raise CliError("bad-summary", f"{path}: needs alpha > 0 and schedule.tau >= 0")
@@ -360,12 +367,8 @@ def cmd_verify(args) -> int:
         raise CliError("missing-iterates",
                        f"no iterates.csv in {run_dir}; re-run solve with --log-iterates")
     alpha, tau = _read_summary(summary_path)
-    try:
+    with _reading(iterates_path, "bad-iterates"):
         iterates = read_iterates_csv(iterates_path)
-    except UnicodeDecodeError as exc:
-        raise CliError("bad-iterates", f"{iterates_path}: {exc}") from exc
-    except ValueError as exc:
-        raise CliError("bad-iterates", str(exc)) from exc
     if len(iterates) == 0:
         raise CliError("empty-trace", f"{iterates_path}: iterate log is empty")
     if iterates.shape[1] != problem.dimension:
@@ -411,7 +414,8 @@ def _fit_rate_from_records(records, skip_iters: int, limit: float | None):
     """Log-linear rate fit on trace checkpoints ``(k, F)``.
 
     With no explicit limit, the smallest recorded objective minus an epsilon
-    pad is used; residuals within 100x of the pad are dropped as noise.
+    pad is used, and residuals within 100x of the pad are dropped as noise.
+    An explicit limit keeps every record, so one at or below it is an error.
     """
     ks = np.asarray([r.k for r in records], dtype=float)
     fs = np.asarray([r.objective for r in records], dtype=float)
@@ -420,9 +424,8 @@ def _fit_rate_from_records(records, skip_iters: int, limit: float | None):
         pad = 1e-14 * (1.0 + abs(f_min))
         limit = f_min - pad
         keep = fs - limit > 100.0 * pad
-    else:
-        keep = fs - limit > 0.0
-    fit = diagnostics.fit_rlinear_rate(fs[keep], limit, skip_iters, ks=ks[keep])
+        ks, fs = ks[keep], fs[keep]
+    fit = diagnostics.fit_rlinear_rate(fs, limit, skip_iters, ks=ks)
     return fit.rate, fit.log_linear_r2, float(limit)
 
 
@@ -433,15 +436,17 @@ def cmd_rate(args) -> int:
     for path in (trace_path, summary_path):
         if not os.path.exists(path):
             raise CliError("missing-file", f"not found: {path}")
-    try:
+    with _reading(trace_path, "bad-trace"):
         records = read_trace_csv(trace_path)
-    except UnicodeDecodeError as exc:
-        raise CliError("bad-trace", f"{trace_path}: {exc}") from exc
-    except ValueError as exc:
-        raise CliError("bad-trace", str(exc)) from exc
     if not records:
         raise CliError("empty-trace", f"{trace_path}: trace has no records")
+    bad = next((i for i, r in enumerate(records) if not math.isfinite(r.objective)), None)
+    if bad is not None:  # the fit takes logs of F; a diverged run's trace ends in -inf
+        raise CliError("bad-trace", f"{trace_path}: line {bad + 2}: "
+                                    f"F is {records[bad].objective}, not a finite number")
     _, tau = _read_summary(summary_path)
+    if args.limit_value is not None and not math.isfinite(args.limit_value):
+        raise CliError("bad-config", f"--limit-value: must be finite, got {args.limit_value}")
     skip = args.skip if args.skip is not None else _transient_skip(tau)
     try:
         rate, r2, limit = _fit_rate_from_records(records, skip, args.limit_value)
@@ -566,7 +571,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # Non-finite outcomes are reported by exit code and message, so
+        # numpy's floating-point warnings would only add noise to stderr.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except CliError as exc:
         print(f"piag: error: {exc.code}: {exc}", file=sys.stderr)
         return 1

@@ -539,15 +539,13 @@ def load_problem(path) -> Problem:
 
     The numbers come from the sidecar ``<path>.npz`` when its digest matches
     the JSON bytes, else from the JSON text; either way ``problem_from_dict``
-    checks and builds the problem.
+    checks and builds the problem.  Text that is not JSON raises
+    ``json.JSONDecodeError``, a ValueError.
     """
     obj = _read_sidecar(path)
     if obj is None:
         with open(path) as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+            obj = json.load(fh)
     return problem_from_dict(obj)
 
 

@@ -284,9 +284,13 @@ def dist_to_stationary(x, ref: ReferenceSolution) -> float:
     return min(float(np.linalg.norm(x - p)) for p in ref.points)
 
 
-def fit_error_bound_constant(problem: Problem, ref: ReferenceSolution,
-                             seed: int = 0, n_samples: int = 200,
-                             radius: float = 0.5) -> float:
+# fit_error_bound_constant samples this many points, each a reference point
+# plus a Gaussian offset scaled by up to _C0_RADIUS.
+_C0_SAMPLES = 200
+_C0_RADIUS = 0.5
+
+
+def fit_error_bound_constant(problem: Problem, ref: ReferenceSolution, seed: int = 0) -> float:
     """Empirical error-bound constant: twice the largest observed ratio of
     distance-to-stationary-set over prox residual at scale ``1/L``, sampled
     near the reference points.  The factor two is a safety margin so the
@@ -299,9 +303,9 @@ def fit_error_bound_constant(problem: Problem, ref: ReferenceSolution,
     if problem.nonsmooth.kind in ("box", "box_plus_l1"):
         lo, hi = _box_bounds(problem)
     worst = 0.0
-    for i in range(n_samples):
+    for i in range(_C0_SAMPLES):
         base = ref.points[i % len(ref.points)]
-        x = base + radius * rng.uniform(0.01, 1.0) * rng.standard_normal(problem.dimension)
+        x = base + _C0_RADIUS * rng.uniform(0.01, 1.0) * rng.standard_normal(problem.dimension)
         if lo is not None:
             x = np.clip(x, lo, hi)
         residual = prox_residual(problem, scale, x)

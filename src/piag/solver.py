@@ -375,25 +375,33 @@ def write_trace_csv(trace: Trace, path) -> None:
             )
 
 
-def read_trace_csv(path) -> list[TraceRecord]:
-    records = []
+def _read_rows(path, header_error, parse_row) -> tuple[int, list]:
+    """The header's column count and the rows of a CSV log, each parsed by
+    ``parse_row(i, fields)``.  ``header_error(header)`` is falsy for a good
+    header, else the reason; a row of the wrong width, or one ``parse_row``
+    rejects, raises ``ValueError("<path>: line <n>: <reason>")``."""
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != TRACE_HEADER:
-            raise ValueError(f"{path}: unexpected trace header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
+        header = fh.readline()
+        if reason := header_error(header):
+            raise ValueError(f"{path}: {reason}")
+        width = header.count(",") + 1
+        rows = []
+        for i, line in enumerate(fh):
+            fields = line.strip().split(",")
             try:
-                if len(parts) != 6:
-                    raise ValueError(f"{len(parts)} columns, the header has 6")
-                records.append(TraceRecord(
-                    k=int(parts[0]), objective=float(parts[1]), step_norm=float(parts[2]),
-                    prox_residual=float(parts[3]), max_staleness=int(parts[4]),
-                    delta=float(parts[5]),
-                ))
+                if len(fields) != width:
+                    raise ValueError(f"{len(fields)} columns, the header has {width}")
+                rows.append(parse_row(i, fields))
             except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return records
+                raise ValueError(f"{path}: line {i + 2}: {exc}") from None
+    return width, rows
+
+
+def read_trace_csv(path) -> list[TraceRecord]:
+    return _read_rows(
+        path, lambda h: h.strip() != TRACE_HEADER and f"unexpected trace header {h.strip()!r}",
+        lambda i, f: TraceRecord(int(f[0]), float(f[1]), float(f[2]), float(f[3]), int(f[4]),
+                                 float(f[5])))[1]
 
 
 def write_iterates_csv(iterates: Array, path) -> None:
@@ -407,19 +415,14 @@ def write_iterates_csv(iterates: Array, path) -> None:
 
 
 def read_iterates_csv(path) -> Array:
-    """The iterate log as a ``(rows, d)`` array; a header-only log gives 0 rows."""
-    rows = []
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("k,"):
-            raise ValueError(f"{path}: unexpected iterate-log header")
-        width = header.count(",") + 1
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            try:
-                if len(parts) != width:
-                    raise ValueError(f"{len(parts)} columns, the header has {width}")
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    """The iterate log as a ``(rows, d)`` array; a header-only log gives 0
+    rows.  Row ``i`` must be iterate ``k = i``, as ``write_iterates_csv``
+    numbers them, so a log with a row missing or moved is rejected."""
+    def parse_row(i, fields):
+        if int(fields[0]) != i:
+            raise ValueError(f"k is {fields[0]}, expected {i}")
+        return [float(v) for v in fields[1:]]
+
+    width, rows = _read_rows(
+        path, lambda h: not h.startswith("k,") and "unexpected iterate-log header", parse_row)
     return np.asarray(rows, dtype=float).reshape(len(rows), width - 1)

@@ -39,6 +39,14 @@ def test_generate_writes_problem_and_metadata(tmp_path):
     assert meta["L"] >= meta["l"]
 
 
+def test_generate_box_above_enumerable_dimension_has_no_reference(tmp_path):
+    out = tmp_path / "g"
+    assert run(["generate", "--family", "box", "--components", "2", "--dimension", "4",
+                "--out", str(out), "--quiet"]) == 0
+    meta = json.loads((out / "problem_meta.json").read_text())
+    assert meta["reference"] is None and "fitted_c0" not in meta
+
+
 def test_solve_converges_and_writes_outputs(l1_setup):
     problem, tmp = l1_setup
     out = tmp / "run"
@@ -249,14 +257,36 @@ def test_solve_one_d_box_instance(tmp_path):
     assert summary["final_objective"] == pytest.approx(-0.5, abs=1e-9)
 
 
-def test_solve_divergence_exit_code(tmp_path):
+# In-process, pytest captures numpy's warnings instead of letting them reach
+# stderr, so the CLI's silence is checked by making them errors.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_solve_divergence_exit_code(tmp_path, capsys):
     # concave objective with no constraint: an oversized stepsize blows up
     problem = _one_d_box_problem(tmp_path, {"kind": "zero"})
+    out = tmp_path / "r"
     rc = run(["solve", "--problem", problem, "--x0", "1.0", "--alpha", "5.0",
-              "--max-iters", "100000", "--out", str(tmp_path / "r"), "--quiet"])
+              "--max-iters", "100000", "--log-iterates", "--out", str(out), "--quiet"])
     assert rc == 3
-    summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+    summary = json.loads((out / "summary.json").read_text())
     assert summary["termination"] == "diverged"
+    assert (out / "trace.csv").read_text().endswith("\n200,-inf,0,inf,0,0\n")
+    assert run(["verify", "--problem", problem, "--run", str(out), "--quiet"]) == 0
+    assert run(["rate", "--run", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        f"piag: error: bad-trace: {out / 'trace.csv'}: line 22: F is -inf, not a finite number\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("runner", [[], ["--reference-fbs"]], ids=["solve", "reference-fbs"])
+def test_non_finite_step_is_divergence(tmp_path, runner):
+    # The first step already overflows, so the loop stops inside the step.
+    problem = _one_d_box_problem(tmp_path, {"kind": "zero"})
+    out = tmp_path / "r"
+    rc = run(["solve", "--problem", problem, "--x0", "1.0", "--alpha", "1e200", *runner,
+              "--out", str(out), "--quiet"])
+    assert rc == 3
+    assert _summary(out)["iterations"] == 1
+    assert (out / "trace.csv").read_text().splitlines()[-1] == "1,-inf,0,inf,0,0"
 
 
 def test_non_finite_problem_data_is_bad_problem(tmp_path, capsys):
@@ -271,12 +301,22 @@ def test_non_finite_problem_data_is_bad_problem(tmp_path, capsys):
         assert err.startswith("piag: error: bad-problem:") and "finite" in err
 
 
-@pytest.mark.parametrize("flags", [["--max-iters", "-5"], ["--tol", "nan"]])
+@pytest.mark.parametrize("flags", [["--max-iters", "-5"], ["--tol", "nan"], ["--tau", "-1"],
+                                   ["--alpha", "auto_c8"]])
 def test_out_of_range_solver_settings_are_bad_config(l1_setup, capsys, flags):
     problem, tmp = l1_setup
     rc = run(["solve", "--problem", problem, *flags, "--out", str(tmp / "x"), "--quiet"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("piag: error: bad-config:")
+
+
+def test_x0_outside_the_box_is_bad_config(tmp_path, capsys):
+    problem = _one_d_box_problem(tmp_path, _BOX_1D)
+    rc = run(["solve", "--problem", problem, "--x0", "2.0", "--out", str(tmp_path / "r"),
+              "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "piag: error: bad-config: x0 lies outside the domain of the nonsmooth term\n")
 
 
 def test_summary_without_schedule_is_bad_summary(l1_setup, capsys):
@@ -292,6 +332,20 @@ def test_summary_without_schedule_is_bad_summary(l1_setup, capsys):
         rc = run([*args, "--run", str(out), "--quiet"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("piag: error: bad-summary:")
+
+
+@pytest.mark.parametrize("tau", ["1e309", "-1e309", "NaN"])
+def test_summary_with_non_finite_tau_is_bad_summary(l1_setup, capsys, tau):
+    problem, tmp = l1_setup
+    out = tmp / "run"
+    run(["solve", "--problem", problem, "--tau", "2", "--max-iters", "30", "--log-iterates",
+         "--out", str(out), "--quiet"])
+    path = out / "summary.json"
+    path.write_text(re.sub(r'"tau": 2\b', f'"tau": {tau}', path.read_text()))
+    for args in (["verify", "--problem", problem], ["rate"]):
+        assert run([*args, "--run", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"piag: error: bad-summary: {path}: needs numeric 'alpha' and 'schedule.tau'\n")
 
 
 def test_unparsable_summary_is_bad_summary(l1_setup, capsys):
@@ -431,6 +485,25 @@ def test_malformed_iterate_row_is_bad_iterates(l1_setup, capsys, corrupt):
     assert err.startswith("piag: error: bad-iterates:") and "line 4" in err
 
 
+@pytest.mark.parametrize("damage, k", [(lambda lines: lines[:4] + lines[5:], "4"),
+                                      (lambda lines: lines[:4] + ["7" + lines[4][1:]] + lines[5:],
+                                       "7")], ids=["deleted-row", "renumbered-row"])
+def test_iterate_row_out_of_order_is_bad_iterates(l1_setup, capsys, damage, k):
+    # Without the k check a deleted row makes two iterates look like one
+    # step, and the descent report names a row index instead of a logged k.
+    problem, tmp = l1_setup
+    out = tmp / "run"
+    run(["solve", "--problem", problem, "--tau", "2", "--max-iters", "20",
+         "--log-iterates", "--out", str(out), "--quiet"])
+    path = out / "iterates.csv"
+    path.write_text("".join(line + "\n" for line in damage(path.read_text().splitlines())))
+    rc = run(["verify", "--problem", problem, "--run", str(out), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"piag: error: bad-iterates: {path}: line 5: k is {k}, expected 3\n")
+    assert not (out / "verify.json").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_iterate_is_bad_iterates(l1_setup, capsys, value):
     # A log that solve wrote holds only finite iterates; one that does not is
@@ -471,7 +544,9 @@ def test_rate_on_short_trace_is_short_trace(l1_setup, capsys):
     (lambda lines: lines[:3] + [re.sub(",[^,]*", ",abc", lines[3], count=1)] + lines[4:],
      "bad-trace"),
     (lambda lines: lines[:1], "empty-trace"),
-], ids=["wrong-header", "empty-file", "extra-column", "non-numeric", "header-only"])
+    (lambda lines: lines[:3] + [re.sub(",[^,]*", ",nan", lines[3], count=1)] + lines[4:],
+     "bad-trace"),
+], ids=["wrong-header", "empty-file", "extra-column", "non-numeric", "header-only", "nan"])
 def test_rate_on_malformed_trace_names_the_file(l1_setup, capsys, damage, code):
     problem, tmp = l1_setup
     out = tmp / "run"
@@ -484,6 +559,29 @@ def test_rate_on_malformed_trace_names_the_file(l1_setup, capsys, damage, code):
     err = capsys.readouterr().err
     assert err.startswith(f"piag: error: {code}: {trace}: ")
     assert "Traceback" not in err
+
+
+_TOO_HIGH = "nonpositive residuals: the limit estimate is too high"
+
+
+@pytest.mark.parametrize("limit_of, message", [
+    (lambda fs: repr(float(np.quantile(fs, 0.25))), _TOO_HIGH),
+    (lambda fs: repr(max(fs) + 1.0), _TOO_HIGH),
+    (lambda fs: "nan", "--limit-value: must be finite, got nan"),
+    (lambda fs: "-inf", "--limit-value: must be finite, got -inf"),
+], ids=["inside-the-records", "above-every-F", "nan", "minus-inf"])
+def test_rate_limit_at_or_above_a_record_is_bad_config(l1_setup, capsys, limit_of, message):
+    # An explicit limit is taken as given: a record at or below it is not
+    # dropped, so the fit rejects the limit instead of fitting the rest.  A
+    # NaN limit would pass the fit's residual check and give rate=nan.
+    problem, tmp = l1_setup
+    out = tmp / "run"
+    run(["solve", "--problem", problem, "--tau", "2", "--config",
+         _write_config(tmp, {"trace_every": 1}), "--out", str(out), "--quiet"])
+    fs = [float(line.split(",")[1]) for line in (out / "trace.csv").read_text().splitlines()[1:]]
+    assert run(["rate", "--run", str(out), f"--limit-value={limit_of(fs)}", "--quiet"]) == 1
+    assert capsys.readouterr().err == f"piag: error: bad-config: {message}\n"
+    assert run(["rate", "--run", str(out), f"--limit-value={min(fs) - 1.0!r}", "--quiet"]) == 0
 
 
 def test_verify_above_descent_threshold_reports_descent_only(l1_setup, capsys):
