@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import diagnostics, problems
-from .delay import SCHEDULE_KINDS, min_cyclic_block, schedule_from_dict
+from .delay import SCHEDULE_KINDS, is_integer, min_cyclic_block, schedule_from_dict
 from .model import Problem, load_problem, save_problem, smoothness_totals
 from .solver import (SolverConfig, Trace, format_exact, rate_constants,
                      read_iterates_csv, read_trace_csv, reference_fbs, solve,
@@ -182,7 +182,7 @@ def _check_value_types(settings: dict) -> None:
     fields = {key: settings.get(key, 0) for key in ("tau", "max_iters", "trace_every", "seed")}
     fields.update((f"schedule.{key}", schedule.get(key, 0)) for key in ("tau", "block", "seed"))
     for name, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not is_integer(value):
             raise CliError("bad-config", f"{name}: must be an integer, got {json.dumps(value)}")
     value = settings.get("enforce_theory", False)
     if not isinstance(value, bool):
@@ -227,11 +227,15 @@ def _build_config(problem: Problem, settings: dict, keep_iterates: bool) -> Solv
 
 
 def _read_summary(path) -> tuple[float, int]:
-    """The stepsize ``alpha`` and delay bound ``schedule.tau`` of a finished run."""
+    """The stepsize ``alpha`` and delay bound ``schedule.tau`` of a finished
+    run: a number and an integer, not converted from another JSON type."""
     summary = _read_json(path, "bad-summary")
     try:
-        alpha, tau = float(summary["alpha"]), int(summary["schedule"]["tau"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(1e309) overflows
+        alpha, tau = summary["alpha"], summary["schedule"]["tau"]
+        if not (_is_number(alpha) and is_integer(tau)):
+            raise TypeError
+        alpha = float(alpha)
+    except (KeyError, TypeError, OverflowError) as exc:  # float(10**400) overflows
         raise CliError("bad-summary", f"{path}: needs numeric 'alpha' and 'schedule.tau'") from exc
     if not (alpha > 0 and math.isfinite(alpha) and tau >= 0):
         raise CliError("bad-summary", f"{path}: needs alpha > 0 and schedule.tau >= 0")

@@ -69,6 +69,11 @@ def min_cyclic_block(n_components: int, tau: int) -> int:
     return math.ceil(n_components / (tau + 1))
 
 
+def is_integer(value) -> bool:
+    """True for an integer that is not a bool (``True`` is an ``int``)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def schedule_from_dict(obj: dict, default_tau: int | None = None,
                        default_seed: int | None = None) -> DelaySchedule:
     """Parse a schedule spec like ``{"kind": "cyclic", "block": 2, "tau": 5}``.
@@ -82,7 +87,7 @@ def schedule_from_dict(obj: dict, default_tau: int | None = None,
         raise ValueError(f"unknown field(s) {unknown} in schedule")
     for name in ("tau", "block", "seed"):
         value = obj.get(name)
-        if name in obj and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        if name in obj and not is_integer(value):
             raise ValueError(f"schedule {name} must be an integer, got {value!r}")
     tau = obj.get("tau", default_tau)
     if tau is None:

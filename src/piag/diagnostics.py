@@ -111,9 +111,9 @@ def trace_from_iterates(problem: Problem, iterates: Array, alpha: float) -> Trac
 
 
 def _report(name: str, slack: Array, scale: Array, tol: float) -> InequalityReport:
-    """Count the slacks below ``-tol * scale``; NaN slacks count as neither
-    violations nor the worst margin."""
-    bad = np.nonzero(slack < -tol * scale)[0]
+    """Count the slacks that are not finite or fall below ``-tol * scale``
+    as violations; NaN slacks do not enter the worst margin."""
+    bad = np.nonzero(~(np.isfinite(slack) & (slack >= -tol * scale)))[0]
     return InequalityReport(
         name=name,
         checked=len(slack),

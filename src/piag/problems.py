@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (NonsmoothTerm, Problem, as_vector, eval_f, eval_F, quadratic_component,
+from .model import (NonsmoothTerm, Problem, _build_quadratics, as_vector, eval_f, eval_F,
                     smoothness_totals)
 from .prox import prox_residual, soft_threshold
 
@@ -86,13 +86,14 @@ def _with_fields(problem: Problem, **fields) -> Problem:
 
 def _draw_components(rng: np.random.Generator, N: int, d: int, eig_lo: float) -> list:
     """``N`` quadratic components, each a random symmetric matrix with
-    eigenvalues in ``[eig_lo, 1]`` and a standard normal linear term."""
-    comps = []
-    for _ in range(N):
-        A = _random_symmetric(rng, d, eig_lo, 1.0)
-        b = rng.standard_normal(d)
-        comps.append(quadratic_component(A, b))
-    return comps
+    eigenvalues in ``[eig_lo, 1]`` and a standard normal linear term.  The
+    matrices are drawn in this thread while others find their eigenvalues."""
+    def draws():
+        for _ in range(N):
+            A = _random_symmetric(rng, d, eig_lo, 1.0)
+            yield A, rng.standard_normal(d), 0.0
+
+    return _build_quadratics(draws())
 
 
 def make_quadratic_box(N: int, d: int, seed: int,

@@ -160,6 +160,7 @@ def test_rate_command(l1_setup):
     fit = json.loads((out / "rate.json").read_text())
     assert 0.0 < fit["rate"] < 1.0
     assert fit["log_linear_r2"] > 0.9
+    assert fit["transient_skip"] == 15  # five delay windows of tau + 1 = 3 iterations
 
 
 def _write_config(tmp, extra):
@@ -270,9 +271,11 @@ def test_solve_divergence_exit_code(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["termination"] == "diverged"
     assert (out / "trace.csv").read_text().endswith("\n200,-inf,0,inf,0,0\n")
-    assert run(["verify", "--problem", problem, "--run", str(out), "--quiet"]) == 0
+    # The last two replayed F are -inf, so the last two slacks are not finite.
+    assert run(["verify", "--problem", problem, "--run", str(out), "--quiet"]) == 4
     assert run(["rate", "--run", str(out), "--quiet"]) == 1
     assert capsys.readouterr().err == (
+        "piag: verify: inequality violated at k=198\n"
         f"piag: error: bad-trace: {out / 'trace.csv'}: line 22: F is -inf, not a finite number\n")
 
 
@@ -342,6 +345,24 @@ def test_summary_with_non_finite_tau_is_bad_summary(l1_setup, capsys, tau):
          "--out", str(out), "--quiet"])
     path = out / "summary.json"
     path.write_text(re.sub(r'"tau": 2\b', f'"tau": {tau}', path.read_text()))
+    for args in (["verify", "--problem", problem], ["rate"]):
+        assert run([*args, "--run", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"piag: error: bad-summary: {path}: needs numeric 'alpha' and 'schedule.tau'\n")
+
+
+@pytest.mark.parametrize("field, value", [("alpha", True), ("tau", 2.7), ("tau", True),
+                                          ("alpha", "0.01")])
+def test_summary_value_of_the_wrong_type_is_bad_summary(l1_setup, capsys, field, value):
+    # Each was read as a converted value: true as 1.0 or 1, 2.7 as 2, "0.01" as 0.01.
+    problem, tmp = l1_setup
+    out = tmp / "run"
+    run(["solve", "--problem", problem, "--tau", "2", "--max-iters", "30", "--log-iterates",
+         "--out", str(out), "--quiet"])
+    path = out / "summary.json"
+    summary = json.loads(path.read_text())
+    (summary["schedule"] if field == "tau" else summary)[field] = value
+    path.write_text(json.dumps(summary))
     for args in (["verify", "--problem", problem], ["rate"]):
         assert run([*args, "--run", str(out), "--quiet"]) == 1
         assert capsys.readouterr().err == (

@@ -94,6 +94,18 @@ def test_descent_flags_corrupted_run():
     assert report.worst_margin < 0
 
 
+def test_descent_counts_a_non_finite_slack_as_a_violation():
+    # F = -x^2/2 replayed at x = 1, 1e150, 1e200, 1e300: the last two F
+    # overflow to -inf, so the last two slacks are not finite.
+    p = Problem([quadratic_component(-np.eye(1), np.zeros(1))], NonsmoothTerm.zero(), 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = trace_from_iterates(p, np.array([[1.0], [1e150], [1e200], [1e300]]), alpha=5.0)
+        report = check_sufficient_descent(trace, rate_constants(1.0, 1.0, 0, 1.0), 5.0)
+    assert report.checked == 3
+    assert report.violations == 2
+    assert report.first_violation_k == 1
+
+
 # ---------------------------------------------------------------- summability
 
 
@@ -123,6 +135,15 @@ def test_summability_zero_violations_on_random_runs():
         f_lower = p.f_lower_bound_hint if p.f_lower_bound_hint is not None else -1e12
         report = check_summability(trace, alpha, constants, f_lower)
         assert report.violations == 0
+
+
+def test_summability_rejects_an_objective_below_the_lower_bound():
+    p = Problem([quadratic_component(np.eye(1), np.zeros(1))], NonsmoothTerm.zero(), 1)
+    trace = trace_from_iterates(p, np.array([[1.0], [0.5]]), alpha=0.5)
+    constants = rate_constants(1.0, 0.0, 0, 1.0)
+    check_summability(trace, 0.5, constants, f_lower=0.125)  # F reaches the bound
+    with pytest.raises(ValueError, match="drops below the declared lower bound"):
+        check_summability(trace, 0.5, constants, f_lower=0.2)
 
 
 def test_summability_rejects_oversized_stepsize():
@@ -251,6 +272,11 @@ def test_fit_rate_shifted_geometric():
     fit = fit_rlinear_rate(values, 1.0, skip=5)
     assert fit.rate == pytest.approx(0.8, abs=1e-10)
     assert fit.log_linear_r2 == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fit_rate_of_a_constant_gap_is_one_with_a_perfect_fit():
+    fit = fit_rlinear_rate([3.0] * 20, 1.0, skip=5)
+    assert (fit.rate, fit.log_linear_r2) == (1.0, 1.0)
 
 
 def test_fit_rate_matches_gradient_descent_contraction():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -244,6 +245,79 @@ def test_quadratic_component_rejects_non_finite_data():
         quadratic_component(np.eye(2), np.array([0.0, np.inf]))
     with pytest.raises(ValueError, match="finite"):
         quadratic_component(np.eye(2), np.zeros(2), constant=-np.inf)
+
+
+# ------------------------------------------------- components built in blocks
+
+
+def _one_by_one(A, b, constant):
+    """What ``quadratic_component`` computed before components were built in
+    blocks: one ``eigvalsh`` per matrix."""
+    A = 0.5 * (A + A.T)
+    eigenvalues = np.linalg.eigvalsh(A)
+    return A, b, constant, max(float(np.max(np.abs(eigenvalues))), 1e-12), \
+        max(0.0, float(-eigenvalues[0]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 13), d=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-6, 1.0, 1e6]))
+def test_blocked_build_is_bitwise_the_one_by_one_build(n, d, seed, scale):
+    # n from 1 to 13 crosses the block edges at 4, 8 and 12 components.
+    rng = np.random.default_rng(seed)
+    entries = []
+    for _ in range(n):
+        m = scale * rng.standard_normal((d, d))  # indefinite
+        entries.append((m + m.T, rng.standard_normal(d), float(rng.standard_normal())))
+    built = model._build_quadratics(iter(entries))
+    assert len(built) == n
+    for comp, entry in zip(built, entries):
+        A, b, constant, lipschitz, weak = _one_by_one(*entry)
+        assert _bits(comp.matrix) == _bits(A)
+        assert _bits(comp.offset) == _bits(b)
+        assert (comp.constant, comp.lipschitz, comp.weak_convexity) == (constant, lipschitz, weak)
+
+
+def _spec_with(d, n, bad: dict) -> dict:
+    """A problem spec of ``n`` identity components with the entries of ``bad``
+    (index -> A list) in their place."""
+    components = [{"A": bad.get(i, np.eye(d).reshape(-1).tolist()), "b": [0.0] * d}
+                  for i in range(n)]
+    return {"dimension": d, "components": components, "nonsmooth": {"kind": "zero"}}
+
+
+_NAN_A = [1.0, math.nan, math.nan, 1.0]
+_SKEW_A = [1.0, 1.0, 0.0, 1.0]
+_SHORT_A = [1.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({2: _NAN_A, 9: _SKEW_A}, "must be finite"),
+    ({2: _SKEW_A, 9: _NAN_A}, "must be symmetric"),
+    ({1: _NAN_A, 10: _SHORT_A}, "must be finite"),  # a worker's error and the reader's
+    ({1: _SHORT_A, 10: _NAN_A}, r"components\[1\]: 'A' must be a flat"),
+    ({5: _NAN_A, 6: _SHORT_A}, "must be finite"),  # in the same block
+    ({12: _SKEW_A, 11: _NAN_A}, "must be finite"),  # in the last two blocks
+], ids=["finite-first", "symmetric-first", "worker-then-reader", "reader-then-worker",
+        "same-block", "adjacent-blocks"])
+def test_error_of_the_lowest_bad_component_wins(bad, message):
+    with pytest.raises(ValueError, match=message):
+        problem_from_dict(_spec_with(2, 13, bad))
+
+
+def test_building_and_loading_leave_no_thread_running(tmp_path):
+    from piag.problems import make_quadratic_l1
+
+    before = threading.active_count()
+    p = make_quadratic_l1(13, 6, seed=4, lam=0.1)  # four blocks
+    assert threading.active_count() == before
+    path = tmp_path / "problem.json"
+    save_problem(p, path)
+    for with_sidecar in (True, False):
+        if not with_sidecar:
+            (tmp_path / "problem.json.npz").unlink()
+        _assert_bitwise_equal(p, load_problem(path))
+        assert threading.active_count() == before
 
 
 def test_box_bounds_of_different_lengths_are_rejected():
@@ -531,6 +605,13 @@ def test_all_quadratic_monitoring_calls_no_component():
     eval_F(p, x)
     prox_residual(p, 0.3, x)
     assert counts == {"value": 0, "grad": 0}
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (3, 5), (7, 13)])
+def test_summed_matrix_starts_on_a_cache_line(n, d):
+    p = random_quadratic_problem(np.random.default_rng(n), n, d)
+    S = p.quadratic_sum[0]
+    assert S.ctypes.data % 64 == 0 and S.flags.c_contiguous and S.shape == (d, d)
 
 
 def test_problem_with_callable_component_keeps_per_component_sums():
