@@ -18,16 +18,25 @@ import sys
 import numpy as np
 
 from . import diagnostics, problems
-from .delay import SCHEDULE_KINDS, is_integer, min_cyclic_block, schedule_from_dict
-from .model import Problem, load_problem, save_problem, smoothness_totals
+from .delay import SCHEDULE_FIELDS, SCHEDULE_KINDS, DelaySchedule, min_cyclic_block
+from .model import (INTEGER, NUMBER, NUMBERS, OBJECT, SWITCH, TEXT, Kind, Problem, check_fields,
+                    load_problem, save_problem, smoothness_totals)
 from .solver import (SolverConfig, Trace, format_exact, rate_constants,
                      read_iterates_csv, read_trace_csv, reference_fbs, solve,
                      stepsize_threshold, write_iterates_csv, write_trace_csv)
 
 _EXIT_BY_TERMINATION = {"converged": 0, "max_iters": 2, "diverged": 3}
 
-_CONFIG_KEYS = {"alpha", "tau", "schedule", "max_iters", "tol", "x0", "seed",
-                "c0", "trace_every", "enforce_theory"}
+# The run config's fields, besides those of its schedule.  Its flags are typed
+# by argparse, except that --alpha and --x0 take text, so the file is checked
+# before they are merged.
+_CONFIG_FIELDS = {
+    "alpha": Kind('a number, "auto_lemma2" or "auto_c8"',
+                  lambda v: NUMBER.test(v) or v in ("auto_lemma2", "auto_c8")),
+    "tau": INTEGER, "schedule": OBJECT, "max_iters": INTEGER, "tol": NUMBER,
+    "x0": Kind("a list of numbers or a string", lambda v: NUMBERS.test(v) or TEXT.test(v)),
+    "seed": INTEGER, "c0": NUMBER, "trace_every": INTEGER, "enforce_theory": SWITCH,
+}
 
 
 class CliError(Exception):
@@ -57,11 +66,12 @@ def _write_json(obj, path) -> None:
 
 
 @contextlib.contextmanager
-def _reading(path, code: str):
-    """Report a file read inside that does not decode or parse as a ``code``
-    error: a JSON syntax error as ``<path>: line <n>: <msg>``, bytes that are
-    not UTF-8 as ``<path>: <exc>``, and any other TypeError or ValueError
-    with its own message."""
+def _reading(path, code: str, field: str | None = None):
+    """Report a file or setting read inside that does not decode, parse or
+    check as a ``code`` error: a JSON syntax error as ``<path>: line <n>:
+    <msg>``, bytes that are not UTF-8 as ``<path>: <exc>``, and any other
+    TypeError or ValueError with its own message, after the ``field`` it
+    concerns when one is given."""
     try:
         yield
     except json.JSONDecodeError as exc:
@@ -69,7 +79,7 @@ def _reading(path, code: str):
     except UnicodeDecodeError as exc:
         raise CliError(code, f"{path}: {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise CliError(code, str(exc)) from exc
+        raise CliError(code, f"{field}: {exc}" if field else str(exc)) from exc
 
 
 def _load_problem(path) -> Problem:
@@ -85,56 +95,10 @@ def _read_json(path, code: str):
         return json.load(fh)
 
 
-def _load_config_dict(path) -> dict:
-    if path is None:
-        return {}
-    if not os.path.exists(path):
-        raise CliError("missing-file", f"config file not found: {path}")
-    obj = _read_json(path, "bad-config")
-    if not isinstance(obj, dict):
-        raise CliError("bad-config", f"{path}: run config must be a JSON object")
-    unknown = sorted(set(obj) - _CONFIG_KEYS)
-    if unknown:
-        raise CliError("bad-config", f"{path}: unknown field(s) {unknown}")
-    _check_number_types(obj)
-    return obj
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_number_types(config: dict) -> None:
-    """Reject a stepsize, tolerance, ``c0`` or start point of the wrong JSON
-    type in a run config instead of coercing it: ``float(True)`` is 1.0 and
-    ``float("0.01")`` parses.  Flag values are strings, so this checks the
-    file before they are merged."""
-    def reject(field: str, expected: str):
-        raise CliError("bad-config",
-                       f"{field}: must be {expected}, got {json.dumps(config[field])}")
-
-    if "tol" in config and not _is_number(config["tol"]):
-        reject("tol", "a number")
-    if config.get("c0") is not None and not _is_number(config["c0"]):
-        reject("c0", "a number")
-    alpha = config.get("alpha", "auto_lemma2")
-    if not (_is_number(alpha) or alpha in ("auto_lemma2", "auto_c8")):
-        reject("alpha", 'a number, "auto_lemma2" or "auto_c8"')
-    x0 = config.get("x0")
-    if not (x0 is None or isinstance(x0, str) or isinstance(x0, list) and all(map(_is_number, x0))):
-        reject("x0", "a list of numbers or a string")
-
-
 def _parse_x0(spec, dimension: int) -> np.ndarray:
-    if spec is None or spec == "zeros":
+    if spec == "zeros":
         return np.zeros(dimension)
-    if isinstance(spec, str):
-        try:
-            values = [float(v) for v in spec.split(",")]
-        except ValueError as exc:
-            raise CliError("bad-config", f"cannot parse x0 {spec!r}") from exc
-    else:
-        values = [float(v) for v in spec]
+    values = [float(v) for v in (spec.split(",") if isinstance(spec, str) else spec)]
     if len(values) != dimension:
         raise CliError("bad-config",
                        f"x0 has {len(values)} entries, problem dimension is {dimension}")
@@ -150,44 +114,19 @@ _SCHEDULE_FLAGS = {"schedule_kind": "kind", "tau": "tau", "block": "block", "see
 def _settings(args) -> dict:
     """The run-config file with every given flag written over its top-level
     keys and over the fields of its ``schedule`` object."""
-    settings = _load_config_dict(getattr(args, "config", None))
-    schedule = settings.setdefault("schedule", {})
-    if not isinstance(schedule, dict):
-        raise CliError("bad-config", "schedule must be a JSON object")
+    path, settings = getattr(args, "config", None), {}
+    if path is not None:
+        if not os.path.exists(path):
+            raise CliError("missing-file", f"config file not found: {path}")
+        settings = _read_json(path, "bad-config")
+    with _reading(path, "bad-config"):
+        check_fields(settings, _CONFIG_FIELDS, ())
+        schedule = settings.setdefault("schedule", {})
+        check_fields(schedule, SCHEDULE_FIELDS, (), "schedule")
     given = {flag: value for flag, value in vars(args).items() if value is not None}
-    settings.update((k, v) for k, v in given.items() if k in _CONFIG_KEYS)
+    settings.update((k, v) for k, v in given.items() if k in _CONFIG_FIELDS)
     schedule.update((_SCHEDULE_FLAGS[k], v) for k, v in given.items() if k in _SCHEDULE_FLAGS)
     return settings
-
-
-@contextlib.contextmanager
-def _config_field(name: str | None):
-    """Report a TypeError or ValueError raised inside as ``bad-config``,
-    prefixed with the run-config field it concerns."""
-    try:
-        yield
-    except (TypeError, ValueError) as exc:
-        raise CliError("bad-config", f"{name}: {exc}" if name else str(exc)) from exc
-
-
-def _setting(settings: dict, key: str, convert, default=None):
-    with _config_field(key):
-        return convert(settings.get(key, default))
-
-
-def _check_value_types(settings: dict) -> None:
-    """Reject a count, seed or switch of the wrong JSON type instead of
-    coercing it: ``int(1.5)`` is 1 and ``bool("false")`` is true."""
-    schedule = settings["schedule"]
-    fields = {key: settings.get(key, 0) for key in ("tau", "max_iters", "trace_every", "seed")}
-    fields.update((f"schedule.{key}", schedule.get(key, 0)) for key in ("tau", "block", "seed"))
-    for name, value in fields.items():
-        if not is_integer(value):
-            raise CliError("bad-config", f"{name}: must be an integer, got {json.dumps(value)}")
-    value = settings.get("enforce_theory", False)
-    if not isinstance(value, bool):
-        raise CliError("bad-config",
-                       f"enforce_theory: must be true or false, got {json.dumps(value)}")
 
 
 def _build_config(problem: Problem, settings: dict, keep_iterates: bool) -> SolverConfig:
@@ -195,33 +134,34 @@ def _build_config(problem: Problem, settings: dict, keep_iterates: bool) -> Solv
 
     The schedule defaults to ``none`` at tau = 0 and otherwise to ``cyclic``
     with block ceil(N / (tau + 1)); its tau and seed fall back to the
-    top-level ones.  Out-of-range settings are ``bad-config``, and a value
-    that does not convert or has the wrong JSON type names its field.
+    top-level ones.  Out-of-range settings are ``bad-config``, and an
+    ``--alpha`` or ``--x0`` text that does not convert names its field.
     """
-    _check_value_types(settings)
-    spec = dict(settings["schedule"])
-    tau = spec["tau"] = spec.get("tau", settings.get("tau", 0))
+    spec = {"tau": settings.get("tau", 0), **settings["schedule"]}
+    tau = spec["tau"]
     if tau < 0:
         raise CliError("bad-config", "tau: must be nonnegative")
-    with _config_field("schedule"):
-        if spec.setdefault("kind", "none" if tau == 0 else "cyclic") == "cyclic":
-            spec.setdefault("block", min_cyclic_block(problem.n_components, tau))
-        schedule = schedule_from_dict(spec, default_seed=settings.get("seed"))
+    if spec.setdefault("kind", "none" if tau == 0 else "cyclic") == "cyclic":
+        spec.setdefault("block", min_cyclic_block(problem.n_components, tau))
+    with _reading(None, "bad-config", "schedule"):
+        schedule = DelaySchedule(spec["kind"], tau, spec.get("block"),
+                                 spec.get("seed", settings.get("seed")))
         schedule.validate_for(problem.n_components)
     alpha = settings.get("alpha", "auto_lemma2")
-    if alpha not in ("auto_lemma2", "auto_c8"):
-        alpha = _setting(settings, "alpha", float)
-    c0 = settings.get("c0")
-    with _config_field(None):
+    with _reading(None, "bad-config", "alpha"):
+        alpha = alpha if alpha in ("auto_lemma2", "auto_c8") else float(alpha)
+    with _reading(None, "bad-config", "x0"):
+        x0 = _parse_x0(settings.get("x0", "zeros"), problem.dimension)
+    with _reading(None, "bad-config"):
         return SolverConfig(
             alpha=alpha,
             schedule=schedule,
-            x0=_setting(settings, "x0", lambda v: _parse_x0(v, problem.dimension)),
+            x0=x0,
             max_iters=settings.get("max_iters", 10000),
-            prox_residual_tol=_setting(settings, "tol", float, 1e-8),
+            prox_residual_tol=float(settings.get("tol", 1e-8)),
             trace_every=settings.get("trace_every", 10),
             enforce_theory=settings.get("enforce_theory", False),
-            c0=_setting(settings, "c0", float) if c0 is not None else None,
+            c0=float(settings["c0"]) if "c0" in settings else None,
             keep_iterates=keep_iterates,
         )
 
@@ -232,11 +172,11 @@ def _read_summary(path) -> tuple[float, int]:
     summary = _read_json(path, "bad-summary")
     try:
         alpha, tau = summary["alpha"], summary["schedule"]["tau"]
-        if not (_is_number(alpha) and is_integer(tau)):
+        if not (NUMBER.test(alpha) and INTEGER.test(tau)):
             raise TypeError
-        alpha = float(alpha)
-    except (KeyError, TypeError, OverflowError) as exc:  # float(10**400) overflows
+    except (KeyError, TypeError) as exc:
         raise CliError("bad-summary", f"{path}: needs numeric 'alpha' and 'schedule.tau'") from exc
+    alpha = float(alpha)
     if not (alpha > 0 and math.isfinite(alpha) and tau >= 0):
         raise CliError("bad-summary", f"{path}: needs alpha > 0 and schedule.tau >= 0")
     return alpha, tau

@@ -11,13 +11,12 @@ cached entry would otherwise be used with age ``tau + 1``.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Problem, as_vector
+from .model import INTEGER, TEXT, Problem, as_vector, check_fields
 
 Array = np.ndarray
 
@@ -51,6 +50,8 @@ class DelaySchedule:
                 raise ValueError("cyclic schedule requires a positive block size")
         if self.kind == "uniform_random" and self.seed is None:
             raise ValueError("uniform_random schedule requires a seed")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     def validate_for(self, n_components: int) -> None:
         """Reject configurations that cannot respect the delay bound."""
@@ -69,9 +70,7 @@ def min_cyclic_block(n_components: int, tau: int) -> int:
     return math.ceil(n_components / (tau + 1))
 
 
-def is_integer(value) -> bool:
-    """True for an integer that is not a bool (``True`` is an ``int``)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+SCHEDULE_FIELDS = {"kind": TEXT, "tau": INTEGER, "block": INTEGER, "seed": INTEGER}
 
 
 def schedule_from_dict(obj: dict, default_tau: int | None = None,
@@ -80,15 +79,7 @@ def schedule_from_dict(obj: dict, default_tau: int | None = None,
 
     ``tau`` and ``seed`` fall back to the given defaults when absent.
     """
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("schedule spec must be an object with a 'kind' field")
-    unknown = sorted(set(obj) - {"kind", "tau", "block", "seed"})
-    if unknown:
-        raise ValueError(f"unknown field(s) {unknown} in schedule")
-    for name in ("tau", "block", "seed"):
-        value = obj.get(name)
-        if name in obj and not is_integer(value):
-            raise ValueError(f"schedule {name} must be an integer, got {value!r}")
+    check_fields(obj, SCHEDULE_FIELDS, ("kind",), "schedule")
     tau = obj.get("tau", default_tau)
     if tau is None:
         raise ValueError("schedule spec needs 'tau' (given neither inline nor as default)")

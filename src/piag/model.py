@@ -27,11 +27,13 @@ import contextlib
 import itertools
 import json
 import math
+import numbers
 import os
+import sys
 import tempfile
 import zipfile
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -106,7 +108,7 @@ def quadratic_component(A, b, constant: float = 0.0) -> QuadraticComponent:
     return _build_quadratics([(A, b, constant)])[0]
 
 
-_EIGEN_BLOCK = 4  # components per stacked eigvalsh in _build_quadratics
+_EIGEN_BLOCK = 4  # fewest components per stacked eigvalsh in _build_quadratics
 
 
 def _build_quadratics(entries) -> list[QuadraticComponent]:
@@ -114,12 +116,14 @@ def _build_quadratics(entries) -> list[QuadraticComponent]:
     that the iterable ``entries`` yields, in order.
 
     The calling thread draws the entries while worker threads, one per CPU
-    of the process, check and build them in blocks of ``_EIGEN_BLOCK``; a
-    worker holds one block at a time.  The eigenvalues of a block come from
-    one stacked ``eigvalsh``, which gives each matrix's values bit for bit.
-    Entries that fit in one block are built in the calling thread.  The
-    error of the lowest index is raised, as a one-by-one build would: an
-    error raised by ``entries`` waits until the entries before it are built.
+    of the process, check and build them in blocks; a worker holds one block
+    at a time.  A block holds ``_EIGEN_BLOCK`` matrices, or as many as fill
+    ``_STACK_BLOCK_BYTES`` if that is more, so the threads serve large
+    matrices only.  The eigenvalues of a block come from one stacked
+    ``eigvalsh``, which gives each matrix's values bit for bit.  Entries
+    that fit in one block are built in the calling thread.  The error of
+    the lowest index is raised, as a one-by-one build would: an error raised
+    by ``entries`` waits until the entries before it are built.
     """
     failure: list[Exception] = []
 
@@ -130,8 +134,12 @@ def _build_quadratics(entries) -> list[QuadraticComponent]:
             failure.append(exc)
 
     draws = drawn()
-    blocks = iter(lambda: list(itertools.islice(draws, _EIGEN_BLOCK)), [])
-    first, second = next(blocks, []), next(blocks, None)
+    first = list(itertools.islice(draws, _EIGEN_BLOCK))
+    matrix_bytes = 8 * np.size(first[0][0]) if first else 0  # as float64
+    size = max(_EIGEN_BLOCK, _STACK_BLOCK_BYTES // max(matrix_bytes, 1))
+    first += itertools.islice(draws, size - len(first))
+    blocks = iter(lambda: list(itertools.islice(draws, size)), [])
+    second = next(blocks, None)
     if second is None:
         built = _quadratic_block(first)
     else:
@@ -418,7 +426,7 @@ def smoothness_totals(problem: Problem) -> tuple[float, float]:
 #                 | {"kind": "l1", "lambda": w}
 #                 | {"kind": "box", "lo": x, "hi": x}
 #                 | {"kind": "box_plus_l1", "lo": x, "hi": x, "lambda": w}}
-# Unknown fields are rejected at every level.
+# check_fields rejects unknown fields at every level, and values of the wrong kind.
 #
 # save_problem also writes a binary sidecar <path>.npz (e.g. problem.json.npz)
 # holding "sha256" (hex digest of the JSON file's bytes), "meta" (JSON text of
@@ -429,15 +437,65 @@ def smoothness_totals(problem: Problem) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _check_fields(obj, required: set[str], optional: set[str], where: str) -> None:
+class Kind(NamedTuple):
+    """A JSON kind: its name in error messages and the test a value of it passes."""
+
+    text: str
+    test: Callable[[object], bool]
+
+
+def _is_number(value) -> bool:
+    """An int or float, not a bool, that a float can hold: JSON reads ``1e400``
+    as inf, but a 400-digit integer as an int that no float holds."""
+    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
+                                        and abs(value) <= sys.float_info.max)
+
+
+def _is_numbers(value) -> bool:
+    """A list of numbers; a list of floats, as a problem file holds, is
+    checked without a Python-level loop."""
+    if not isinstance(value, list):
+        return False
+    types = set(map(type, value))
+    return types <= {float} or types <= {int, float} and all(map(_is_number, value))
+
+
+NUMBER = Kind("a number", _is_number)
+INTEGER = Kind("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool))
+SWITCH = Kind("true or false", lambda v: isinstance(v, bool))
+TEXT = Kind("a string", lambda v: isinstance(v, str))
+NUMBERS = Kind("a list of numbers", _is_numbers)
+OBJECT = Kind("a JSON object", lambda v: isinstance(v, dict))
+# A JSON list; load_problem passes the sidecar's arrays as a tuple instead.
+LIST = Kind("a list", lambda v: isinstance(v, (list, tuple)))
+
+
+def check_fields(obj, kinds: dict[str, Kind], required, where: str = "") -> None:
+    """Check that ``obj`` is a JSON object with every field of ``required``,
+    no field that ``kinds`` does not list, and each of the kind ``kinds``
+    gives it.  Nothing is converted: ``true`` and ``"0.5"`` are not numbers,
+    ``1.0`` is not an integer.  Ranges are the constructors' to check.
+    ``where`` is the object's path, "" at the top of a file."""
+    at = f"{where}: " if where else ""
     if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    missing = sorted(required - set(obj))
+        raise ValueError(f"{at}must be a JSON object, got {_shown(obj)}")
+    missing = sorted(set(required) - obj.keys())
     if missing:
-        raise ValueError(f"{where} is missing the field(s) {missing}")
-    unknown = sorted(set(obj) - required - optional)
+        raise ValueError(f"{at}missing field(s) {missing}")
+    for name, value in obj.items():
+        kind = kinds.get(name)
+        if kind is not None and not kind.test(value):
+            path = f"{where}.{name}" if where else name
+            raise ValueError(f"{path}: must be {kind.text}, got {_shown(value)}")
+    unknown = sorted(obj.keys() - kinds.keys())
     if unknown:
-        raise ValueError(f"unknown field(s) {unknown} in {where}")
+        raise ValueError(f"{at}unknown field(s) {unknown}")
+
+
+def _shown(value) -> str:
+    """``value`` as JSON text, cut short: a problem file's lists are long."""
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def nonsmooth_to_dict(term: NonsmoothTerm) -> dict:
@@ -450,16 +508,21 @@ def nonsmooth_to_dict(term: NonsmoothTerm) -> dict:
     return out
 
 
+_NONSMOOTH_KIND = Kind(f"one of {_NONSMOOTH_KINDS}", lambda v: v in _NONSMOOTH_KINDS)
+_BOUND = Kind("a number or a list of numbers", lambda v: _is_number(v) or _is_numbers(v))
+
+
 def nonsmooth_from_dict(obj: dict) -> NonsmoothTerm:
-    if not isinstance(obj, dict) or obj.get("kind") not in _NONSMOOTH_KINDS:
-        raise ValueError(f"nonsmooth spec must be an object with 'kind' one of {_NONSMOOTH_KINDS}")
-    kind = obj["kind"]
-    bounds = {"lo", "hi"} if kind in ("box", "box_plus_l1") else set()
-    _check_fields(obj, {"kind"} | bounds, {"lambda"} if kind in ("l1", "box_plus_l1") else set(),
-                  "nonsmooth")
+    kind = obj.get("kind")
+    fields = {"kind": _NONSMOOTH_KIND}
+    if kind in ("l1", "box_plus_l1"):
+        fields["lambda"] = NUMBER
+    if kind in ("box", "box_plus_l1"):
+        fields.update(lo=_BOUND, hi=_BOUND)
+    check_fields(obj, fields, fields.keys() - {"lambda"}, "nonsmooth")  # lambda defaults to 0
     return NonsmoothTerm(kind, lam=float(obj.get("lambda", 0.0)),
-                         lo=_bound(obj["lo"]) if bounds else None,
-                         hi=_bound(obj["hi"]) if bounds else None)
+                         lo=_bound(obj["lo"]) if "lo" in obj else None,
+                         hi=_bound(obj["hi"]) if "hi" in obj else None)
 
 
 def problem_to_dict(problem: Problem) -> dict:
@@ -488,6 +551,10 @@ def _component_entry(A, b, c0: float) -> dict:
     return entry
 
 
+_PROBLEM_FIELDS = {"dimension": INTEGER, "components": LIST, "nonsmooth": OBJECT}
+_COMPONENT_FIELDS = {"A": NUMBERS, "b": NUMBERS, "c0_term": NUMBER}
+
+
 def problem_from_dict(obj: dict) -> Problem:
     """Check and build the problem of a problem spec.
 
@@ -495,17 +562,15 @@ def problem_from_dict(obj: dict) -> Problem:
     reads them from the sidecar, the tuple of arrays ``(A, b, c0)`` of
     shapes (N, d, d), (N, d) and (N,).
     """
-    _check_fields(obj, {"dimension", "components", "nonsmooth"}, set(), "problem spec")
+    check_fields(obj, _PROBLEM_FIELDS, _PROBLEM_FIELDS)
     d = obj["dimension"]
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+    if d < 1:  # the components are read against it before Problem checks it
         raise ValueError("dimension must be a positive integer")
     if isinstance(obj["components"], tuple):
         A, b, c0 = obj["components"]
         entries = zip(A, b, map(float, c0))
-    elif isinstance(obj["components"], list):
-        entries = _spec_entries(obj["components"], d)
     else:
-        raise ValueError("components must be a list")
+        entries = _spec_entries(obj["components"], d)
     return Problem(
         components=tuple(_build_quadratics(entries)),
         nonsmooth=nonsmooth_from_dict(obj["nonsmooth"]),
@@ -516,13 +581,12 @@ def problem_from_dict(obj: dict) -> Problem:
 def _spec_entries(components: list, d: int):
     """The ``(A, b, constant)`` of each entry of a spec's ``components`` list."""
     for i, entry in enumerate(components):
-        _check_fields(entry, {"A", "b"}, {"c0_term"}, f"components[{i}]")
-        flat = np.asarray(entry["A"], dtype=float)
-        if flat.shape != (d * d,):
+        check_fields(entry, _COMPONENT_FIELDS, ("A", "b"), f"components[{i}]")
+        if len(entry["A"]) != d * d:
             raise ValueError(
                 f"components[{i}]: 'A' must be a flat row-major list of {d * d} numbers"
             )
-        yield flat.reshape(d, d), as_vector(entry["b"], d), float(entry.get("c0_term", 0.0))
+        yield np.reshape(entry["A"], (d, d)), entry["b"], entry.get("c0_term", 0.0)
 
 
 # problem.json is ``json.dumps(problem_to_dict(p), indent=2, sort_keys=True)``

@@ -148,6 +148,8 @@ class SolverConfig:
             raise ValueError("prox_residual_tol must be a nonnegative number")
         if self.trace_every < 1 or self.check_every < 1:
             raise ValueError("trace_every and check_every must be positive")
+        if self.c0 is not None and not (self.c0 > 0 and math.isfinite(self.c0)):
+            raise ValueError("error-bound constant c0 must be positive and finite")
 
 
 @dataclass
@@ -201,8 +203,8 @@ def resolve_stepsize(config: SolverConfig, L: float, l: float,
             raise ValueError(f"unknown stepsize spec {spec!r}")
     else:
         alpha = float(spec)
-        if not alpha > 0:
-            raise ValueError("stepsize must be positive")
+        if not (alpha > 0 and math.isfinite(alpha)):
+            raise ValueError("stepsize must be positive and finite")
     if config.enforce_theory:
         if config.c0 is None:
             raise ValueError("enforce_theory requires the error-bound constant c0")

@@ -458,6 +458,85 @@ def test_malformed_problem_file_is_bad_problem(tmp_path, capsys, spec):
     assert err.startswith("piag: error: bad-problem:") and "Traceback" not in err
 
 
+_HUGE = 10**400  # a JSON integer that no float holds
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("nonsmooth", "lambda"), True, "nonsmooth.lambda"),
+    (("nonsmooth", "lambda"), "0.5", "nonsmooth.lambda"),
+    (("nonsmooth", "lo"), "-1", "nonsmooth.lo"),
+    (("components", 0, "A"), ["1.0"], "components[0].A"),
+    (("components", 0, "b"), [False], "components[0].b"),
+    (("components", 0, "c0_term"), "2", "components[0].c0_term"),
+    (("components", 0, "A"), [_HUGE], "components[0].A"),
+    (("nonsmooth", "lambda"), _HUGE, "nonsmooth.lambda"),
+], ids=["lambda-true", "lambda-string", "lo-string", "A-string-entry", "b-false-entry",
+        "c0-term-string", "A-huge-integer", "lambda-huge-integer"])
+def test_problem_value_of_the_wrong_json_kind_is_bad_problem(tmp_path, capsys, path, value,
+                                                             field):
+    # Each was converted and solved: true as 1.0, "0.5" as 0.5; a huge integer
+    # escaped as an OverflowError traceback.
+    spec = {"dimension": 1, "components": [{"A": [1.0], "b": [0.0]}],
+            "nonsmooth": {"kind": "box_plus_l1", "lo": -1.0, "hi": 1.0, "lambda": 0.5}}
+    target = spec
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(spec))
+    rc = run(["solve", "--problem", str(problem), "--out", str(tmp_path / "r"), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"piag: error: bad-problem: {field}: must be ")
+
+
+@pytest.mark.parametrize("field", ["tol", "c0", "alpha", "x0"])
+def test_config_integer_too_large_for_a_float_is_bad_config(l1_setup, capsys, field):
+    problem, tmp = l1_setup
+    config = _write_config(tmp, {field: [_HUGE, 0, 0, 0] if field == "x0" else _HUGE})
+    rc = run(["solve", "--problem", problem, "--config", config, "--out", str(tmp / "x"),
+              "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"piag: error: bad-config: {field}: must be ")
+
+
+@pytest.mark.parametrize("flags", [["--c0", "0"], ["--c0", "-1"], ["--c0", "nan"]])
+def test_c0_out_of_range_stops_the_run_before_it_writes(l1_setup, capsys, flags):
+    # The run used to go to the end, write trace.csv, and fail as bad-input
+    # when summary.json needed the rate constants.
+    problem, tmp = l1_setup
+    out = tmp / "run"
+    rc = run(["solve", "--problem", problem, *flags, "--out", str(out), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "piag: error: bad-config: error-bound constant c0 must be positive and finite\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", [["--alpha", "inf"], {"alpha": math.inf}],
+                         ids=["flag", "config"])
+def test_infinite_stepsize_is_bad_config(l1_setup, capsys, source):
+    # It was accepted, and the run diverged with exit 3.
+    problem, tmp = l1_setup
+    if isinstance(source, dict):
+        source = ["--config", _write_config(tmp, source)]
+    rc = run(["solve", "--problem", problem, *source, "--out", str(tmp / "r"), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "piag: error: bad-config: stepsize must be positive and finite\n")
+
+
+@pytest.mark.parametrize("schedule", [[], ["--tau", "2", "--schedule-kind", "uniform_random"]],
+                         ids=["default", "uniform-random"])
+def test_negative_seed_is_bad_config_naming_the_seed(l1_setup, capsys, schedule):
+    # uniform_random reported numpy's "expected non-negative integer", which
+    # names no field; the default schedule took the seed silently.
+    problem, tmp = l1_setup
+    rc = run(["solve", "--problem", problem, "--seed", "-3", *schedule, "--out", str(tmp / "r"),
+              "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == "piag: error: bad-config: schedule: seed must be nonnegative\n"
+
+
 @pytest.mark.parametrize("damage", [lambda text: text[: len(text) // 2],
                                     lambda text: text.replace('"nonsmooth"', '"smooth"')],
                          ids=["truncated", "renamed-field"])

@@ -1,6 +1,7 @@
 """Damage one file of a finished run directory and run every command that
 reads it: the CLI must keep its exit-code contract, report an input error
-under the damaged file's own code, and never pass a log it should reject."""
+under the damaged file's own code, never pass a log it should reject, and
+reject a JSON value whose kind its reader's field table does not allow."""
 
 import contextlib
 import io
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piag import cli
+from piag import cli, delay, model
 
 _NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 _TOKENS = [b"nan", b"NaN", b"1e309", b"-1e309"]
@@ -25,16 +26,36 @@ _WRONG_TYPES = [None, True, "x", [], {}]
 # A changed but well-formed schedule.tau moves rate's transient skip, so
 # rate may then find too few records.
 _READERS = {
+    "config.json": (["solve"], {"bad-config"}),
     "problem.json": (["solve", "verify"], {"bad-problem"}),
     "summary.json": (["verify", "rate"], {"bad-summary", "short-trace"}),
     "iterates.csv": (["verify"], {"bad-iterates", "empty-trace"}),
     "trace.csv": (["rate"], {"bad-trace", "empty-trace", "short-trace"}),
 }
 
+# The kind each reader requires of the fields it lists, by path; "*" stands
+# for any list index.  The problem is an l1 problem, and verify and rate
+# read two fields of summary.json.
+_KINDS = {
+    "config.json": {**{(k,): kind for k, kind in cli._CONFIG_FIELDS.items()},
+                    **{("schedule", k): kind for k, kind in delay.SCHEDULE_FIELDS.items()}},
+    "problem.json": {**{(k,): kind for k, kind in model._PROBLEM_FIELDS.items()},
+                     **{("components", "*", k): kind
+                        for k, kind in model._COMPONENT_FIELDS.items()},
+                     ("nonsmooth", "kind"): model._NONSMOOTH_KIND,
+                     ("nonsmooth", "lambda"): model.NUMBER},
+    "summary.json": {("alpha",): model.NUMBER, ("schedule", "tau"): model.INTEGER},
+}
+# A run config that sets every field; every solve below reads it.
+_CONFIG = {"alpha": "auto_lemma2", "tau": 2, "schedule": {"kind": "cyclic", "block": 2, "seed": 1},
+           "max_iters": 20, "tol": 1e-8, "x0": [0.0, 0.0, 0.0], "seed": 1, "c0": 1.0,
+           "trace_every": 5, "enforce_theory": False}
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     run = tmp_path_factory.mktemp("run")
+    (run / "config.json").write_text(json.dumps(_CONFIG))
     assert cli.main(["generate", "--family", "l1", "--components", "4", "--dimension", "3",
                      "--seed", "1", "--out", str(run), "--quiet"]) == 0
     # Stopped by the budget: 18 records, 14 of them past rate's transient skip.
@@ -51,39 +72,52 @@ def _paths(obj, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
-def _damage(data: bytes, name: str, draw) -> bytes:
+def _at(obj, path):
+    for step in path:
+        obj = obj[step]
+    return obj
+
+
+def _damage(data: bytes, name: str, draw) -> tuple[bytes, bool]:
+    """The damaged bytes, and whether they hold a value of a kind that the
+    reader's table does not allow for its field."""
     kinds = ["truncate", "substitute", "token", "delete"]
     if name.endswith(".json"):
         kinds.append("retype")
     kind = draw(st.sampled_from(kinds))
     if kind == "truncate":
-        return data[:draw(st.integers(0, len(data) - 1))]
+        return data[:draw(st.integers(0, len(data) - 1))], False
     if kind == "substitute":
         at = draw(st.integers(0, len(data) - 1))
-        return data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+        return data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:], False
     if kind == "token":
         number = draw(st.sampled_from(list(_NUMBER.finditer(data))))
-        return data[:number.start()] + draw(st.sampled_from(_TOKENS)) + data[number.end():]
+        return data[:number.start()] + draw(st.sampled_from(_TOKENS)) + data[number.end():], False
     if name.endswith(".csv"):  # delete a line, the header included
         lines = data.splitlines(keepends=True)
         del lines[draw(st.integers(0, len(lines) - 1))]
-        return b"".join(lines)
+        return b"".join(lines), False
     obj = json.loads(data)
-    *parents, key = draw(st.sampled_from(list(_paths(obj))))
-    target = obj
-    for step in parents:
-        target = target[step]
+    path = draw(st.sampled_from(list(_paths(obj))))
+    target = _at(obj, path[:-1])
     if kind == "delete":
-        del target[key]
-    else:
-        target[key] = draw(st.sampled_from(_WRONG_TYPES))
-    return json.dumps(obj).encode()
+        del target[path[-1]]
+        return json.dumps(obj).encode(), False
+    target[path[-1]] = draw(st.sampled_from(_WRONG_TYPES))
+    # The field that the reader's table lists nearest the retyped value: a
+    # list of numbers holds a retyped entry.
+    table = _KINDS.get(name, {})
+    for end in range(len(path), 0, -1):
+        kind = table.get(tuple("*" if isinstance(step, int) else step for step in path[:end]))
+        if kind is not None:
+            return json.dumps(obj).encode(), not kind.test(_at(obj, path[:end]))
+    return json.dumps(obj).encode(), False
 
 
 def _command(command: str, run: Path) -> list[str]:
     problem = str(run / "problem.json")
-    return {"solve": ["solve", "--problem", problem, "--max-iters", "20",
-                      "--out", str(run / "again")],
+    return {"solve": ["solve", "--problem", problem, "--config", str(run / "config.json"),
+                      "--max-iters", "20", "--out", str(run / "again")],
             "verify": ["verify", "--problem", problem, "--run", str(run)],
             "rate": ["rate", "--run", str(run)]}[command] + ["--quiet"]
 
@@ -100,20 +134,22 @@ def _accepted_log_is_clean(path: Path) -> bool:
             and all(math.isfinite(float(v)) for row in rows for v in row[1:]))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(name=st.sampled_from(sorted(_READERS)), data=st.data())
 def test_damaged_run_file_is_reported_under_its_own_code(run_dir, name, data):
     commands, codes = _READERS[name]
     with tempfile.TemporaryDirectory() as tmp:
         run = Path(shutil.copytree(run_dir, Path(tmp) / "run"))
         path = run / name
-        path.write_bytes(_damage(path.read_bytes(), name, data.draw))
+        damaged, wrong_kind = _damage(path.read_bytes(), name, data.draw)
+        path.write_bytes(damaged)
         for command in commands:
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 rc = cli.main(_command(command, run))
             err = err.getvalue()
             assert rc in range(5), err
+            assert rc == 1 or not wrong_kind, (command, err)
             if rc == 1:
                 code = re.match(r"piag: error: ([a-z-]+): ", err)
                 assert code and code.group(1) in codes, (command, err)

@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -250,6 +254,13 @@ def test_quadratic_component_rejects_non_finite_data():
 # ------------------------------------------------- components built in blocks
 
 
+@pytest.fixture
+def blocks_of_four(monkeypatch):
+    """Blocks of ``_EIGEN_BLOCK`` components whatever the matrix size, so
+    that small problems exercise the worker threads."""
+    monkeypatch.setattr(model, "_STACK_BLOCK_BYTES", 0)
+
+
 def _one_by_one(A, b, constant):
     """What ``quadratic_component`` computed before components were built in
     blocks: one ``eigvalsh`` per matrix."""
@@ -263,19 +274,23 @@ def _one_by_one(A, b, constant):
 @given(n=st.integers(1, 13), d=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
        scale=st.sampled_from([1e-6, 1.0, 1e6]))
 def test_blocked_build_is_bitwise_the_one_by_one_build(n, d, seed, scale):
-    # n from 1 to 13 crosses the block edges at 4, 8 and 12 components.
+    # With blocks of four, n from 1 to 13 crosses the block edges at 4, 8 and
+    # 12 components; with the blocks the matrix size gives, all n are one block.
     rng = np.random.default_rng(seed)
     entries = []
     for _ in range(n):
         m = scale * rng.standard_normal((d, d))  # indefinite
         entries.append((m + m.T, rng.standard_normal(d), float(rng.standard_normal())))
-    built = model._build_quadratics(iter(entries))
-    assert len(built) == n
-    for comp, entry in zip(built, entries):
-        A, b, constant, lipschitz, weak = _one_by_one(*entry)
-        assert _bits(comp.matrix) == _bits(A)
-        assert _bits(comp.offset) == _bits(b)
-        assert (comp.constant, comp.lipschitz, comp.weak_convexity) == (constant, lipschitz, weak)
+    for block_bytes in (0, model._STACK_BLOCK_BYTES):  # blocks of four, then the real ones
+        with mock.patch.object(model, "_STACK_BLOCK_BYTES", block_bytes):
+            built = model._build_quadratics(iter(entries))
+        assert len(built) == n
+        for comp, entry in zip(built, entries):
+            A, b, constant, lipschitz, weak = _one_by_one(*entry)
+            assert _bits(comp.matrix) == _bits(A)
+            assert _bits(comp.offset) == _bits(b)
+            assert (comp.constant, comp.lipschitz, comp.weak_convexity) == \
+                (constant, lipschitz, weak)
 
 
 def _spec_with(d, n, bad: dict) -> dict:
@@ -300,12 +315,12 @@ _SHORT_A = [1.0, 0.0, 1.0]
     ({12: _SKEW_A, 11: _NAN_A}, "must be finite"),  # in the last two blocks
 ], ids=["finite-first", "symmetric-first", "worker-then-reader", "reader-then-worker",
         "same-block", "adjacent-blocks"])
-def test_error_of_the_lowest_bad_component_wins(bad, message):
+def test_error_of_the_lowest_bad_component_wins(blocks_of_four, bad, message):
     with pytest.raises(ValueError, match=message):
         problem_from_dict(_spec_with(2, 13, bad))
 
 
-def test_building_and_loading_leave_no_thread_running(tmp_path):
+def test_building_and_loading_leave_no_thread_running(tmp_path, blocks_of_four):
     from piag.problems import make_quadratic_l1
 
     before = threading.active_count()
@@ -318,6 +333,26 @@ def test_building_and_loading_leave_no_thread_running(tmp_path):
             (tmp_path / "problem.json.npz").unlink()
         _assert_bitwise_equal(p, load_problem(path))
         assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("with_sidecar", [True, False], ids=["sidecar", "json"])
+def test_loading_a_small_problem_imports_no_thread_pool(tmp_path, with_sidecar):
+    # Five 20 x 20 matrices fill less than one block, so a fresh process that
+    # loads them neither starts threads nor imports concurrent.futures and
+    # logging for them.
+    from piag.problems import make_quadratic_l1
+
+    path = tmp_path / "problem.json"
+    save_problem(make_quadratic_l1(5, 20, seed=7, lam=0.1), path)
+    if not with_sidecar:
+        (tmp_path / "problem.json.npz").unlink()
+    code = ("import sys; from piag.model import load_problem; load_problem(sys.argv[1]); "
+            "print('concurrent.futures' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(model.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_box_bounds_of_different_lengths_are_rejected():
