@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import diagnostics, problems
-from .delay import SCHEDULE_FIELDS, SCHEDULE_KINDS, DelaySchedule, min_cyclic_block
+from .delay import MAX_TAU, SCHEDULE_FIELDS, SCHEDULE_KINDS, DelaySchedule, min_cyclic_block
 from .model import (INTEGER, NUMBER, NUMBERS, OBJECT, SWITCH, TEXT, Kind, Problem, check_fields,
                     load_problem, save_problem, smoothness_totals)
 from .solver import (SolverConfig, Trace, format_exact, rate_constants,
@@ -141,6 +141,8 @@ def _build_config(problem: Problem, settings: dict, keep_iterates: bool) -> Solv
     tau = spec["tau"]
     if tau < 0:
         raise CliError("bad-config", "tau: must be nonnegative")
+    if tau > MAX_TAU:
+        raise CliError("bad-config", f"tau: must be at most {MAX_TAU}, the longest step window")
     if spec.setdefault("kind", "none" if tau == 0 else "cyclic") == "cyclic":
         spec.setdefault("block", min_cyclic_block(problem.n_components, tau))
     with _reading(None, "bad-config", "schedule"):
@@ -177,8 +179,8 @@ def _read_summary(path) -> tuple[float, int]:
     except (KeyError, TypeError) as exc:
         raise CliError("bad-summary", f"{path}: needs numeric 'alpha' and 'schedule.tau'") from exc
     alpha = float(alpha)
-    if not (alpha > 0 and math.isfinite(alpha) and tau >= 0):
-        raise CliError("bad-summary", f"{path}: needs alpha > 0 and schedule.tau >= 0")
+    if not (alpha > 0 and math.isfinite(alpha) and 0 <= tau <= MAX_TAU):
+        raise CliError("bad-summary", f"{path}: needs alpha > 0 and schedule.tau in [0, {MAX_TAU}]")
     return alpha, tau
 
 

@@ -11,6 +11,7 @@ cached entry would otherwise be used with age ``tau + 1``.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from .model import INTEGER, TEXT, Problem, as_vector, check_fields
 Array = np.ndarray
 
 SCHEDULE_KINDS = ("none", "cyclic", "uniform_random", "adversarial_max")
+MAX_TAU = sys.maxsize  # the longest step window that a deque holds
 
 
 @dataclass(frozen=True)
@@ -129,8 +131,8 @@ class StepWindow:
     """
 
     def __init__(self, tau: int):
-        if tau < 0:
-            raise ValueError("delay parameter tau must be nonnegative")
+        if not 0 <= tau <= MAX_TAU:
+            raise ValueError(f"delay parameter tau must lie in [0, {MAX_TAU}]")
         self.tau = int(tau)
         # Iterates before the start count as copies of x0, so the pre-history
         # steps are zero and an under-filled buffer is already correct.

@@ -76,6 +76,7 @@ def delay_window_sums(sq_norms: Array, tau: int) -> Array:
     steps have decayed.
     """
     sq = np.asarray(sq_norms, dtype=float)
+    tau = min(tau, len(sq))  # a longer window adds only more of the zero pre-history
     padded = np.concatenate([np.zeros(tau), sq])
     out = np.zeros(len(sq))
     for j in range(tau):

@@ -4,15 +4,16 @@ The objective has the form ``F(x) = sum_i f_i(x) + h(x)`` where every ``f_i``
 is smooth (gradient Lipschitz) and possibly nonconvex, and ``h`` is proper,
 closed and convex.  Evaluation is deterministic, so repeated runs are bitwise
 reproducible.  The full gradient ``grad_f`` sums the component gradients with
-the same reduction as the solver's aggregated gradient.  When every component
-is quadratic, the problem also keeps the summed quadratic
-``0.5 x'Sx + sb'x + const`` (formed once, in index order), and ``eval_f`` and
-the prox residual evaluate through it: one d x d matvec instead of N.  Their
-values may therefore differ from a per-component sum in the last bits, and so
-may the ``F`` and ``prox_residual`` columns of ``trace.csv`` and
-``final_objective`` in ``summary.json`` from versions before the summed
-quadratic; the iterates (``iterates.csv``), which only use component
-gradients, do not.
+the same reduction as the solver's aggregated gradient.
+
+When every component is quadratic, ``f_i(x) = 0.5 x'A_i x + b_i'x + c_i``,
+the problem holds their data once, as the stack ``A`` (N, d, d), ``b`` (N, d)
+and ``c`` (N,).  The builder fills and checks it in place, each component's
+``matrix`` and ``offset`` are views of its rows, and the problem-file writer
+and the sidecar write and read the stack itself.  The summed quadratic
+``0.5 x'Sx + sb'x + const`` is added from it once, in index order, and
+``eval_f`` and the prox residual evaluate through it: one d x d matvec
+instead of N.
 
 ``eval_F``, ``eval_f`` and ``NonsmoothTerm.value`` have one body each, which
 takes a (K, d) stack of points and returns the K values.  A single point is
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -88,10 +90,7 @@ class SmoothComponent:
 
 @dataclass(frozen=True, eq=False)
 class QuadraticComponent(SmoothComponent):
-    """Quadratic term ``0.5 x'Ax + b'x + const`` with exact constants attached.
-
-    The matrix is kept so the component can be written back to a problem file.
-    """
+    """Quadratic term ``0.5 x'Ax + b'x + const`` with exact constants attached."""
 
     matrix: Array = None
     offset: Array = None
@@ -105,43 +104,58 @@ def quadratic_component(A, b, constant: float = 0.0) -> QuadraticComponent:
     Lipschitz constant is the spectral norm and the weak-convexity modulus is
     the negative part of the smallest eigenvalue.
     """
-    return _build_quadratics([(A, b, constant)])[0]
+    b = as_vector(b)
+    return _build_quadratics(1, len(b), [(A, b, constant)])[0]
 
 
-_EIGEN_BLOCK = 4  # fewest components per stacked eigvalsh in _build_quadratics
+class _Rows(tuple):
+    """Quadratic components whose matrices and offsets are views of the rows
+    of ``stack = (A, b, c)``; a ``Problem`` of them keeps the stack."""
+
+    @functools.cached_property
+    def quadratic_sum(self) -> tuple[Array, Array, float]:
+        return sum_quadratics(*self.stack)
 
 
-def _build_quadratics(entries) -> list[QuadraticComponent]:
-    """The components ``quadratic_component(A, b, constant)`` of the triples
-    that the iterable ``entries`` yields, in order.
+_EIGEN_BLOCK = 4  # fewest rows per stacked eigvalsh in _build_quadratics
 
-    The calling thread draws the entries while worker threads, one per CPU
-    of the process, check and build them in blocks; a worker holds one block
-    at a time.  A block holds ``_EIGEN_BLOCK`` matrices, or as many as fill
-    ``_STACK_BLOCK_BYTES`` if that is more, so the threads serve large
-    matrices only.  The eigenvalues of a block come from one stacked
-    ``eigvalsh``, which gives each matrix's values bit for bit.  Entries
-    that fit in one block are built in the calling thread.  The error of
-    the lowest index is raised, as a one-by-one build would: an error raised
-    by ``entries`` waits until the entries before it are built.
+
+def _build_quadratics(n: int, d: int, entries=None, stack=None) -> _Rows:
+    """The components ``quadratic_component(A, b, constant)`` of the first
+    ``n`` triples that ``entries`` yields, or of the rows of the given stack
+    ``(A, b, c)``, as rows of one stack of dimension ``d``.
+
+    The calling thread writes each triple into its row as it draws it (the
+    stack is allocated once a triple has the right shape) while worker
+    threads, one per CPU of the process, check the rows in blocks, one block
+    per worker at a time.  A block holds ``_EIGEN_BLOCK`` rows, or as many
+    as fill ``_STACK_BLOCK_BYTES`` if that is more, so the threads serve
+    large matrices only; one block is checked in the calling thread.  The
+    error of the lowest row is raised, as a one-by-one build would: an error
+    raised while drawing waits until the rows before it are checked.
     """
-    failure: list[Exception] = []
+    stack, failure = list(stack or ()), []
 
     def drawn():
         try:
-            yield from entries
+            for i, (A, b, constant) in zip(range(n), entries):
+                A, b = np.asarray(A, dtype=float), as_vector(b)
+                if A.shape != (d, d) or b.shape != (d,):
+                    raise ValueError(f"matrix shape {A.shape} does not match vector "
+                                     f"dimension {len(b)}")
+                if not stack:
+                    stack.extend((np.empty((n, d, d)), np.empty((n, d)), np.empty(n)))
+                stack[0][i], stack[1][i], stack[2][i] = A, b, float(constant)
+                yield i
         except Exception as exc:
             failure.append(exc)
 
-    draws = drawn()
-    first = list(itertools.islice(draws, _EIGEN_BLOCK))
-    matrix_bytes = 8 * np.size(first[0][0]) if first else 0  # as float64
-    size = max(_EIGEN_BLOCK, _STACK_BLOCK_BYTES // max(matrix_bytes, 1))
-    first += itertools.islice(draws, size - len(first))
+    draws = iter(range(n)) if entries is None else drawn()
+    size = max(_EIGEN_BLOCK, _STACK_BLOCK_BYTES // max(8 * d * d, 1))  # float64 matrices
     blocks = iter(lambda: list(itertools.islice(draws, size)), [])
-    second = next(blocks, None)
+    first, second = next(blocks, []), next(blocks, None)
     if second is None:
-        built = _quadratic_block(first)
+        built = _checked_block(stack, first)
     else:
         # Imported here: a problem of one block, such as a single
         # quadratic_component, needs no thread.
@@ -153,39 +167,32 @@ def _build_quadratics(entries) -> list[QuadraticComponent]:
             for block in itertools.chain((first, second), blocks):
                 if len(pending) == workers:
                     built += pending.popleft().result()
-                pending.append(pool.submit(_quadratic_block, block))
+                pending.append(pool.submit(_checked_block, stack, block))
             while pending:
                 built += pending.popleft().result()
     if failure:
         raise failure[0]
-    return built
+    rows = _Rows(built)
+    rows.stack = tuple(stack)
+    return rows
 
 
-def _quadratic_block(block: list) -> list[QuadraticComponent]:
-    """``quadratic_component`` of each ``(A, b, constant)`` of ``block``,
-    checked in order, with the eigenvalues of all its matrices from one
-    stacked ``eigvalsh``.  ``block`` is emptied as its entries are checked,
-    so a drawn matrix is freed once its symmetrized copy exists."""
-    if not block:
+def _checked_block(stack, rows: list) -> list[QuadraticComponent]:
+    """The components of the consecutive ``rows`` of the stack ``[A, b, c]``,
+    checked in order and symmetrized in place through one temporary matrix.
+    One stacked ``eigvalsh`` of the slice gives each matrix's values bit for bit."""
+    if not rows:
         return []
-    checked = [_checked_quadratic(*block.pop(0)) for _ in range(len(block))]
-    eigenvalues = np.linalg.eigvalsh(np.stack([A for A, _, _ in checked]))
-    return [_built_quadratic(A, b, constant, values)
-            for (A, b, constant), values in zip(checked, eigenvalues)]
-
-
-def _checked_quadratic(A, b, constant) -> tuple[Array, Array, float]:
-    """``(A, b, constant)`` checked, with ``A`` symmetrized."""
-    b = as_vector(b)
-    d = b.shape[0]
-    A = np.asarray(A, dtype=float)
-    if A.shape != (d, d):
-        raise ValueError(f"matrix shape {A.shape} does not match vector dimension {d}")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b)) and math.isfinite(constant)):
-        raise ValueError("matrix, linear term and constant must be finite")
-    if not np.allclose(A, A.T, rtol=0.0, atol=1e-12):
-        raise ValueError("matrix must be symmetric (tolerance 1e-12)")
-    return 0.5 * (A + A.T), b, float(constant)
+    A, b, c = (v[rows[0]:rows[-1] + 1] for v in stack)
+    for A_i, b_i, c_i in zip(A, b, c.tolist()):
+        if not (np.all(np.isfinite(A_i)) and np.all(np.isfinite(b_i)) and math.isfinite(c_i)):
+            raise ValueError("matrix, linear term and constant must be finite")
+        M = A_i - A_i.T
+        if not np.all(np.abs(M, out=M) <= 1e-12):  # np.allclose(A_i, A_i.T, 0, 1e-12)
+            raise ValueError("matrix must be symmetric (tolerance 1e-12)")
+        A_i[...] = np.multiply(np.add(A_i, A_i.T, out=M), 0.5, out=M)  # 0.5 * (A_i + A_i.T)
+    return [_built_quadratic(A_i, b_i, c_i, values)
+            for A_i, b_i, c_i, values in zip(A, b, c.tolist(), np.linalg.eigvalsh(A))]
 
 
 def _built_quadratic(A, b, constant: float, eigenvalues) -> QuadraticComponent:
@@ -199,35 +206,25 @@ def _built_quadratic(A, b, constant: float, eigenvalues) -> QuadraticComponent:
     def grad(x, _A=A, _b=b) -> Array:
         return _A @ x + _b
 
-    return QuadraticComponent(
-        value=value,
-        grad=grad,
-        lipschitz=lipschitz,
-        weak_convexity=weak,
-        matrix=A,
-        offset=b,
-        constant=constant,
-    )
+    return QuadraticComponent(value, grad, lipschitz, weak, matrix=A, offset=b, constant=constant)
 
 
-def sum_quadratics(components) -> tuple[Array, Array, float]:
-    """Summed quadratic ``(S, sb, const)`` of quadratic components, added in
-    index order.
+def sum_quadratics(A: Array, b: Array, c: Array) -> tuple[Array, Array, float]:
+    """Summed quadratic ``(S, sb, const)`` of the stack ``(A, b, c)``, added
+    in index order starting from zeros (``np.add.reduce(A, axis=0)`` starts
+    from ``A[0]``, which differs on ``-0.0``).
 
-    ``S`` starts on a 64-byte boundary.  Every objective evaluation and prox
-    residual multiplies by it, and a product with a 200 x 200 matrix runs
-    about 1.5x faster when the matrix is 32-byte aligned than when it is not;
-    malloc promises only 16 bytes, so the speed would depend on where the
-    allocator put ``S``.
+    ``S`` starts on a 64-byte boundary: every objective evaluation and prox
+    residual multiplies by it, and a 200 x 200 product runs about 1.5x faster
+    on 32-byte alignment than on the 16 bytes that malloc promises.
     """
-    S = _aligned_zeros(components[0].matrix.shape,
-                       np.result_type(*(comp.matrix for comp in components)))
-    sb = np.zeros_like(components[0].offset)
+    S = _aligned_zeros(A.shape[1:], A.dtype)
+    sb = np.zeros(b.shape[1:])
     const = 0.0
-    for comp in components:
-        S += comp.matrix
-        sb = sb + comp.offset
-        const += comp.constant
+    for A_i, b_i, c_i in zip(A, b, c.tolist()):
+        S += A_i
+        sb = sb + b_i
+        const += c_i
     return S, sb, const
 
 
@@ -312,18 +309,22 @@ def _bound(v):
 class Problem:
     """Composite minimization problem ``min sum_i f_i(x) + h(x)``.
 
-    ``quadratic_sum`` is ``sum_quadratics(components)`` when every component
-    is a ``QuadraticComponent``, else None.
+    When every component is a ``QuadraticComponent``, ``quadratic_stack`` is
+    their ``(A, b, c)`` (components not built as its rows are copied into a
+    new stack once) and ``quadratic_sum`` is
+    ``sum_quadratics(*quadratic_stack)``; otherwise both are None.
     """
 
     components: tuple
     nonsmooth: NonsmoothTerm
     dimension: int
     f_lower_bound_hint: float | None = None
+    quadratic_stack: tuple | None = field(default=None, init=False, repr=False)
     quadratic_sum: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
+        if not isinstance(self.components, _Rows):
+            object.__setattr__(self, "components", tuple(self.components))
         if len(self.components) < 1:
             raise ValueError("problem needs at least one smooth component")
         if self.dimension < 1:
@@ -344,8 +345,16 @@ class Problem:
             raise ValueError("aggregate smoothness constants must be finite")
         if L < l:
             raise ValueError("aggregate Lipschitz constant must dominate the weak-convexity total")
-        if all(isinstance(c, QuadraticComponent) for c in self.components):
-            object.__setattr__(self, "quadratic_sum", sum_quadratics(self.components))
+        if isinstance(self.components, _Rows):
+            stack, total = self.components.stack, self.components.quadratic_sum
+        elif all(isinstance(c, QuadraticComponent) for c in self.components):
+            stack = tuple(np.array([getattr(c, name) for c in self.components], dtype=float)
+                          for name in ("matrix", "offset", "constant"))
+            total = sum_quadratics(*stack)
+        else:
+            return
+        object.__setattr__(self, "quadratic_stack", stack)
+        object.__setattr__(self, "quadratic_sum", total)
 
     @property
     def n_components(self) -> int:
@@ -369,14 +378,20 @@ def eval_f(problem: Problem, x) -> float | Array:
 def _smooth_stack_values(problem: Problem, X: Array) -> Array:
     """``eval_f`` at each row of the C-contiguous (K, d) stack ``X``."""
     if problem.quadratic_sum is not None:
-        S, sb, const = problem.quadratic_sum
-        columns = X[:, :, None]
-        xSx = np.matmul(X[:, None, :], np.matmul(S, columns))[:, 0, 0]
-        return 0.5 * xSx + np.matmul(sb, columns)[:, 0] + const
+        return _quadratic_values(problem.quadratic_sum, X)
     out = np.zeros(len(X))
     for comp in problem.components:
         out += [comp.value(row) for row in X]
     return out
+
+
+def _quadratic_values(quadratic_sum: tuple, X: Array) -> Array:
+    """``0.5 x'Sx + sb'x + const`` of the summed quadratic ``(S, sb, const)``
+    at each row of the C-contiguous (K, d) stack ``X``, as ``eval_f`` takes it."""
+    S, sb, const = quadratic_sum
+    columns = X[:, :, None]
+    xSx = np.matmul(X[:, None, :], np.matmul(S, columns))[:, 0, 0]
+    return 0.5 * xSx + np.matmul(sb, columns)[:, 0] + const
 
 
 def grad_f(problem: Problem, x) -> Array:
@@ -466,8 +481,7 @@ SWITCH = Kind("true or false", lambda v: isinstance(v, bool))
 TEXT = Kind("a string", lambda v: isinstance(v, str))
 NUMBERS = Kind("a list of numbers", _is_numbers)
 OBJECT = Kind("a JSON object", lambda v: isinstance(v, dict))
-# A JSON list; load_problem passes the sidecar's arrays as a tuple instead.
-LIST = Kind("a list", lambda v: isinstance(v, (list, tuple)))
+LIST = Kind("a list", lambda v: isinstance(v, list))
 
 
 def check_fields(obj, kinds: dict[str, Kind], required, where: str = "") -> None:
@@ -526,20 +540,19 @@ def nonsmooth_from_dict(obj: dict) -> NonsmoothTerm:
 
 
 def problem_to_dict(problem: Problem) -> dict:
+    A, b, c = _written_stack(problem)
     return {
         "dimension": problem.dimension,
-        "components": [_component_entry(c.matrix.reshape(-1).tolist(), c.offset.tolist(),
-                                        c.constant)
-                       for c in _quadratic_components(problem)],
+        "components": [_component_entry(A_i.reshape(-1).tolist(), b_i.tolist(), c_i)
+                       for A_i, b_i, c_i in zip(A, b, c.tolist())],
         "nonsmooth": nonsmooth_to_dict(problem.nonsmooth),
     }
 
 
-def _quadratic_components(problem: Problem) -> tuple:
-    for i, comp in enumerate(problem.components):
-        if not isinstance(comp, QuadraticComponent):
-            raise ValueError(f"component {i} is not quadratic and cannot be serialized")
-    return problem.components
+def _written_stack(problem: Problem) -> tuple:
+    if problem.quadratic_stack is None:
+        raise ValueError("a component is not quadratic, so the problem cannot be serialized")
+    return problem.quadratic_stack
 
 
 def _component_entry(A, b, c0: float) -> dict:
@@ -556,26 +569,14 @@ _COMPONENT_FIELDS = {"A": NUMBERS, "b": NUMBERS, "c0_term": NUMBER}
 
 
 def problem_from_dict(obj: dict) -> Problem:
-    """Check and build the problem of a problem spec.
-
-    ``components`` is the spec's list of entries or, as ``load_problem``
-    reads them from the sidecar, the tuple of arrays ``(A, b, c0)`` of
-    shapes (N, d, d), (N, d) and (N,).
-    """
+    """Check and build the problem of a problem spec."""
     check_fields(obj, _PROBLEM_FIELDS, _PROBLEM_FIELDS)
     d = obj["dimension"]
     if d < 1:  # the components are read against it before Problem checks it
         raise ValueError("dimension must be a positive integer")
-    if isinstance(obj["components"], tuple):
-        A, b, c0 = obj["components"]
-        entries = zip(A, b, map(float, c0))
-    else:
-        entries = _spec_entries(obj["components"], d)
-    return Problem(
-        components=tuple(_build_quadratics(entries)),
-        nonsmooth=nonsmooth_from_dict(obj["nonsmooth"]),
-        dimension=d,
-    )
+    entries = _spec_entries(obj["components"], d)
+    return Problem(_build_quadratics(len(obj["components"]), d, entries),
+                   nonsmooth_from_dict(obj["nonsmooth"]), d)
 
 
 def _spec_entries(components: list, d: int):
@@ -666,7 +667,7 @@ def save_problem(problem: Problem, path) -> None:
     import hashlib
     from concurrent.futures import ProcessPoolExecutor
 
-    comps = _quadratic_components(problem)
+    A, b, c = _written_stack(problem)
     nonsmooth = nonsmooth_to_dict(problem.nonsmooth)
     head, tail = _indented({"components": [_SLOT], "dimension": problem.dimension,
                             "nonsmooth": nonsmooth})
@@ -678,37 +679,36 @@ def save_problem(problem: Problem, path) -> None:
             digest.update(data)
 
         emit(head)
-        pool = ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(comps)))
+        pool = ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(c)))
         try:
-            texts = pool.map(_component_text, [c.matrix for c in comps],
-                             [c.offset for c in comps], [c.constant for c in comps])
+            texts = pool.map(_component_text, A, b, c.tolist())
             for i, text in enumerate(texts):
                 emit(",\n    " + text if i else text)
         finally:
             pool.shutdown(cancel_futures=True)
         emit(tail + "\n")
     meta = json.dumps({"dimension": problem.dimension, "nonsmooth": nonsmooth})
-    # A -0.0 constant is written as no c0_term, so it reads back as 0.0.
-    c0 = np.array([c.constant if c.constant != 0.0 else 0.0 for c in comps])
     with _replacing(_sidecar_path(path)) as fh:
-        np.savez(fh, sha256=np.array(digest.hexdigest()), meta=np.array(meta), c0=c0,
-                 A=np.array([c.matrix for c in comps], dtype=float),
-                 b=np.array([c.offset for c in comps], dtype=float))
+        # A -0.0 constant is written as no c0_term, so it reads back as 0.0.
+        np.savez(fh, sha256=np.array(digest.hexdigest()), meta=np.array(meta),
+                 c0=np.where(c != 0.0, c, 0.0), A=A, b=b)
 
 
 def load_problem(path) -> Problem:
     """Read a problem file.
 
-    The numbers come from the sidecar ``<path>.npz`` when its digest matches
-    the JSON bytes, else from the JSON text; either way ``problem_from_dict``
-    checks and builds the problem.  Text that is not JSON raises
-    ``json.JSONDecodeError``, a ValueError.
+    When the sidecar ``<path>.npz``'s digest matches the JSON bytes, its
+    arrays are checked as the JSON's would be and become the problem's
+    stack; otherwise ``problem_from_dict`` reads the JSON text.  Text that
+    is not JSON raises ``json.JSONDecodeError``, a ValueError.
     """
-    obj = _read_sidecar(path)
-    if obj is None:
+    sidecar = _read_sidecar(path)
+    if sidecar is None:
         with open(path) as fh:
-            obj = json.load(fh)
-    return problem_from_dict(obj)
+            return problem_from_dict(json.load(fh))
+    stack, d, nonsmooth = sidecar
+    return Problem(_build_quadratics(len(stack[2]), d, stack=stack),
+                   nonsmooth_from_dict(nonsmooth), d)
 
 
 def _sidecar_path(path) -> str:
@@ -728,22 +728,22 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _read_sidecar(path) -> dict | None:
-    """The problem spec stored in ``<path>.npz``, with the arrays ``(A, b, c0)``
-    in place of the JSON list of components, or None when the sidecar is
-    missing, unreadable, inconsistent or written for other JSON bytes."""
+def _read_sidecar(path) -> tuple | None:
+    """The stack ``(A, b, c0)``, the dimension and the nonsmooth spec stored
+    in ``<path>.npz``, or None when the sidecar is missing, unreadable,
+    inconsistent or written for other JSON bytes."""
     try:
         # A plain .npy raises TypeError (no context manager), an empty file EOFError.
         # np.load is given the open file: on a damaged zip it would leave its own open.
         with open(_sidecar_path(path), "rb") as fh, np.load(fh, allow_pickle=False) as z:
             if str(z["sha256"]) != _sha256(path):
                 return None
-            obj = json.loads(str(z["meta"]))
-            A, b, c0 = z["A"], z["b"], z["c0"]
-        n, d = len(c0), obj["dimension"]
-        if A.shape != (n, d, d) or b.shape != (n, d) or c0.shape != (n,):
+            meta = json.loads(str(z["meta"]))
+            stack = z["A"], z["b"], z["c0"]
+        n, d = len(stack[2]), meta["dimension"]
+        if [v.shape for v in stack] != [(n, d, d), (n, d), (n,)] or any(
+                v.dtype != float for v in stack):
             return None
+        return stack, d, meta["nonsmooth"]
     except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile):
         return None
-    obj["components"] = (A, b, c0)
-    return obj

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (NonsmoothTerm, Problem, _build_quadratics, as_vector, eval_f, eval_F,
-                    smoothness_totals)
+from .model import (NonsmoothTerm, Problem, _build_quadratics, _quadratic_values, as_vector,
+                    eval_F, smoothness_totals)
 from .prox import prox_residual, soft_threshold
 
 Array = np.ndarray
@@ -74,26 +74,17 @@ def _check_generator_args(N: int, d: int, param: float, param_name: str) -> None
         raise ValueError(f"{param_name} must be nonnegative")
 
 
-def _with_fields(problem: Problem, **fields) -> Problem:
-    """``problem`` with ``fields`` set in place and not checked again.  The
-    generators derive the box and the lower-bound hint from the summed
-    quadratic the problem keeps; ``dataclasses.replace`` would sum the
-    components again."""
-    for name, value in fields.items():
-        object.__setattr__(problem, name, value)
-    return problem
-
-
-def _draw_components(rng: np.random.Generator, N: int, d: int, eig_lo: float) -> list:
+def _draw_components(rng: np.random.Generator, N: int, d: int, eig_lo: float) -> tuple:
     """``N`` quadratic components, each a random symmetric matrix with
-    eigenvalues in ``[eig_lo, 1]`` and a standard normal linear term.  The
-    matrices are drawn in this thread while others find their eigenvalues."""
+    eigenvalues in ``[eig_lo, 1]`` and a standard normal linear term, as the
+    rows of one stack (see ``model._Rows``).  The matrices are drawn in this
+    thread while others find their eigenvalues."""
     def draws():
         for _ in range(N):
             A = _random_symmetric(rng, d, eig_lo, 1.0)
             yield A, rng.standard_normal(d), 0.0
 
-    return _build_quadratics(draws())
+    return _build_quadratics(N, d, draws())
 
 
 def make_quadratic_box(N: int, d: int, seed: int,
@@ -107,15 +98,11 @@ def make_quadratic_box(N: int, d: int, seed: int,
     """
     _check_generator_args(N, d, negative_curvature, "negative_curvature")
     comps = _draw_components(np.random.default_rng(seed), N, d, -negative_curvature)
-    problem = Problem(components=tuple(comps), nonsmooth=NonsmoothTerm.zero(), dimension=d)
-    S, sb, const = problem.quadratic_sum
+    S, sb, const = comps.quadratic_sum
     lam_min = float(np.linalg.eigvalsh(S)[0])
     half_width = 10.0 * (1.0 + float(np.linalg.norm(sb)) / max(lam_min, 0.1))
-    return _with_fields(
-        problem,
-        nonsmooth=NonsmoothTerm.box(-half_width, half_width),
-        f_lower_bound_hint=_quadratic_lower_bound(lam_min, sb, const, half_width * math.sqrt(d)),
-    )
+    hint = _quadratic_lower_bound(lam_min, sb, const, half_width * math.sqrt(d))
+    return Problem(comps, NonsmoothTerm.box(-half_width, half_width), d, f_lower_bound_hint=hint)
 
 
 def make_quadratic_l1(N: int, d: int, seed: int, lam: float) -> Problem:
@@ -130,15 +117,15 @@ def make_quadratic_l1(N: int, d: int, seed: int, lam: float) -> Problem:
     eig_lo = 0.15 if N == 1 else -0.2
     nonsmooth = NonsmoothTerm.l1(lam)
     for _ in range(100):
-        problem = Problem(components=tuple(_draw_components(rng, N, d, eig_lo)),
-                          nonsmooth=nonsmooth, dimension=d)
-        S, sb, _ = problem.quadratic_sum
+        comps = _draw_components(rng, N, d, eig_lo)
+        S, sb, _ = comps.quadratic_sum
         if float(np.linalg.eigvalsh(S)[0]) >= 0.1:
             break
     else:
         raise RuntimeError("failed to draw a strongly convex component sum in 100 attempts")
     x_free = np.linalg.solve(S, -sb)
-    return _with_fields(problem, f_lower_bound_hint=eval_f(problem, x_free))
+    hint = float(_quadratic_values(comps.quadratic_sum, x_free.reshape(1, d))[0])  # eval_f
+    return Problem(comps, nonsmooth, d, f_lower_bound_hint=hint)
 
 
 def _require_quadratic(problem: Problem) -> tuple[Array, Array]:

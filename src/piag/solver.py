@@ -111,7 +111,10 @@ def rate_constants(L: float, l: float, tau: int, c0: float) -> TheoryConstants:
     c4 = ((l + L) * (1 + tau) + 2 * tau * (l + L + l * tau) * c0sq) / (2 * L * L)
     c5 = l + L + l * tau + L * tau / 2.0 + L * tau / (2.0 * c0sq)
     c6 = ((tau + 1) * (l + L) / c0sq + 2 * l * tau**2 + 3 * l * tau + l + 3 * L * tau + L) / 2.0
-    c7 = c6 * (1.0 + tau * (1.0 + 1.0 / c0sq) ** tau)
+    try:
+        c7 = c6 * (1.0 + tau * (1.0 + 1.0 / c0sq) ** tau)
+    except OverflowError:  # the power exceeds the largest float; c8 is then 0
+        c7 = math.inf
     c8 = min(threshold, 1.0 / (2 * c5 + 2 * c7), 1.0 / L)
     return TheoryConstants(
         L=L, l=l, tau=tau, c0=c0, L_bar=L_bar, l_bar=l_bar,
@@ -212,6 +215,9 @@ def resolve_stepsize(config: SolverConfig, L: float, l: float,
         if alpha > cap:
             warnings.append(f"stepsize {alpha:.6g} tightened to certified cap {cap:.6g}")
             alpha = cap
+    if alpha == 0.0:  # only the certified cap rounds to zero
+        raise ValueError(f"tau: the certified stepsize cap c8 rounds to 0 at tau {tau} "
+                         f"and c0 {config.c0}")
     if alpha >= threshold:
         warnings.append(
             f"stepsize {alpha:.6g} is not below the descent threshold {threshold:.6g}; "

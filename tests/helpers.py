@@ -185,8 +185,8 @@ class KillsTheWorker(np.ndarray):
 
 
 def with_last_matrix_as(problem, matrix_class):
-    """``problem`` with its last component's matrix viewed as ``matrix_class``,
+    """``problem`` with the last matrix of its stack viewed as ``matrix_class``,
     so that the problem writer fails only after the earlier components."""
-    last = problem.components[-1]
-    object.__setattr__(last, "matrix", last.matrix.view(matrix_class))
+    A, b, c = problem.quadratic_stack
+    object.__setattr__(problem, "quadratic_stack", ([*A[:-1], A[-1].view(matrix_class)], b, c))
     return problem

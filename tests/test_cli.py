@@ -313,6 +313,59 @@ def test_out_of_range_solver_settings_are_bad_config(l1_setup, capsys, flags):
     assert capsys.readouterr().err.startswith("piag: error: bad-config:")
 
 
+def test_large_tau_gives_an_overflowed_c7_and_a_zero_cap(l1_setup):
+    # (1 + 1/c0^2)^tau exceeds the largest float at tau 200 and c0 0.01
+    problem, tmp = l1_setup
+    out = tmp / "run"
+    rc = run(["solve", "--problem", problem, "--tau", "200", "--c0", "0.01", "--max-iters", "30",
+              "--out", str(out), "--quiet"])
+    assert rc == 2
+    constants = _summary(out)["constants"]
+    assert constants["c7"] == math.inf and constants["c8"] == 0.0
+
+
+@pytest.mark.parametrize("settings", [["--alpha", "auto_c8"], ["--config", "enforce"]],
+                         ids=["auto_c8", "enforce_theory"])
+def test_a_certified_cap_of_zero_is_bad_config_naming_tau(l1_setup, capsys, settings):
+    problem, tmp = l1_setup
+    if settings[0] == "--config":
+        settings = ["--config", _write_config(tmp, {"alpha": 0.01, "enforce_theory": True})]
+    out = tmp / "run"
+    rc = run(["solve", "--problem", problem, "--tau", "200", "--c0", "0.01", *settings,
+              "--out", str(out), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == ("piag: error: bad-config: tau: the certified stepsize cap "
+                                       "c8 rounds to 0 at tau 200 and c0 0.01\n")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_tau_longer_than_any_step_window_is_bad_config(l1_setup, capsys):
+    problem, tmp = l1_setup
+    config = tmp / "config.json"
+    config.write_text('{"tau": ' + "9" * 400 + ', "schedule": {"kind": "cyclic", "block": 1}}')
+    out = tmp / "run"
+    rc = run(["solve", "--problem", problem, "--config", str(config), "--out", str(out),
+              "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"piag: error: bad-config: tau: must be at most "
+                                       f"{sys.maxsize}, the longest step window\n")
+    assert not out.exists()
+
+
+def test_verify_takes_the_longest_step_window(l1_setup, capsys):
+    # The replayed window sums must not allocate or loop over tau entries.
+    problem, tmp = l1_setup
+    out = tmp / "run"
+    run(["solve", "--problem", problem, "--tau", str(sys.maxsize), "--max-iters", "20",
+         "--log-iterates", "--out", str(out), "--quiet"])
+    assert run(["verify", "--problem", problem, "--run", str(out), "--quiet"]) == 0
+    summary = _summary(out)
+    summary["schedule"]["tau"] += 1
+    (out / "summary.json").write_text(json.dumps(summary))
+    assert run(["verify", "--problem", problem, "--run", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("piag: error: bad-summary:")
+
+
 def test_x0_outside_the_box_is_bad_config(tmp_path, capsys):
     problem = _one_d_box_problem(tmp_path, _BOX_1D)
     rc = run(["solve", "--problem", problem, "--x0", "2.0", "--out", str(tmp_path / "r"),

@@ -283,7 +283,7 @@ def test_blocked_build_is_bitwise_the_one_by_one_build(n, d, seed, scale):
         entries.append((m + m.T, rng.standard_normal(d), float(rng.standard_normal())))
     for block_bytes in (0, model._STACK_BLOCK_BYTES):  # blocks of four, then the real ones
         with mock.patch.object(model, "_STACK_BLOCK_BYTES", block_bytes):
-            built = model._build_quadratics(iter(entries))
+            built = model._build_quadratics(n, d, iter(entries))
         assert len(built) == n
         for comp, entry in zip(built, entries):
             A, b, constant, lipschitz, weak = _one_by_one(*entry)
@@ -291,6 +291,26 @@ def test_blocked_build_is_bitwise_the_one_by_one_build(n, d, seed, scale):
             assert _bits(comp.offset) == _bits(b)
             assert (comp.constant, comp.lipschitz, comp.weak_convexity) == \
                 (constant, lipschitz, weak)
+
+
+def test_more_workers_than_cores_each_fill_their_own_rows(monkeypatch):
+    # Eight worker threads on one stack, switching every microsecond: a row
+    # written or symmetrized by the wrong block would break the bits.
+    monkeypatch.setattr(model, "_STACK_BLOCK_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    rng = np.random.default_rng(12)
+    entries = [(m + m.T, rng.standard_normal(7), float(k))
+               for k, m in enumerate(rng.standard_normal((61, 7, 7)))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        built = model._build_quadratics(61, 7, iter(entries))
+    finally:
+        sys.setswitchinterval(interval)
+    for comp, entry in zip(built, entries, strict=True):
+        A, b, constant, lipschitz, weak = _one_by_one(*entry)
+        assert _bits(comp.matrix) == _bits(A) and _bits(comp.offset) == _bits(b)
+        assert (comp.constant, comp.lipschitz, comp.weak_convexity) == (constant, lipschitz, weak)
 
 
 def _spec_with(d, n, bad: dict) -> dict:
@@ -353,6 +373,71 @@ def test_loading_a_small_problem_imports_no_thread_pool(tmp_path, with_sidecar):
                           text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("blocks", ["one-block", "blocks-of-four"])
+@pytest.mark.parametrize("source", ["generated", "json", "sidecar"])
+def test_components_are_views_of_one_stack(tmp_path, monkeypatch, source, blocks):
+    from piag.problems import make_quadratic_box
+
+    if blocks == "blocks-of-four":
+        monkeypatch.setattr(model, "_STACK_BLOCK_BYTES", 0)
+    p = make_quadratic_box(13, 6, seed=4, negative_curvature=0.5)
+    if source != "generated":
+        path = tmp_path / "problem.json"
+        save_problem(p, path)
+        if source == "json":
+            (tmp_path / "problem.json.npz").unlink()
+        p = load_problem(path)
+    A, b, c = p.quadratic_stack
+    assert (A.shape, b.shape, c.shape) == ((13, 6, 6), (13, 6), (13,))
+    for i, comp in enumerate(p.components):
+        assert comp.matrix.ctypes.data == A[i].ctypes.data and comp.matrix.strides == (48, 8)
+        assert comp.offset.ctypes.data == b[i].ctypes.data and comp.offset.strides == (8,)
+        assert comp.constant == c[i]
+
+
+def test_a_list_of_components_is_copied_into_one_stack():
+    rng = np.random.default_rng(3)
+    comps = random_quadratic_problem(rng, 3, 4).components
+    p = Problem(list(comps), NonsmoothTerm.zero(), 4)
+    A, b, c = p.quadratic_stack
+    assert p.components == comps  # the caller's components, kept as given
+    for i, comp in enumerate(comps):
+        assert _bits(A[i]) == _bits(comp.matrix) and _bits(b[i]) == _bits(comp.offset)
+        assert c[i] == comp.constant
+
+
+def test_loading_a_sidecar_keeps_one_copy_of_its_stack(tmp_path, monkeypatch):
+    # From the moment the sidecar's arrays are read, building the problem may
+    # add the temporaries of one block but no second copy of the matrices.
+    # Reading itself is left out: the digest's and numpy's read buffers have
+    # fixed sizes near that of this A.  One worker thread, so that the bound
+    # does not depend on the host: each worker holds its own temporaries.
+    import tracemalloc
+
+    from piag.problems import make_quadratic_l1
+
+    path = tmp_path / "problem.json"
+    save_problem(make_quadratic_l1(20, 60, seed=2, lam=0.1), path)
+    load_problem(path)  # the allocations of first use
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    read = model._read_sidecar
+
+    def read_then_reset_peak(p):
+        out = read(p)
+        assert out is not None
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(model, "_read_sidecar", read_then_reset_peak)
+    tracemalloc.start()
+    try:
+        load_problem(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (20 * 60 * 60 * 8)
 
 
 def test_box_bounds_of_different_lengths_are_rejected():
