@@ -47,9 +47,8 @@ class DelaySchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.tau < 0:
             raise ValueError("delay parameter tau must be nonnegative")
-        if self.kind == "cyclic":
-            if self.block is None or self.block < 1:
-                raise ValueError("cyclic schedule requires a positive block size")
+        if self.kind == "cyclic" and (self.block is None or self.block < 1):
+            raise ValueError("cyclic schedule requires a positive block size")
         if self.kind == "uniform_random" and self.seed is None:
             raise ValueError("uniform_random schedule requires a seed")
         if self.seed is not None and self.seed < 0:
@@ -60,10 +59,8 @@ class DelaySchedule:
         if self.kind == "cyclic":
             min_block = min_cyclic_block(n_components, self.tau)
             if self.block < min_block:
-                raise ValueError(
-                    f"cyclic block {self.block} too small for N={n_components}, "
-                    f"tau={self.tau}; need at least {min_block}"
-                )
+                raise ValueError(f"cyclic block {self.block} too small for N={n_components}, "
+                                 f"tau={self.tau}; need at least {min_block}")
 
 
 def min_cyclic_block(n_components: int, tau: int) -> int:
@@ -94,11 +91,12 @@ def schedule_from_dict(obj: dict, default_tau: int | None = None,
 
 
 def next_refresh_set(schedule: DelaySchedule, k: int, n_components: int,
-                     ages=None) -> set[int]:
-    """Component indices to re-evaluate at iteration ``k``.
+                     ages=None) -> Array:
+    """Component indices to re-evaluate at iteration ``k``: a 1-D int array of distinct
+    indices (formerly a ``set``).  The gradient table also takes a set, list or range.
 
     ``ages`` are the staleness values recorded by the gradient table at the
-    previous aggregation; they are required for the two age-driven kinds.
+    previous aggregation, one per component; the two age-driven kinds need them.
     Entries at age ``tau`` must be refreshed now, otherwise they would be used
     one iteration too stale.  The random subset drawn by ``uniform_random``
     is a pure function of ``(seed, k)``, so runs are reproducible.
@@ -106,22 +104,24 @@ def next_refresh_set(schedule: DelaySchedule, k: int, n_components: int,
     if k < 0:
         raise ValueError("iteration index must be nonnegative")
     n = int(n_components)
+    if n < 1:
+        raise ValueError("component count must be positive")
+    if ages is not None and np.shape(ages) != (n,):
+        raise ValueError(f"ages of shape {np.shape(ages)} do not hold one per component ({n})")
     if schedule.kind == "none":
-        return set(range(n))
+        return np.arange(n)
     if schedule.kind == "cyclic":
         schedule.validate_for(n)
-        start = (k * schedule.block) % n
-        return {(start + j) % n for j in range(min(schedule.block, n))}
+        start = (int(k) * int(schedule.block)) % n  # k * block may exceed int64
+        stop = start + min(schedule.block, n)
+        return np.arange(start, stop) if stop <= n else np.arange(start, stop) % n
     if ages is None:
         raise ValueError(f"schedule kind {schedule.kind!r} requires the table ages")
-    ages = np.asarray(ages)
-    forced = {int(i) for i in np.nonzero(ages >= schedule.tau)[0]}
-    if schedule.kind == "adversarial_max":
-        return forced
-    # uniform_random: forced refreshes plus an unbiased random subset.
-    rng = np.random.default_rng([int(schedule.seed), int(k)])
-    extra = np.nonzero(rng.random(n) < 1.0 / (schedule.tau + 1))[0]
-    return forced | {int(i) for i in extra}
+    due = np.asarray(ages) >= schedule.tau
+    if schedule.kind == "uniform_random":  # plus an unbiased random subset
+        rng = np.random.default_rng([int(schedule.seed), int(k)])
+        due |= rng.random(n) < 1.0 / (schedule.tau + 1)
+    return np.flatnonzero(due)
 
 
 class StepWindow:
@@ -171,11 +171,10 @@ class GradientTable(StepWindow):
     def __init__(self, problem: Problem, x0, tau: int):
         super().__init__(tau)
         x0 = as_vector(x0, problem.dimension)
-        n = problem.n_components
-        self.entries = np.empty((n, problem.dimension))
+        self.entries = np.empty((problem.n_components, problem.dimension))
         for i, comp in enumerate(problem.components):
             self.entries[i] = comp.grad(x0)
-        self.ages = np.zeros(n, dtype=int)
+        self.ages = np.zeros(problem.n_components, dtype=int)
         self.refreshed = False
 
     def refresh_and_aggregate(self, problem: Problem, x, refresh_set) -> Array:
@@ -186,11 +185,12 @@ class GradientTable(StepWindow):
         as used in the aggregate just returned.
         """
         x = as_vector(x, problem.dimension)
-        n = len(self.entries)
-        indices = [int(i) for i in refresh_set]
-        if indices and (min(indices) < 0 or max(indices) >= n):
+        indices = np.asarray(refresh_set if isinstance(refresh_set, np.ndarray)
+                             else list(refresh_set), dtype=np.intp)
+        listed = indices.tolist()  # min and max of a short list beat the array's
+        if listed and (min(listed) < 0 or max(listed) >= len(self.entries)):
             raise ValueError("refresh set contains an out-of-range component index")
-        for i in indices:
+        for i in listed:
             self.entries[i] = problem.components[i].grad(x)
         # On the first refresh every entry was just evaluated at the start
         # point, which is the current iterate, so all ages stay 0.
@@ -198,12 +198,10 @@ class GradientTable(StepWindow):
             self.ages += 1
         self.refreshed = True
         self.ages[indices] = 0
-        if np.any(self.ages > self.tau):
-            worst = int(np.argmax(self.ages))
-            raise RuntimeError(
-                f"delay bound violated: component {worst} reached staleness "
-                f"{int(self.ages[worst])} > tau={self.tau}"
-            )
+        worst = int(np.argmax(self.ages))
+        if self.ages[worst] > self.tau:
+            raise RuntimeError(f"delay bound violated: component {worst} reached "
+                               f"staleness {int(self.ages[worst])} > tau={self.tau}")
         return np.sum(self.entries, axis=0)
 
     def max_staleness(self) -> int:

@@ -70,8 +70,9 @@ def _check_generator_args(N: int, d: int, param: float, param_name: str) -> None
         raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}]")
     if not 1 <= N <= MAX_COMPONENTS:
         raise ValueError(f"component count must be in [1, {MAX_COMPONENTS}]")
-    if param < 0:
-        raise ValueError(f"{param_name} must be nonnegative")
+    if not 0 <= param < math.inf:  # nan fails both comparisons
+        kind = "nonnegative" if param < 0 else "a finite nonnegative number"
+        raise ValueError(f"{param_name} must be {kind}")
 
 
 def _draw_components(rng: np.random.Generator, N: int, d: int, eig_lo: float) -> tuple:

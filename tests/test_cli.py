@@ -47,6 +47,26 @@ def test_generate_box_above_enumerable_dimension_has_no_reference(tmp_path):
     assert meta["reference"] is None and "fitted_c0" not in meta
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_generate_rejects_a_non_finite_curvature(tmp_path, capsys, value):
+    assert run(["generate", "--family", "box", "--components", "2", "--dimension", "2",
+                "--negative-curvature", value, "--out", str(tmp_path / "g"), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "piag: error: bad-input: negative_curvature must be a finite nonnegative number\n")
+    assert not (tmp_path / "g" / "problem.json").exists()
+
+
+def test_solve_with_a_block_beyond_int64_converges(l1_setup):
+    # The cyclic window's start (k * block) % N is formed in Python ints.
+    problem, tmp = l1_setup
+    out = tmp / "run"
+    assert run(["solve", "--problem", problem, "--tau", "3", "--block",
+                "99999999999999999999999", "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["termination"] == "converged"
+    assert summary["schedule"] == {"kind": "cyclic", "tau": 3, "block": 99999999999999999999999}
+
+
 def test_solve_converges_and_writes_outputs(l1_setup):
     problem, tmp = l1_setup
     out = tmp / "run"

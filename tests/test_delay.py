@@ -24,15 +24,22 @@ def small_problem(n=3, d=4, seed=0):
 def test_none_schedule_refreshes_everything():
     sched = DelaySchedule("none", tau=0)
     for k in (0, 1, 17):
-        assert next_refresh_set(sched, k, 5) == {0, 1, 2, 3, 4}
+        assert set(next_refresh_set(sched, k, 5)) == {0, 1, 2, 3, 4}
 
 
 def test_cyclic_single_block_rotation():
     sched = DelaySchedule("cyclic", tau=2, block=1)
-    assert next_refresh_set(sched, 0, 3) == {0}
-    assert next_refresh_set(sched, 1, 3) == {1}
-    assert next_refresh_set(sched, 2, 3) == {2}
+    assert set(next_refresh_set(sched, 0, 3)) == {0}
+    assert set(next_refresh_set(sched, 1, 3)) == {1}
+    assert set(next_refresh_set(sched, 2, 3)) == {2}
     assert simulate_max_staleness(sched, 3, 100) <= 2
+
+
+def test_cyclic_window_start_is_exact_beyond_int64():
+    sched = DelaySchedule("cyclic", tau=3, block=10**23 + 1)
+    for k in (5, np.int64(5), 2**70):
+        start = (int(k) * (10**23 + 1)) % 7
+        assert next_refresh_set(sched, k, 7).tolist() == [(start + j) % 7 for j in range(7)]
 
 
 def test_cyclic_block_too_small_rejected():
@@ -92,6 +99,21 @@ def test_schedule_validation():
         DelaySchedule("none", tau=-1)
     with pytest.raises(ValueError, match="ages"):
         next_refresh_set(DelaySchedule("adversarial_max", tau=2), 0, 3)
+
+
+@pytest.mark.parametrize("kind", ["adversarial_max", "uniform_random", "none", "cyclic"])
+@pytest.mark.parametrize("n_ages, n", [(5, 2), (2, 5)])
+def test_ages_must_hold_one_entry_per_component(kind, n_ages, n):
+    sched = DelaySchedule(kind, tau=2, block=5, seed=1)
+    with pytest.raises(ValueError, match="ages"):
+        next_refresh_set(sched, 3, n, np.zeros(n_ages, dtype=int))
+
+
+@pytest.mark.parametrize("kind", ["none", "cyclic", "uniform_random", "adversarial_max"])
+def test_refresh_set_needs_a_component(kind):
+    sched = DelaySchedule(kind, tau=2, block=1, seed=1)
+    with pytest.raises(ValueError, match="component count"):
+        next_refresh_set(sched, 0, 0, np.zeros(0, dtype=int))
 
 
 def test_schedule_from_dict():
@@ -206,6 +228,25 @@ def test_stale_aggregate_two_step_recursion():
     x2 = piag_step(p, table, x1, 0.1, set())        # stale gradient from x0
     assert x2[0] == pytest.approx(0.8, abs=0)
     assert table.max_staleness() == 1
+
+
+def test_refresh_set_forms_give_bitwise_the_same_table():
+    # next_refresh_set returns an int array; a set, a list or a range of the
+    # same indices must leave the same entries, ages and aggregates.
+    p = small_problem(n=5, d=3, seed=12)
+    rng = np.random.default_rng(13)
+    points = [rng.standard_normal(3) for _ in range(6)]
+    windows = [range(1, 4), range(3, 5), range(0), range(2, 3), range(0, 2), range(0, 5)]
+    forms = [set, lambda w: list(reversed(w)), lambda w: w, lambda w: np.array(w),
+             lambda w: np.array(w, dtype=np.int32)]
+    results = []
+    for form in forms:
+        table = GradientTable(p, np.zeros(3), tau=3)
+        aggregates = [table.refresh_and_aggregate(p, x, form(w)) for x, w in zip(points, windows)]
+        results.append((np.array(aggregates).tobytes(), table.entries.tobytes(),
+                        table.ages.tolist()))
+    assert results[0][2] == [0, 0, 0, 0, 0]
+    assert all(r == results[0] for r in results[1:])
 
 
 def test_max_staleness_zero_cases():

@@ -64,6 +64,12 @@ def test_generator_caps():
         make_quadratic_l1(200, 2, seed=0, lam=0.1)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf, -0.5])
+def test_box_generator_needs_a_finite_nonnegative_curvature(value):
+    with pytest.raises(ValueError, match="negative_curvature must be"):
+        make_quadratic_box(3, 2, seed=1, negative_curvature=value)
+
+
 def _generated_bits(problem):
     spec = json.dumps(problem_to_dict(problem), sort_keys=True).encode()
     return hashlib.sha256(spec).hexdigest(), problem.f_lower_bound_hint.hex()

@@ -5,12 +5,14 @@ point, runs the solver at the ``auto_lemma2`` stepsize for a fixed budget,
 and checks the Lemma-2 descent and summability reports, the staleness bound,
 and (at zero delay) bitwise agreement with the forward-backward reference.
 A second property compares the summed-quadratic objective and prox residual
-with their per-component forms on random all-quadratic problems.  The last
-two check the gradient table's aggregate against the sum of its entries
-after every refresh, and the prox of every nonsmooth kind against its optimality
-condition.  The last property and test check that the objective of a stack of
-points, the solver's iterate log and its replay are bitwise the row-by-row
-objective, and the row-by-row objective is bitwise its formula on one vector.
+with their per-component forms on random all-quadratic problems.  The next
+three check the gradient table's aggregate against the sum of its entries
+after every refresh, every schedule's refresh indices against the set
+formula they replace, and the prox of every nonsmooth kind against its
+optimality condition.  The last property and test check that the objective
+of a stack of points, the solver's iterate log and its replay are bitwise the
+row-by-row objective, and the row-by-row objective is bitwise its formula on
+one vector.
 """
 
 import math
@@ -132,6 +134,49 @@ def test_aggregate_equals_entry_sum_after_every_refresh(case):
         refresh = next_refresh_set(schedule, k, n, table.ages)
         aggregate = table.refresh_and_aggregate(problem, 10.0 * rng.standard_normal(d), refresh)
         assert np.array_equal(aggregate, np.sum(table.entries, axis=0))
+
+
+def _set_formula(schedule, k, n, ages):
+    """The refresh set as a Python set, by the formula next_refresh_set used
+    before it returned an index array."""
+    if schedule.kind == "none":
+        return set(range(n))
+    if schedule.kind == "cyclic":
+        start = (k * schedule.block) % n
+        return {(start + j) % n for j in range(min(schedule.block, n))}
+    forced = {int(i) for i in np.nonzero(np.asarray(ages) >= schedule.tau)[0]}
+    if schedule.kind == "adversarial_max":
+        return forced
+    rng = np.random.default_rng([int(schedule.seed), int(k)])
+    extra = np.nonzero(rng.random(n) < 1.0 / (schedule.tau + 1))[0]
+    return forced | {int(i) for i in extra}
+
+
+@st.composite
+def refresh_calls(draw):
+    n = draw(st.integers(1, 40))
+    tau = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(SCHEDULE_KINDS))
+    block = None
+    if kind == "cyclic":
+        block = draw(st.one_of(st.integers(math.ceil(n / (tau + 1)), n + 3),
+                               st.integers(n, 10**25)))
+    schedule = DelaySchedule(kind, tau=tau, block=block, seed=draw(st.integers(0, 2**64)))
+    ages = np.asarray(draw(st.lists(st.integers(0, tau), min_size=n, max_size=n)))
+    return schedule, draw(st.integers(0, 2**70)), n, ages
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(refresh_calls())
+def test_refresh_indices_are_distinct_in_range_and_the_set_formula(case):
+    schedule, k, n, ages = case
+    indices = next_refresh_set(schedule, k, n, ages)
+    assert isinstance(indices, np.ndarray) and indices.ndim == 1
+    assert np.issubdtype(indices.dtype, np.integer)
+    listed = indices.tolist()
+    assert len(set(listed)) == len(listed)
+    assert all(0 <= i < n for i in listed)
+    assert set(listed) == _set_formula(schedule, k, n, ages)
 
 
 @st.composite

@@ -1,0 +1,131 @@
+"""Run a fixed matrix of ``piag`` commands and fingerprint everything they output.
+
+    python3 tools/cli_matrix.py OUT [--src SRC]
+
+Runs about 40 commands, one after another, as ``python -m piag.cli`` child
+processes with ``OPENBLAS_NUM_THREADS=1``, importing ``piag`` from SRC (by
+default this checkout's ``src``).  The commands run in ``OUT/work`` with
+relative paths, so no output depends on where OUT is:
+
+- ``generate`` for l1 at 6x12 and box at 4x3, seeds 1 and 2;
+- ``solve`` on the two seed-1 problems under each schedule at tau 0 and 3,
+  plus ``--reference-fbs``, ``--alpha 100`` and ``--alpha auto_c8 --c0 2``,
+  each with ``--log-iterates``;
+- ``verify``, ``rate`` and ``compare-delays --tau-list 0,2,5``;
+- ``generate`` and ``solve`` at 12x96, where a problem spans three blocks of
+  the eigenvalue pool, so that a run under ``taskset -c 0`` checks that no
+  output depends on the pool's worker count;
+- five malformed inputs.
+
+``OUT/manifest.txt`` gets one line per command: the command, its exit code,
+and the SHA-256 of its stdout, of its stderr and of every file it wrote,
+named by its path under ``OUT/work``.  Two runs produce the same CLI output
+exactly when their manifests are identical, so ``diff`` them.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+SOLVE_ITERS = ["--max-iters", "3000"]
+BAD_PROBLEM = "bad_problem.json"  # written before the first command
+
+
+def commands() -> list[list[str]]:
+    """The matrix, as ``piag`` argument lists."""
+    cmds = []
+    for family, n, d, extra in (("l1", 6, 12, []),
+                                ("box", 4, 3, ["--negative-curvature", "0.5"])):
+        for seed in (1, 2):
+            cmds.append(["generate", "--family", family, "--components", str(n),
+                         "--dimension", str(d), "--seed", str(seed), *extra,
+                         "--out", f"{family}{seed}"])
+    for family in ("l1", "box"):
+        problem = f"{family}1/problem.json"
+        runs = [(f"{kind}-tau{tau}", ["--tau", str(tau), "--schedule-kind", kind])
+                for kind in ("none", "cyclic", "uniform_random", "adversarial_max")
+                for tau in (0, 3)]
+        runs += [("fbs-tau0", ["--tau", "0", "--reference-fbs"]),
+                 ("alpha100", ["--tau", "3", "--alpha", "100"]),
+                 ("auto_c8", ["--tau", "3", "--alpha", "auto_c8", "--c0", "2"])]
+        for name, flags in runs:
+            cmds.append(["solve", "--problem", problem, *flags, *SOLVE_ITERS, "--seed", "5",
+                         "--log-iterates", "--out", f"{family}1/{name}"])
+        for name in ("cyclic-tau3", "adversarial_max-tau3", "alpha100"):
+            cmds.append(["verify", "--problem", problem, "--run", f"{family}1/{name}"])
+        cmds.append(["rate", "--run", f"{family}1/uniform_random-tau3"])
+        cmds.append(["compare-delays", "--problem", problem, "--tau-list", "0,2,5",
+                     *SOLVE_ITERS, "--out", f"{family}1/compare"])
+    cmds += [
+        ["generate", "--family", "l1", "--components", "12", "--dimension", "96",
+         "--seed", "3", "--out", "pool"],
+        ["solve", "--problem", "pool/problem.json", "--tau", "3", *SOLVE_ITERS,
+         "--log-iterates", "--out", "pool/run"],
+    ]
+    cmds += [
+        ["solve", "--problem", "missing/problem.json", "--out", "bad1"],
+        ["solve", "--problem", BAD_PROBLEM, "--out", "bad2"],
+        ["solve", "--problem", "l11/problem.json", "--tau", "1", "--block", "1",
+         "--out", "bad3"],
+        ["generate", "--family", "box", "--components", "2", "--dimension", "2",
+         "--negative-curvature", "-1", "--out", "bad4"],
+        ["verify", "--problem", "l11/problem.json", "--run", "missing-run"],
+    ]
+    return cmds
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _snapshot(root: str) -> dict[str, tuple[int, int]]:
+    """``relative path -> (mtime_ns, size)`` of every file under ``root``."""
+    found = {}
+    for folder, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(folder, name)
+            st = os.stat(path)
+            found[os.path.relpath(path, root)] = (st.st_mtime_ns, st.st_size)
+    return found
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", help="a new or empty output directory")
+    parser.add_argument("--src", default=os.path.join(REPO, "src"),
+                        help="directory that holds the piag package to run")
+    args = parser.parse_args()
+    if os.path.isdir(args.out) and os.listdir(args.out):
+        parser.error(f"{args.out} is not empty")
+    work = os.path.join(args.out, "work")
+    os.makedirs(work)
+    with open(os.path.join(work, BAD_PROBLEM), "w") as fh:
+        fh.write('{"dimension": 2, "components": [\n')
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(args.src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    lines = []
+    for argv in commands():
+        before = _snapshot(work)
+        proc = subprocess.run([sys.executable, "-m", "piag.cli", *argv], cwd=work, env=env,
+                              capture_output=True)
+        fields = [f"piag {' '.join(argv)}", f"exit={proc.returncode}",
+                  f"stdout={_digest(proc.stdout)}", f"stderr={_digest(proc.stderr)}"]
+        for path, stamp in sorted(_snapshot(work).items()):
+            if before.get(path) != stamp:
+                with open(os.path.join(work, path), "rb") as fh:
+                    fields.append(f"{path}={_digest(fh.read())}")
+        lines.append(" ".join(fields))
+        print(f"exit {proc.returncode}: piag {' '.join(argv)}", flush=True)
+    with open(os.path.join(args.out, "manifest.txt"), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    print(f"{len(lines)} commands; manifest in {os.path.join(args.out, 'manifest.txt')}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
