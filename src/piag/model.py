@@ -23,7 +23,6 @@ row of any stack, such as a whole iterate log.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import functools
 import itertools
@@ -127,12 +126,12 @@ def _build_quadratics(n: int, d: int, entries=None, stack=None) -> _Rows:
 
     The calling thread writes each triple into its row as it draws it (the
     stack is allocated once a triple has the right shape) while worker
-    threads, one per CPU of the process, check the rows in blocks, one block
-    per worker at a time.  A block holds ``_EIGEN_BLOCK`` rows, or as many
-    as fill ``_STACK_BLOCK_BYTES`` if that is more, so the threads serve
-    large matrices only; one block is checked in the calling thread.  The
-    error of the lowest row is raised, as a one-by-one build would: an error
-    raised while drawing waits until the rows before it are checked.
+    threads, one per CPU of the process, check the rows in blocks as they
+    are drawn.  A block holds ``_EIGEN_BLOCK`` rows, or as many as fill
+    ``_STACK_BLOCK_BYTES`` if that is more, so the threads serve large
+    matrices only; one block is checked in the calling thread.  Once all
+    rows are drawn, the error of the lowest row is raised, as a one-by-one
+    build would: a draw's error waits until the rows before it are checked.
     """
     stack, failure = list(stack or ()), []
 
@@ -161,15 +160,10 @@ def _build_quadratics(n: int, d: int, entries=None, stack=None) -> _Rows:
         # quadratic_component, needs no thread.
         from concurrent.futures import ThreadPoolExecutor
 
-        built, pending = [], collections.deque()
-        workers = len(os.sched_getaffinity(0))
-        with ThreadPoolExecutor(workers) as pool:
-            for block in itertools.chain((first, second), blocks):
-                if len(pending) == workers:
-                    built += pending.popleft().result()
-                pending.append(pool.submit(_checked_block, stack, block))
-            while pending:
-                built += pending.popleft().result()
+        with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+            checked = pool.map(functools.partial(_checked_block, stack),
+                               itertools.chain((first, second), blocks))
+            built = list(itertools.chain.from_iterable(checked))
     if failure:
         raise failure[0]
     rows = _Rows(built)

@@ -255,12 +255,13 @@ def reference_solution(problem: Problem) -> ReferenceSolution:
         method = "fixed_point"
     else:
         raise ReferenceUnavailableError(f"no reference method for nonsmooth kind {kind!r}")
-    certified = [p for p in points if prox_residual(problem, 1.0 / L, p) <= 1e-10]
-    if not certified:
+    points = np.reshape(points, (-1, problem.dimension))
+    certified = points[prox_residual(problem, 1.0 / L, points) <= 1e-10]
+    if not len(certified):
         raise RuntimeError("reference computation produced no certified stationary point")
     return ReferenceSolution(
-        points=certified,
-        objective_values=[eval_F(problem, p) for p in certified],
+        points=list(certified),
+        objective_values=eval_F(problem, certified).tolist(),
         method=method,
     )
 
@@ -288,17 +289,13 @@ def fit_error_bound_constant(problem: Problem, ref: ReferenceSolution, seed: int
     L, _ = smoothness_totals(problem)
     scale = 1.0 / L
     rng = np.random.default_rng(seed)
-    lo = hi = None
+    X = np.array([ref.points[i % len(ref.points)]
+                  + _C0_RADIUS * rng.uniform(0.01, 1.0) * rng.standard_normal(problem.dimension)
+                  for i in range(_C0_SAMPLES)])
     if problem.nonsmooth.kind in ("box", "box_plus_l1"):
-        lo, hi = _box_bounds(problem)
+        X = np.clip(X, *_box_bounds(problem))
     worst = 0.0
-    for i in range(_C0_SAMPLES):
-        base = ref.points[i % len(ref.points)]
-        x = base + _C0_RADIUS * rng.uniform(0.01, 1.0) * rng.standard_normal(problem.dimension)
-        if lo is not None:
-            x = np.clip(x, lo, hi)
-        residual = prox_residual(problem, scale, x)
-        if residual <= 1e-12:
-            continue
-        worst = max(worst, dist_to_stationary(x, ref) / residual)
+    for x, residual in zip(X, prox_residual(problem, scale, X).tolist()):
+        if residual > 1e-12:
+            worst = max(worst, dist_to_stationary(x, ref) / residual)
     return max(2.0 * worst, 1e-6)

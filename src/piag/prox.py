@@ -1,10 +1,11 @@
-"""Closed-form proximal operators and the prox-residual stationarity measure."""
+"""Closed-form proximal operators and the prox-residual stationarity measure,
+each at a point or at every row of a (K, d) stack, through one body."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import NonsmoothTerm, Problem, as_vector, grad_f
+from .model import NonsmoothTerm, Problem, _as_points, as_vector, grad_f
 
 Array = np.ndarray
 
@@ -15,15 +16,17 @@ def soft_threshold(y: Array, threshold: float) -> Array:
 
 
 def prox(term: NonsmoothTerm, anchor, scale: float) -> Array:
-    """Minimizer of ``term(x) + ||x - anchor||^2 / (2 * scale)``.
+    """Minimizer of ``term(x) + ||x - anchor||^2 / (2 * scale)``, for a
+    point or for each row of a (K, d) stack of anchors.
 
     All supported kinds have closed forms, so the subproblem is solved
     exactly: identity for ``zero``, soft threshold for ``l1``, clamp for
     ``box``, and soft threshold followed by clamp for ``box_plus_l1``.
+    Every kind is elementwise, so a row's result does not depend on the stack.
     """
     if not scale > 0:
         raise ValueError("prox scale must be positive")
-    y = as_vector(anchor)
+    y = np.asarray(anchor, dtype=float) if np.ndim(anchor) == 2 else as_vector(anchor)
     if term.kind == "zero":
         return y.copy()
     if term.kind == "l1":
@@ -35,20 +38,25 @@ def prox(term: NonsmoothTerm, anchor, scale: float) -> Array:
     return np.clip(soft_threshold(y, scale * term.lam), term.lo, term.hi)
 
 
-def prox_residual(problem: Problem, scale: float, x) -> float:
-    """Stationarity measure ``||prox_{scale*h}(x - scale*grad f(x)) - x||``.
+def prox_residual(problem: Problem, scale: float, x) -> float | Array:
+    """Stationarity measure ``||prox_{scale*h}(x - scale*grad f(x)) - x||``
+    at a point, or at each row of a (K, d) stack of points.
 
     Vanishes exactly at stationary points of the composite objective.  The
-    gradient is ``S x + sb`` when the problem keeps a summed quadratic.
+    gradient is ``S x + sb`` (one gemv per row, through numpy's matmul
+    gufunc) when the problem keeps a summed quadratic, else ``grad_f`` of each
+    row.  A row's norm is the dot-then-sqrt that ``np.linalg.norm`` takes of a
+    vector, so a point's value is bitwise its value as a row of any stack.
     """
-    x = as_vector(x, problem.dimension)
+    X = _as_points(x, problem.dimension)
     if problem.quadratic_sum is not None:
         S, sb, _ = problem.quadratic_sum
-        g = S @ x + sb
+        G = np.matmul(S, X[:, :, None])[:, :, 0] + sb
     else:
-        g = grad_f(problem, x)
-    z = prox(problem.nonsmooth, x - scale * g, scale)
-    return float(np.linalg.norm(z - x))
+        G = np.array([grad_f(problem, row) for row in X]).reshape(X.shape)
+    D = prox(problem.nonsmooth, X - scale * G, scale) - X
+    out = np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
+    return out if np.ndim(x) == 2 else float(out[0])
 
 
 def check_prox_scaling_monotonicity(problem: Problem, x, t_grid, tol: float = 1e-10) -> bool:
@@ -65,10 +73,5 @@ def check_prox_scaling_monotonicity(problem: Problem, x, t_grid, tol: float = 1e
         raise ValueError("t_grid entries must be positive")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("t_grid must be sorted ascending")
-    x = as_vector(x, problem.dimension)
-    g = grad_f(problem, x)
-    values = []
-    for t in grid:
-        z = prox(problem.nonsmooth, x - t * g, t)
-        values.append(float(np.linalg.norm(z - x)) / t)
+    values = [prox_residual(problem, t, x) / t for t in grid]
     return all(b <= a + tol for a, b in zip(values, values[1:]))

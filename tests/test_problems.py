@@ -70,6 +70,16 @@ def test_box_generator_needs_a_finite_nonnegative_curvature(value):
         make_quadratic_box(3, 2, seed=1, negative_curvature=value)
 
 
+def test_box_generator_builds_at_a_large_negative_curvature():
+    # The builder's symmetry check is absolute (1e-12), so the generator has
+    # to hand it matrices that are symmetric already: at eigenvalues near
+    # -1e5, the rounding of (q * lam) @ q.T alone leaves more than 1e-12.
+    p = make_quadratic_box(2, 10, seed=1, negative_curvature=1e5)
+    for comp in p.components:
+        assert np.array_equal(comp.matrix, comp.matrix.T)
+    assert p.components[0].weak_convexity > 1e4
+
+
 def _generated_bits(problem):
     spec = json.dumps(problem_to_dict(problem), sort_keys=True).encode()
     return hashlib.sha256(spec).hexdigest(), problem.f_lower_bound_hint.hex()
@@ -176,6 +186,39 @@ def test_dist_requires_points():
     empty = ReferenceSolution(points=[], objective_values=[], method="analytic")
     with pytest.raises(ValueError, match="empty"):
         dist_to_stationary(np.zeros(1), empty)
+
+
+def _per_point_c0(problem, ref, seed):
+    """``fit_error_bound_constant`` as a loop that draws and measures one
+    sample at a time."""
+    L, _ = smoothness_totals(problem)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for i in range(200):
+        x = ref.points[i % len(ref.points)] + 0.5 * rng.uniform(0.01, 1.0) * rng.standard_normal(
+            problem.dimension)
+        if problem.nonsmooth.kind == "box":
+            x = np.clip(x, problem.nonsmooth.lo, problem.nonsmooth.hi)
+        residual = prox_residual(problem, 1.0 / L, x)
+        if residual > 1e-12:
+            worst = max(worst, dist_to_stationary(x, ref) / residual)
+    return max(2.0 * worst, 1e-6)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_quadratic_box(3, 2, seed=5, negative_curvature=0.8),
+    lambda: make_quadratic_box(2, 3, seed=6, negative_curvature=0.3),
+    lambda: make_quadratic_l1(4, 7, seed=7, lam=0.3),
+    lambda: Problem(make_quadratic_l1(3, 5, seed=8, lam=0.1).components, NonsmoothTerm.zero(), 5),
+], ids=["box-2d", "box-3d", "l1", "zero"])
+def test_stacked_reference_and_c0_are_the_per_point_values(make):
+    p = make()
+    ref = reference_solution(p)
+    L, _ = smoothness_totals(p)
+    assert all(prox_residual(p, 1.0 / L, x) <= 1e-10 for x in ref.points)
+    assert ref.objective_values == [eval_F(p, x) for x in ref.points]
+    for seed in (0, 3):
+        assert fit_error_bound_constant(p, ref, seed=seed) == _per_point_c0(p, ref, seed)
 
 
 def test_error_bound_cross_check():

@@ -9,10 +9,10 @@ with their per-component forms on random all-quadratic problems.  The next
 three check the gradient table's aggregate against the sum of its entries
 after every refresh, every schedule's refresh indices against the set
 formula they replace, and the prox of every nonsmooth kind against its
-optimality condition.  The last property and test check that the objective
+optimality condition.  The last properties and test check that the objective
 of a stack of points, the solver's iterate log and its replay are bitwise the
 row-by-row objective, and the row-by-row objective is bitwise its formula on
-one vector.
+one vector; so is the prox residual of a stack.
 """
 
 import math
@@ -288,6 +288,28 @@ def test_stacked_objective_is_the_row_by_row_objective_bit_for_bit(case):
         outside = ~(np.all(points >= term.lo, axis=1) & np.all(points <= term.hi, axis=1))
         assert np.all(values[outside] == math.inf)
         assert np.all(np.isfinite(values[~outside]))
+
+
+def _point_residual(problem, scale, x) -> float:
+    """``prox_residual`` at one point, as a formula on the vector: ``S x + sb``
+    (``grad_f`` with a callable component), then ``prox``, then ``np.linalg.norm``."""
+    if problem.quadratic_sum is None:
+        g = grad_f(problem, x)
+    else:
+        S, sb, _ = problem.quadratic_sum
+        g = S @ x + sb
+    return float(np.linalg.norm(prox(problem.nonsmooth, x - scale * g, scale) - x))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(point_stacks(), st.floats(1e-3, 10.0))
+def test_stacked_prox_residual_is_the_per_point_formula_bit_for_bit(case, scale):
+    problem, points = case
+    values = prox_residual(problem, scale, points)
+    assert values.shape == (len(points),)
+    assert _bits(values) == _bits([prox_residual(problem, scale, x) for x in points])
+    assert _bits(values) == _bits([_point_residual(problem, scale, x.copy()) for x in points])
+    assert np.all(np.isfinite(values))
 
 
 @pytest.mark.parametrize("kind", SCHEDULE_KINDS)

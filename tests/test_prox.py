@@ -166,6 +166,26 @@ def test_scaling_monotonicity_randomized_draws():
         assert check_prox_scaling_monotonicity(p, x, grid)
 
 
+@pytest.mark.parametrize("kind", ["zero", "l1", "box", "box_plus_l1"])
+def test_scaling_monotonicity_reads_the_prox_residual(kind):
+    # With tol 0 on the flat stretches of t -> residual / t, rounding decides
+    # the answer, so it matches only if both read the same residual bits.
+    rng = np.random.default_rng(23)
+    terms = {"zero": NonsmoothTerm.zero(), "l1": NonsmoothTerm.l1(0.3),
+             "box": NonsmoothTerm.box(-np.inf, 0.4),
+             "box_plus_l1": NonsmoothTerm.box_plus_l1(-0.5, np.inf, 0.3)}
+    for trial in range(30):
+        d = int(rng.integers(1, 6))
+        comps = make_quadratic_l1(int(rng.integers(2, 5)), d, seed=trial, lam=0.1).components
+        p = Problem(comps, terms[kind], d)
+        x = rng.standard_normal(d)
+        grid = np.sort(rng.uniform(0.01, 2.0, size=8))
+        values = [prox_residual(p, t, x) / t for t in grid]
+        for tol in (0.0, 1e-10, -1e-3):
+            expected = all(b <= a + tol for a, b in zip(values, values[1:]))
+            assert check_prox_scaling_monotonicity(p, x, grid, tol=tol) == expected
+
+
 def test_scaling_monotonicity_grid_validation():
     p = scalar_problem(1.0, NonsmoothTerm.zero())
     with pytest.raises(ValueError, match="nonempty"):

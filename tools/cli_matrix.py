@@ -2,7 +2,7 @@
 
     python3 tools/cli_matrix.py OUT [--src SRC]
 
-Runs about 40 commands, one after another, as ``python -m piag.cli`` child
+Runs about 50 commands, one after another, as ``python -m piag.cli`` child
 processes with ``OPENBLAS_NUM_THREADS=1``, importing ``piag`` from SRC (by
 default this checkout's ``src``).  The commands run in ``OUT/work`` with
 relative paths, so no output depends on where OUT is:
@@ -15,6 +15,10 @@ relative paths, so no output depends on where OUT is:
 - ``generate`` and ``solve`` at 12x96, where a problem spans three blocks of
   the eigenvalue pool, so that a run under ``taskset -c 0`` checks that no
   output depends on the pool's worker count;
+- ``solve --log-iterates``, ``verify`` and ``rate`` on two hand-made 3-d
+  problems, one with a ``zero`` term and one with a ``box_plus_l1`` term
+  that has an infinite bound, since the generators make only ``l1`` and
+  ``box``;
 - five malformed inputs.
 
 ``OUT/manifest.txt`` gets one line per command: the command, its exit code,
@@ -25,6 +29,7 @@ exactly when their manifests are identical, so ``diff`` them.
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -33,6 +38,19 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SOLVE_ITERS = ["--max-iters", "3000"]
 BAD_PROBLEM = "bad_problem.json"  # written before the first command
+# Also written before the first command: a problem for each prox kind the
+# generators do not make.  The zero problem's sum is positive definite.
+HAND_PROBLEMS = {
+    "zero": {"dimension": 3, "nonsmooth": {"kind": "zero"}, "components": [
+        {"A": [2.0, 0.5, 0.0, 0.5, 1.0, 0.0, 0.0, 0.0, 1.5], "b": [1.0, -1.0, 0.5]},
+        {"A": [1.0, 0.0, 0.2, 0.0, -0.5, 0.0, 0.2, 0.0, 1.0], "b": [0.0, 0.5, -1.0],
+         "c0_term": 0.25}]},
+    "box_plus_l1": {"dimension": 3, "nonsmooth": {
+        "kind": "box_plus_l1", "lo": [-float("inf"), -1.0, -2.0], "hi": [1.0, 2.0, 0.5],
+        "lambda": 0.3}, "components": [
+        {"A": [1.0, -0.3, 0.0, -0.3, 0.8, 0.1, 0.0, 0.1, -0.4], "b": [2.0, -0.5, 1.0]},
+        {"A": [0.5, 0.0, 0.0, 0.0, 1.2, 0.0, 0.0, 0.0, 0.6], "b": [-1.0, 0.0, 3.0]}]},
+}
 
 
 def commands() -> list[list[str]]:
@@ -66,6 +84,11 @@ def commands() -> list[list[str]]:
         ["solve", "--problem", "pool/problem.json", "--tau", "3", *SOLVE_ITERS,
          "--log-iterates", "--out", "pool/run"],
     ]
+    for name in HAND_PROBLEMS:
+        cmds += [["solve", "--problem", f"{name}.json", "--tau", "2", *SOLVE_ITERS,
+                  "--log-iterates", "--out", name],
+                 ["verify", "--problem", f"{name}.json", "--run", name],
+                 ["rate", "--run", name, "--skip", "3"]]
     cmds += [
         ["solve", "--problem", "missing/problem.json", "--out", "bad1"],
         ["solve", "--problem", BAD_PROBLEM, "--out", "bad2"],
@@ -105,6 +128,9 @@ def main() -> int:
     os.makedirs(work)
     with open(os.path.join(work, BAD_PROBLEM), "w") as fh:
         fh.write('{"dimension": 2, "components": [\n')
+    for name, problem in HAND_PROBLEMS.items():
+        with open(os.path.join(work, f"{name}.json"), "w") as fh:
+            json.dump(problem, fh)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.abspath(args.src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
