@@ -359,20 +359,13 @@ def _transient_skip(tau: int) -> int:
 def _fit_rate_from_records(records, skip_iters: int, limit: float | None):
     """Log-linear rate fit on trace checkpoints ``(k, F)``.
 
-    With no explicit limit, the smallest recorded objective minus an epsilon
-    pad is used, and residuals within 100x of the pad are dropped as noise.
-    An explicit limit keeps every record, so one at or below it is an error.
+    With no explicit limit, ``diagnostics.fit_rlinear_rate`` chooses one and
+    drops the records it counts as rounding noise.  An explicit limit keeps
+    every record, so one at or below it is an error.
     """
-    ks = np.asarray([r.k for r in records], dtype=float)
-    fs = np.asarray([r.objective for r in records], dtype=float)
-    if limit is None:
-        f_min = float(np.min(fs))
-        pad = 1e-14 * (1.0 + abs(f_min))
-        limit = f_min - pad
-        keep = fs - limit > 100.0 * pad
-        ks, fs = ks[keep], fs[keep]
-    fit = diagnostics.fit_rlinear_rate(fs, limit, skip_iters, ks=ks)
-    return fit.rate, fit.log_linear_r2, float(limit)
+    fit = diagnostics.fit_rlinear_rate([r.objective for r in records], limit, skip_iters,
+                                       ks=[r.k for r in records])
+    return fit.rate, fit.log_linear_r2, fit.limit
 
 
 def cmd_rate(args) -> int:

@@ -93,7 +93,7 @@ def schedule_from_dict(obj: dict, default_tau: int | None = None,
 def next_refresh_set(schedule: DelaySchedule, k: int, n_components: int,
                      ages=None) -> Array:
     """Component indices to re-evaluate at iteration ``k``: a 1-D int array of distinct
-    indices (formerly a ``set``).  The gradient table also takes a set, list or range.
+    indices.  The gradient table also takes a set, list or range.
 
     ``ages`` are the staleness values recorded by the gradient table at the
     previous aggregation, one per component; the two age-driven kinds need them.

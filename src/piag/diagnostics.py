@@ -57,6 +57,7 @@ class RateFit:
     rate: float
     log_linear_r2: float
     transient_skip: int
+    limit: float
 
 
 def squared_step_norms(iterates: Array) -> Array:
@@ -257,19 +258,26 @@ def check_delayed_recursion_rate(b0: float, q: float, c: float, tau: int,
     return fit.rate <= max(p, q) + rate_slack
 
 
-def fit_rlinear_rate(values, limit: float, skip: int = 0, ks=None) -> RateFit:
+def fit_rlinear_rate(values, limit: float | None, skip: int = 0, ks=None) -> RateFit:
     """Estimate a geometric decay rate from ``values_k -> limit``.
 
     Least-squares slope of ``log(values_k - limit)`` against ``k`` over
     ``k >= skip``; the reported rate is ``exp(slope)``.  ``ks`` gives the
-    iteration index of each value (default ``0, 1, 2, ...``).  Residuals must
-    be strictly positive and at least 10 points must remain after the skip.
+    iteration index of each value (default ``0, 1, 2, ...``).  ``limit`` None
+    means the smallest value less a pad of ``1e-14 (1 + |min|)``, and drops
+    values within 100 pads of it as rounding noise.  Residuals must be
+    strictly positive and at least 10 points must remain after the skip.
     """
     v = np.asarray(values, dtype=float)
     if skip < 0:
         raise ValueError("transient skip must be nonnegative")
     ks = np.arange(len(v), dtype=float) if ks is None else np.asarray(ks, dtype=float)
     keep = ks >= skip
+    if limit is None:
+        f_min = float(np.min(v))
+        pad = 1e-14 * (1.0 + abs(f_min))
+        limit = f_min - pad
+        keep &= v - limit > 100.0 * pad
     ks, resid = ks[keep], v[keep] - limit
     if len(resid) < 10:
         raise ShortSeriesError("need at least 10 points after the transient skip, "
@@ -284,7 +292,7 @@ def fit_rlinear_rate(values, limit: float, skip: int = 0, ks=None) -> RateFit:
     fitted = y_mean + slope * dk
     ss_tot = float(np.sum(dy**2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum((y - fitted) ** 2)) / ss_tot
-    return RateFit(rate=math.exp(slope), log_linear_r2=r2, transient_skip=skip)
+    return RateFit(math.exp(slope), r2, skip, float(limit))
 
 
 def check_step_recursion_coefficient(constants: TheoryConstants, alpha: float) -> bool:

@@ -285,15 +285,13 @@ def _iterate(problem: Problem, config: SolverConfig, window: StepWindow,
             elif residual <= config.prox_residual_tol:
                 termination = "converged"
             if termination != "max_iters":
-                record(k, 0.0, residual)
                 break
         try:
             x_next = advance(k, x, alpha)
             if not np.all(np.isfinite(x_next)):
                 raise DivergenceError("iterate is not finite")
         except DivergenceError:
-            termination = "diverged"
-            record(k, 0.0, math.inf)
+            termination, residual = "diverged", math.inf
             break
         step = x_next - x
         if k <= tau or k % config.trace_every == 0:
@@ -305,8 +303,8 @@ def _iterate(problem: Problem, config: SolverConfig, window: StepWindow,
         if keep:
             iterates.append(x)
     else:
-        k = config.max_iters
-        record(k, 0.0, prox_residual(problem, alpha, x))
+        k, residual = config.max_iters, prox_residual(problem, alpha, x)
+    record(k, 0.0, residual)  # the terminal record, at the last iterate
 
     iterates = np.asarray(iterates) if keep else None
     return Trace(

@@ -12,7 +12,9 @@ formula they replace, and the prox of every nonsmooth kind against its
 optimality condition.  The last properties and test check that the objective
 of a stack of points, the solver's iterate log and its replay are bitwise the
 row-by-row objective, and the row-by-row objective is bitwise its formula on
-one vector; so is the prox residual of a stack.
+one vector; so is the prox residual of a stack.  The rate fit, left to choose
+its limit, gives bitwise the rate, r² and limit of the CLI's former record
+selection.
 """
 
 import math
@@ -28,6 +30,7 @@ from piag import (DelaySchedule, SolverConfig, check_sufficient_descent,
 from piag import (NonsmoothTerm, Problem, SmoothComponent, eval_F, eval_f, grad_f, prox,
                   prox_residual, quadratic_component, trace_from_iterates)
 from piag.delay import SCHEDULE_KINDS, GradientTable, next_refresh_set
+from piag.diagnostics import ShortSeriesError, fit_rlinear_rate
 from piag.problems import make_quadratic_box, make_quadratic_l1
 
 
@@ -328,3 +331,53 @@ def test_replayed_objective_is_the_solvers_bit_for_bit(kind, family, n, d):
     assert _bits(trace.objective_values) == _bits([_point_F(problem, x) for x in trace.iterates])
     replay = trace_from_iterates(problem, trace.iterates, trace.alpha)
     assert _bits(replay.objective_values) == _bits(trace.objective_values)
+
+
+@st.composite
+def decaying_series(draw):
+    """``c + a q^k`` at gapped ``ks``, jittered by a few ulps and ending in a
+    repeated minimum, with a skip that may pass the end.  Long or fast series
+    end inside the fit's noise floor of 100 pads."""
+    n = draw(st.integers(1, 80))
+    ks = np.cumsum(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))) - 1
+    c, a = draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-6, 1e3))
+    values = c + a * draw(st.floats(0.3, 0.99)) ** ks.astype(float)
+    jitter = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    values = values + np.asarray(jitter) * np.spacing(values)
+    repeats = draw(st.integers(0, 5))
+    values = np.concatenate([values, np.full(repeats, values.min())])
+    ks = np.concatenate([ks, ks[-1] + 1 + np.arange(repeats)])
+    return values, ks, draw(st.integers(0, 10) | st.integers(0, int(ks[-1]) + 10))
+
+
+def _former_cli_rate_fit(ks, fs, skip_iters, limit):
+    """``cli._fit_rate_from_records`` before the fit chose its own limit, on
+    the records' ``k`` and ``F`` columns."""
+    ks = np.asarray(ks, dtype=float)
+    fs = np.asarray(fs, dtype=float)
+    if limit is None:
+        f_min = float(np.min(fs))
+        pad = 1e-14 * (1.0 + abs(f_min))
+        limit = f_min - pad
+        keep = fs - limit > 100.0 * pad
+        ks, fs = ks[keep], fs[keep]
+    fit = fit_rlinear_rate(fs, limit, skip_iters, ks=ks)
+    return fit.rate, fit.log_linear_r2, float(limit)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(decaying_series())
+def test_rate_fit_chooses_the_former_cli_limit_and_records_bit_for_bit(case):
+    values, ks, skip = case
+
+    def chosen():
+        fit = fit_rlinear_rate(values, None, skip, ks)
+        return fit.rate, fit.log_linear_r2, fit.limit
+
+    outcomes = []
+    for fit in (chosen, lambda: _former_cli_rate_fit(ks, values, skip, None)):
+        try:
+            outcomes.append(_bits(fit()))
+        except ShortSeriesError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]

@@ -5,7 +5,7 @@ import pytest
 
 import piag.solver
 from piag import (DelaySchedule, GradientTable, NonsmoothTerm, Problem,
-                  SolverConfig, piag_step, prox_residual, quadratic_component,
+                  SmoothComponent, SolverConfig, piag_step, prox_residual, quadratic_component,
                   rate_constants, reference_fbs, solve, stepsize_threshold)
 from piag.problems import make_quadratic_box, make_quadratic_l1
 from piag.solver import read_iterates_csv, write_iterates_csv
@@ -244,6 +244,46 @@ def test_trace_record_structure():
     for r in trace.records:
         assert r.step_norm >= 0.0 and r.delta >= 0.0
         assert 0 <= r.max_staleness <= 3
+
+
+def _overflowing_gradient_problem():
+    """``0.5 x^2`` on the box [-10, 10], with a gradient that is infinite past
+    |x| = 3.  F stays finite and the box clamps the residual's step, so a check
+    passes there and the next step raises ``DivergenceError``."""
+    def grad(x):
+        return x if abs(x[0]) < 3.0 else np.full(1, np.inf)
+
+    return Problem([SmoothComponent(lambda x: 0.5 * float(x @ x), grad, 1.0)],
+                   NonsmoothTerm.box(-10.0, 10.0), 1)
+
+
+# x0 = 1 on 0.5 x^2: alpha 0.5 halves x (the residual x/2 passes 1e-8 at the
+# check at k = 27), alpha 5 multiplies it by -4 (F passes the divergence
+# margin at the check at k = 20), and alpha 3 multiplies it by -2.
+_HALF_SQUARE = scalar_problem(1.0, NonsmoothTerm.zero())
+_ENDINGS = {
+    "converged at a check": (_HALF_SQUARE, dict(check_every=3), "converged", 27),
+    "diverged at a check": (_HALF_SQUARE, dict(alpha=5.0), "diverged", 20),
+    "step raises": (_overflowing_gradient_problem(), dict(alpha=3.0, check_every=1),
+                    "diverged", 2),
+    "budget spent": (_HALF_SQUARE, dict(max_iters=7), "max_iters", 7),
+    "no iterations": (_HALF_SQUARE, dict(max_iters=0), "max_iters", 0),
+}
+
+
+@pytest.mark.parametrize("runner", [solve, reference_fbs])
+@pytest.mark.parametrize("ending", _ENDINGS)
+def test_every_ending_writes_one_terminal_record_last(runner, ending):
+    p, settings, termination, iterations = _ENDINGS[ending]
+    trace = runner(p, base_config(np.ones(1), trace_every=1, **settings))
+    assert trace.termination == termination
+    assert trace.iterations == iterations
+    ks = [r.k for r in trace.records]
+    assert all(a < b for a, b in zip(ks, ks[1:]))
+    assert [r.k for r in trace.records if r.step_norm == 0.0] == [trace.iterations]
+    assert ks[-1] == trace.iterations
+    at_last = prox_residual(p, trace.alpha, trace.final_x)
+    assert trace.records[-1].prox_residual == (math.inf if ending == "step raises" else at_last)
 
 
 # (9, 1): numpy sums an (N, 1) column pairwise from N = 8 on, rows in order otherwise.

@@ -12,6 +12,9 @@ relative paths, so no output depends on where OUT is:
   plus ``--reference-fbs``, ``--alpha 100`` and ``--alpha auto_c8 --c0 2``,
   each with ``--log-iterates``;
 - ``verify``, ``rate`` and ``compare-delays --tau-list 0,2,5``;
+- on the l1 seed-1 problem: ``rate --limit-value`` below the run's smallest F,
+  ``solve --alpha 1e300``, which stops when a step overflows, and ``solve
+  --max-iters 0``, which records x0 and runs no iteration;
 - ``generate`` and ``solve`` at 12x96, where a problem spans three blocks of
   the eigenvalue pool, so that a run under ``taskset -c 0`` checks that no
   output depends on the pool's worker count;
@@ -79,6 +82,11 @@ def commands() -> list[list[str]]:
         cmds.append(["compare-delays", "--problem", problem, "--tau-list", "0,2,5",
                      *SOLVE_ITERS, "--out", f"{family}1/compare"])
     cmds += [
+        ["rate", "--run", "l11/uniform_random-tau3", "--limit-value=-4.31"],
+        ["solve", "--problem", "l11/problem.json", "--alpha", "1e300", "--max-iters", "30",
+         "--out", "l11/alpha1e300"],
+        ["solve", "--problem", "l11/problem.json", "--max-iters", "0", "--out",
+         "l11/max-iters0"],
         ["generate", "--family", "l1", "--components", "12", "--dimension", "96",
          "--seed", "3", "--out", "pool"],
         ["solve", "--problem", "pool/problem.json", "--tau", "3", *SOLVE_ITERS,
