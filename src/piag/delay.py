@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import INTEGER, TEXT, Problem, as_vector, check_fields
+from .model import INTEGER, TEXT, Problem, RowThreads, _component_grads, as_vector, check_fields
 
 Array = np.ndarray
 
@@ -165,15 +165,20 @@ class GradientTable(StepWindow):
     direct full gradient and the zero-delay trajectory matches a direct
     forward-backward loop.
 
+    Entries are evaluated by the row kernel that ``grad_f`` uses, so a
+    refreshed row is bitwise ``components[i].grad(x)``; ``threads`` may share
+    out the rows of a full or ``cyclic`` refresh (see
+    :class:`piag.model.RowThreads`), which changes no value.
+
     Single-owner mutable state; not safe for concurrent mutation.
     """
 
-    def __init__(self, problem: Problem, x0, tau: int):
+    def __init__(self, problem: Problem, x0, tau: int, threads: RowThreads | None = None):
         super().__init__(tau)
         x0 = as_vector(x0, problem.dimension)
+        self.threads = threads
         self.entries = np.empty((problem.n_components, problem.dimension))
-        for i, comp in enumerate(problem.components):
-            self.entries[i] = comp.grad(x0)
+        _component_grads(problem, x0, range(problem.n_components), self.entries, threads)
         self.ages = np.zeros(problem.n_components, dtype=int)
         self.refreshed = False
 
@@ -190,8 +195,7 @@ class GradientTable(StepWindow):
         listed = indices.tolist()  # min and max of a short list beat the array's
         if listed and (min(listed) < 0 or max(listed) >= len(self.entries)):
             raise ValueError("refresh set contains an out-of-range component index")
-        for i in listed:
-            self.entries[i] = problem.components[i].grad(x)
+        _component_grads(problem, x, listed, self.entries, self.threads)
         # On the first refresh every entry was just evaluated at the start
         # point, which is the current iterate, so all ages stay 0.
         if self.refreshed:

@@ -19,11 +19,16 @@ instead of N.
 takes a (K, d) stack of points and returns the K values.  A single point is
 evaluated as a one-row stack, so a point's value is bitwise its value as a
 row of any stack, such as a whole iterate log.
+
+Component gradients have one body too, ``_component_grads``: ``grad_f`` and
+the gradient table write their rows through it, and a large full or
+``cyclic`` refresh is shared out across ``RowThreads``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import functools
 import itertools
 import json
@@ -32,6 +37,7 @@ import numbers
 import os
 import sys
 import tempfile
+import threading
 import zipfile
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -388,14 +394,166 @@ def _quadratic_values(quadratic_sum: tuple, X: Array) -> Array:
     return 0.5 * xSx + np.matmul(sb, columns)[:, 0] + const
 
 
-def grad_f(problem: Problem, x) -> Array:
+def grad_f(problem: Problem, x, threads: RowThreads | None = None) -> Array:
     """Full gradient ``sum_i grad f_i(x)``: the component gradients stacked as
-    rows and reduced by ``np.sum(..., axis=0)``, as the gradient table does."""
+    rows by the gradient table's row kernel and reduced by
+    ``np.sum(..., axis=0)``, as the table reduces its entries.  ``threads``
+    may share out the rows (see ``RowThreads``); the value does not depend
+    on it."""
     x = as_vector(x, problem.dimension)
     grads = np.empty((problem.n_components, problem.dimension))
-    for i, comp in enumerate(problem.components):
-        grads[i] = comp.grad(x)
+    _component_grads(problem, x, range(problem.n_components), grads, threads)
     return np.sum(grads, axis=0)
+
+
+#: A refresh whose matrices fill at least this many bytes, in one or two runs
+#: of consecutive indices, is shared out across ``RowThreads``: measured
+#: break-even of two threads against one on a 2-core host, at d = 100 to 200.
+_SPLIT_BYTES = 2 << 20
+
+
+def _component_grads(problem: Problem, x: Array, indices, out: Array,
+                     threads: RowThreads | None = None) -> None:
+    """Write ``grad f_i(x)`` into ``out[i]`` for each component index ``i`` of
+    the list or range ``indices``.
+
+    With a quadratic stack ``(A, b, c)`` each run of consecutive ascending
+    indices ``lo, ..., hi - 1`` is one ``np.matmul(A[lo:hi], x[:, None])``,
+    which runs a gemv per row as ``A_i @ x`` does, written into
+    ``out[lo:hi]`` and offset by ``b[lo:hi]``; so each row is bitwise
+    ``components[i].grad(x)``.  When the indices form one or two runs (every
+    index, or a ``cyclic`` window that may wrap) whose matrices fill at least
+    ``_SPLIT_BYTES``, ``threads`` computes the rows in near-equal shares, one
+    per CPU.  Scattered indices, and problems with a callable component,
+    are computed in the calling thread.
+    """
+    stack = problem.quadratic_stack
+    if stack is None:
+        for i in indices:
+            out[i] = problem.components[i].grad(x)
+        return
+    runs = _runs(indices)
+    if (threads is not None and threads.shares > 1  # float64 matrices:
+            and 8 * problem.dimension ** 2 * len(indices) >= _SPLIT_BYTES
+            and 1 <= len(runs) <= 2):
+        threads.run(functools.partial(_quadratic_grads, stack, x, out),
+                    _shares(runs, threads.shares))
+    else:
+        _quadratic_grads(stack, x, out, runs)
+
+
+def _runs(indices) -> list[list[int]]:
+    """The maximal runs of consecutive ascending indices, as ``[lo, hi)`` pairs."""
+    runs: list[list[int]] = []
+    for i in indices:
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1])
+    return runs
+
+
+def _shares(runs: list, count: int) -> list[list[tuple[int, int]]]:
+    """The rows of ``runs`` cut, in order, into at most ``count`` nonempty
+    shares whose row counts differ by at most one."""
+    total = sum(hi - lo for lo, hi in runs)
+    count = min(count, total)
+    bounds = [total * j // count for j in range(count + 1)]
+    shares = []
+    for start, stop in zip(bounds, bounds[1:]):
+        share, offset = [], 0
+        for lo, hi in runs:
+            first, last = max(start - offset, 0), min(stop - offset, hi - lo)
+            if first < last:
+                share.append((lo + first, lo + last))
+            offset += hi - lo
+        shares.append(share)
+    return shares
+
+
+def _quadratic_grads(stack: tuple, x: Array, out: Array, runs) -> None:
+    """``out[lo:hi] = A[lo:hi] @ x + b[lo:hi]`` for each ``(lo, hi)`` of ``runs``.
+    Worker threads run this: it calls only numpy."""
+    A, b, _ = stack
+    for lo, hi in runs:
+        if hi - lo == 1:  # a lone row, through cheaper views
+            np.matmul(A[lo], x, out=out[lo])
+            out[lo] += b[lo]
+        else:
+            rows = out[lo:hi]
+            np.matmul(A[lo:hi], x[:, None], out=rows[:, :, None])
+            rows += b[lo:hi]
+
+
+class RowThreads:
+    """Worker threads that take shares of the row kernel's rows: one per CPU
+    in the process's affinity mask (``os.sched_getaffinity``) but one, since
+    the calling thread takes a share itself.  With one CPU there are none.
+
+    The threads start when a kernel call first shares out its rows, and
+    ``close``, or the end of a ``with`` block, joins them; ``solve`` and
+    ``reference_fbs`` open one for the length of a run, so no thread outlives
+    the run.  Each share runs in a copy of the caller's context, so numpy's
+    error state (``np.errstate``) is the caller's, and an exception raised in
+    a share is raised in the calling thread once every share has ended.
+    """
+
+    def __init__(self):
+        self.shares = len(os.sched_getaffinity(0))
+        self._threads: list = []
+
+    def __enter__(self) -> "RowThreads":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def run(self, fn: Callable, shares: list) -> None:
+        """``fn(share)`` for each share: the first in the calling thread, each
+        other one on the workers."""
+        if len(shares) > 1 and not self._threads:
+            self._start()
+        for share in shares[1:]:
+            self._tasks.put((contextvars.copy_context(), fn, share))
+        try:
+            fn(shares[0])
+        finally:
+            errors = [self._done.get() for _ in shares[1:]]  # the workers write into fn's output
+        for error in errors:
+            if error is not None:
+                raise error
+
+    def _start(self) -> None:
+        # Imported here: only a run that shares out its rows needs the queues.
+        import queue
+
+        self._tasks, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+        self._threads = [threading.Thread(target=_serve, args=(self._tasks, self._done),
+                                          name="piag-rows", daemon=True)
+                         for _ in range(self.shares - 1)]
+        for thread in self._threads:
+            thread.start()
+
+    def close(self) -> None:
+        """Stop and join the worker threads; a later ``run`` starts new ones."""
+        for _ in self._threads:
+            self._tasks.put(None)
+        for thread in self._threads:
+            thread.join()
+        self._threads = []
+
+
+def _serve(tasks, done) -> None:
+    """A ``RowThreads`` worker: run ``(context, fn, share)`` tasks until ``None``,
+    and put each one's exception, or None, on ``done``."""
+    while (task := tasks.get()) is not None:
+        context, fn, share = task
+        try:
+            context.run(fn, share)
+        except BaseException as exc:  # handed to the calling thread, which raises it
+            done.put(exc)
+        else:
+            done.put(None)
 
 
 def eval_F(problem: Problem, x) -> float | Array:

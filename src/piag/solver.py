@@ -14,8 +14,10 @@ divergence handling, trace records and the iterate log.  It evaluates F in
 the loop only where a check or a record reads it, and the F of a kept
 iterate log in one stacked call after the loop.  They differ only in the
 step: ``solve`` aggregates through a ``GradientTable``, while
-``reference_fbs`` forms the full gradient directly, so it stays an
-independent implementation for equivalence testing.
+``reference_fbs`` forms the full gradient directly, with no cache, ages or
+refresh sets, so it stays an independent implementation of the delay
+bookkeeping for equivalence testing.  Both take each component gradient
+from ``model``'s one row kernel.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .delay import DelaySchedule, GradientTable, StepWindow, next_refresh_set
-from .model import Problem, as_vector, eval_F, grad_f, smoothness_totals
+from .model import Problem, RowThreads, as_vector, eval_F, grad_f, smoothness_totals
 from .prox import prox, prox_residual
 
 Array = np.ndarray
@@ -325,18 +327,21 @@ def solve(problem: Problem, config: SolverConfig) -> Trace:
 
     The trace keeps every ``trace_every``-th record plus the first ``tau + 1``
     and the terminal one.  The stationarity check uses a fresh full gradient
-    and runs every ``check_every`` iterations.
+    and runs every ``check_every`` iterations.  The gradient table shares
+    large refreshes out across ``RowThreads`` opened for the run and joined
+    when it ends.
     """
     n = problem.n_components
     schedule = config.schedule
     schedule.validate_for(n)
-    table = GradientTable(problem, config.x0, schedule.tau)
+    with RowThreads() as threads:
+        table = GradientTable(problem, config.x0, schedule.tau, threads)
 
-    def advance(k: int, x: Array, alpha: float) -> Array:
-        return piag_step(problem, table, x, alpha,
-                         next_refresh_set(schedule, k, n, table.ages))
+        def advance(k: int, x: Array, alpha: float) -> Array:
+            return piag_step(problem, table, x, alpha,
+                             next_refresh_set(schedule, k, n, table.ages))
 
-    return _iterate(problem, config, table, advance)
+        return _iterate(problem, config, table, advance)
 
 
 def reference_fbs(problem: Problem, config: SolverConfig) -> Trace:
@@ -345,16 +350,18 @@ def reference_fbs(problem: Problem, config: SolverConfig) -> Trace:
     Shares :func:`solve`'s driver, so records, termination and the iterate
     log follow the same rules, but forms its step independently: ``grad_f``
     and ``prox``, with no gradient table.  At zero delay the two trajectories
-    can therefore be compared bitwise.
+    can therefore be compared bitwise.  ``grad_f`` shares its rows out
+    across ``RowThreads`` opened for the run, as ``solve``'s table does.
     """
 
-    def advance(k: int, x: Array, alpha: float) -> Array:
-        g = grad_f(problem, x)
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError("full gradient is not finite")
-        return prox(problem.nonsmooth, x - alpha * g, alpha)
+    with RowThreads() as threads:
+        def advance(k: int, x: Array, alpha: float) -> Array:
+            g = grad_f(problem, x, threads)
+            if not np.all(np.isfinite(g)):
+                raise DivergenceError("full gradient is not finite")
+            return prox(problem.nonsmooth, x - alpha * g, alpha)
 
-    return _iterate(problem, config, StepWindow(config.schedule.tau), advance)
+        return _iterate(problem, config, StepWindow(config.schedule.tau), advance)
 
 
 # ---------------------------------------------------------------------------

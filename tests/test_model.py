@@ -747,3 +747,23 @@ def test_problem_with_callable_component_keeps_per_component_sums():
         assert eval_F(p, x) == total + p.nonsmooth.value(x)
         z = prox(p.nonsmooth, x - 0.3 * grad_f(p, x), 0.3)
         assert prox_residual(p, 0.3, x) == float(np.linalg.norm(z - x))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_shared_out_row_keeps_the_callers_error_state(monkeypatch, cpus):
+    # The last two matrices overflow at x, so with two CPUs the worker's
+    # share overflows and the calling thread's does not: np.errstate must
+    # reach the worker, and its FloatingPointError the caller.
+    monkeypatch.setattr(model, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    p = Problem([quadratic_component(np.eye(2) * scale, np.zeros(2))
+                 for scale in (1.0, 1.0, 1e300, 1e300)], NonsmoothTerm.zero(), 2)
+    x = np.full(2, 1e10)
+    out = np.zeros((4, 2))
+    with model.RowThreads() as threads:
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            model._component_grads(p, x, range(4), out, threads)
+        assert len(threads._threads) == cpus - 1
+        with np.errstate(over="ignore"):
+            model._component_grads(p, x, range(4), out, threads)
+    assert out[:2].tolist() == [[1e10, 1e10]] * 2 and np.all(out[2:] == np.inf)

@@ -14,10 +14,13 @@ of a stack of points, the solver's iterate log and its replay are bitwise the
 row-by-row objective, and the row-by-row objective is bitwise its formula on
 one vector; so is the prox residual of a stack.  The rate fit, left to choose
 its limit, gives bitwise the rate, r² and limit of the CLI's former record
-selection.
+selection.  The gradient row kernel writes bitwise each component's own
+gradient for every kind of index set, whether its rows are shared out
+across threads or not.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from hypothesis import strategies as st
 from piag import (DelaySchedule, SolverConfig, check_sufficient_descent,
                   check_summability, rate_constants, reference_fbs,
                   smoothness_totals, solve)
+from piag import model
 from piag import (NonsmoothTerm, Problem, SmoothComponent, eval_F, eval_f, grad_f, prox,
                   prox_residual, quadratic_component, trace_from_iterates)
 from piag.delay import SCHEDULE_KINDS, GradientTable, next_refresh_set
@@ -331,6 +335,58 @@ def test_replayed_objective_is_the_solvers_bit_for_bit(kind, family, n, d):
     assert _bits(trace.objective_values) == _bits([_point_F(problem, x) for x in trace.iterates])
     replay = trace_from_iterates(problem, trace.iterates, trace.alpha)
     assert _bits(replay.objective_values) == _bits(trace.objective_values)
+
+
+@st.composite
+def gradient_rows(draw):
+    """A problem (sometimes with a callable component, sometimes of components
+    built on their own, so that its stack is a copy), a point, one of the
+    index sets a refresh takes, a size at or above which the rows are shared
+    out, and a CPU count."""
+    n = draw(st.integers(1, 9))
+    d = draw(st.sampled_from([1, 2, 7, 40]))
+    seed = draw(st.integers(0, 2**16))
+    problem = make_quadratic_l1(n, d, seed, lam=0.0)
+    comps = list(problem.components)
+    build = draw(st.sampled_from(["rows", "copied", "callable"]))
+    if build == "copied":
+        comps = [quadratic_component(c.matrix.copy(), c.offset, c.constant) for c in comps]
+    elif build == "callable":
+        comps.insert(draw(st.integers(0, n)), SmoothComponent(
+            lambda x: 0.5 * float(np.dot(x, x)), lambda x: 2.0 * x, 2.0))
+    if build != "rows":
+        problem = Problem(comps, problem.nonsmooth, d)
+        n = problem.n_components
+    start = draw(st.integers(0, n - 1))
+    length = draw(st.integers(1, n))
+    shape = draw(st.sampled_from(["full", "contiguous", "wrapped", "scattered", "single",
+                                  "empty"]))
+    indices = {"full": range(n),
+               "contiguous": range(start, min(start + length, n)),
+               "wrapped": [(start + j) % n for j in range(length)],
+               "scattered": sorted(set(draw(st.lists(st.integers(0, n - 1), max_size=n)))),
+               "single": [start],
+               "empty": []}[shape]
+    x = draw(st.sampled_from([1e-3, 1.0, 1e3])) * np.random.default_rng(seed).standard_normal(d)
+    split_bytes = draw(st.sampled_from([0, 8 * d * d, 1 << 62]))
+    return problem, x, indices, split_bytes, draw(st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gradient_rows())
+def test_row_kernel_rows_are_the_component_gradients_bit_for_bit(case):
+    """``model._component_grads`` writes ``components[i].grad(x)`` into row i
+    of each listed index, split across threads or not, and no other row."""
+    problem, x, indices, split_bytes, cpus = case
+    out = np.full((problem.n_components, problem.dimension), np.nan)
+    with mock.patch.object(model, "_SPLIT_BYTES", split_bytes), \
+            mock.patch.object(model.os, "sched_getaffinity", lambda pid: set(range(cpus))), \
+            model.RowThreads() as threads:
+        assert threads.shares == cpus
+        model._component_grads(problem, x, indices, out, threads)
+    for i in range(problem.n_components):
+        expected = problem.components[i].grad(x) if i in indices else np.full(len(x), np.nan)
+        assert _bits(out[i]) == _bits(expected)
 
 
 @st.composite

@@ -1,12 +1,19 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import piag.model
 import piag.solver
 from piag import (DelaySchedule, GradientTable, NonsmoothTerm, Problem,
                   SmoothComponent, SolverConfig, piag_step, prox_residual, quadratic_component,
                   rate_constants, reference_fbs, solve, stepsize_threshold)
+from piag.delay import SCHEDULE_KINDS
 from piag.problems import make_quadratic_box, make_quadratic_l1
 from piag.solver import read_iterates_csv, write_iterates_csv
 
@@ -352,3 +359,108 @@ def test_iterate_log_bytes_match_formatting_each_float(tmp_path):
         for k, row in enumerate(iterates))
     assert path.read_text() == expected
     assert np.array_equal(read_iterates_csv(path), iterates, equal_nan=True)
+
+
+# --------------------------------------------------- rows shared out on threads
+
+
+def _share_rows(monkeypatch, on: bool) -> list:
+    """Share every full or cyclic refresh out across three threads whatever
+    the host's CPU count (``on``), or keep every refresh in the calling
+    thread; returns the list of thread names that computed a share."""
+    monkeypatch.setattr(piag.model, "_SPLIT_BYTES", 0 if on else 1 << 62)
+    monkeypatch.setattr(piag.model.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    names = []
+    real = piag.model._quadratic_grads
+
+    def named(*args):
+        names.append(threading.current_thread().name)
+        return real(*args)
+
+    monkeypatch.setattr(piag.model, "_quadratic_grads", named)
+    return names
+
+
+def _run_bytes(trace) -> tuple:
+    records = np.array([dataclasses.astuple(r) for r in trace.records], dtype=float)
+    return (trace.iterates.tobytes(), trace.objective_values.tobytes(), records.tobytes(),
+            trace.termination, trace.iterations)
+
+
+@pytest.mark.parametrize("runner, kind", [(solve, kind) for kind in SCHEDULE_KINDS]
+                         + [(reference_fbs, "none")])
+def test_rows_shared_out_on_threads_give_bitwise_the_same_run(monkeypatch, runner, kind):
+    # N = 7 with block 3 gives cyclic windows that wrap, so a refresh is two runs.
+    p = make_quadratic_l1(7, 6, seed=3, lam=0.2)
+    tau = 0 if kind == "none" else 2
+    sched = DelaySchedule(kind, tau=tau, block=3 if kind == "cyclic" else None, seed=5)
+    cfg = base_config(np.linspace(-1.0, 1.0, 6), alpha="auto_lemma2", schedule=sched,
+                      max_iters=300, prox_residual_tol=0.0, trace_every=1)
+    runs = []
+    for on in (False, True):
+        names = _share_rows(monkeypatch, on)
+        runs.append(_run_bytes(runner(p, cfg)))
+        assert ("piag-rows" in names) == on
+    assert runs[0] == runs[1]
+
+
+def _no_refresh(schedule, k, n, ages=None):
+    return np.arange(0)
+
+
+# How a run on the 4 x 3 problem below ends: each way leaves the same threads.
+_THREAD_ENDINGS = {
+    "converged": (dict(alpha="auto_lemma2", max_iters=5000), "converged"),
+    "diverged at a check": (dict(alpha=100.0), "diverged"),
+    "step overflows": (dict(alpha=1e300, check_every=1000), "diverged"),
+    "budget spent": (dict(max_iters=7), "max_iters"),
+    "no iterations": (dict(max_iters=0), "max_iters"),
+    "delay bound": (dict(schedule=DelaySchedule("adversarial_max", tau=1)), RuntimeError),
+    "start point": (dict(x0=np.full(3, np.inf)), ValueError),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing runs
+@pytest.mark.parametrize("runner, ending", [
+    (runner, ending) for ending in _THREAD_ENDINGS for runner in (solve, reference_fbs)
+    if runner is solve or ending != "delay bound"])  # reference_fbs keeps no table
+def test_no_worker_thread_outlives_a_run(monkeypatch, runner, ending):
+    settings, outcome = _THREAD_ENDINGS[ending]
+    if ending == "delay bound":
+        monkeypatch.setattr(piag.solver, "next_refresh_set", _no_refresh)
+    names = _share_rows(monkeypatch, True)
+    p = make_quadratic_l1(4, 3, seed=2, lam=0.1)
+    cfg = base_config(**{"x0": np.ones(3), **settings})
+    before = threading.enumerate()
+    if isinstance(outcome, str):
+        assert runner(p, cfg).termination == outcome
+    else:
+        with pytest.raises(outcome):
+            runner(p, cfg)
+    assert threading.enumerate() == before
+    # solve refreshes every row at x0 first; reference_fbs only in a step
+    assert ("piag-rows" in names) == (runner is solve or ending not in ("no iterations",
+                                                                         "start point"))
+
+
+def test_saving_a_problem_after_a_solve_forks_no_threaded_process(tmp_path):
+    # save_problem forks its encoder processes, which Python 3.12 and later
+    # warn against (DeprecationWarning) while another thread is alive.
+    code = "\n".join([
+        "import os, sys",
+        "import numpy as np",
+        "from piag import DelaySchedule, SolverConfig, model, solve",
+        "from piag.problems import make_quadratic_l1",
+        "model._SPLIT_BYTES = 0",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "p = make_quadratic_l1(6, 5, seed=1, lam=0.1)",
+        "solve(p, SolverConfig(alpha='auto_lemma2', schedule=DelaySchedule('none'),",
+        "                      x0=np.zeros(5), max_iters=20))",
+        "model.save_problem(p, sys.argv[1])",
+    ])
+    src = os.path.dirname(os.path.dirname(piag.model.__file__))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code, str(tmp_path / "p.json")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "p.json").exists()

@@ -2,7 +2,7 @@
 
     python3 tools/cli_matrix.py OUT [--src SRC]
 
-Runs about 50 commands, one after another, as ``python -m piag.cli`` child
+Runs about 55 commands, one after another, as ``python -m piag.cli`` child
 processes with ``OPENBLAS_NUM_THREADS=1``, importing ``piag`` from SRC (by
 default this checkout's ``src``).  The commands run in ``OUT/work`` with
 relative paths, so no output depends on where OUT is:
@@ -18,6 +18,12 @@ relative paths, so no output depends on where OUT is:
 - ``generate`` and ``solve`` at 12x96, where a problem spans three blocks of
   the eigenvalue pool, so that a run under ``taskset -c 0`` checks that no
   output depends on the pool's worker count;
+- ``generate`` at 24x160, whose refreshes fill more than the size at which
+  the gradient rows are shared out across threads, and on it ``solve --tau
+  0``, ``solve --reference-fbs --tau 0`` and a ``cyclic`` run at ``--tau 1
+  --block 20``, whose windows wrap; under ``taskset -c 0`` the rows stay in
+  the calling thread, so the diff checks the shared rows against the serial
+  ones;
 - ``solve --log-iterates``, ``verify`` and ``rate`` on two hand-made 3-d
   problems, one with a ``zero`` term and one with a ``box_plus_l1`` term
   that has an infinite bound, since the generators make only ``l1`` and
@@ -91,7 +97,14 @@ def commands() -> list[list[str]]:
          "--seed", "3", "--out", "pool"],
         ["solve", "--problem", "pool/problem.json", "--tau", "3", *SOLVE_ITERS,
          "--log-iterates", "--out", "pool/run"],
+        ["generate", "--family", "l1", "--components", "24", "--dimension", "160",
+         "--seed", "4", "--out", "rows"],
     ]
+    for name, flags in (("tau0", ["--tau", "0"]), ("fbs-tau0", ["--tau", "0", "--reference-fbs"]),
+                        ("cyclic-tau1", ["--tau", "1", "--schedule-kind", "cyclic",
+                                         "--block", "20"])):
+        cmds.append(["solve", "--problem", "rows/problem.json", *flags, *SOLVE_ITERS,
+                     "--log-iterates", "--out", f"rows/{name}"])
     for name in HAND_PROBLEMS:
         cmds += [["solve", "--problem", f"{name}.json", "--tau", "2", *SOLVE_ITERS,
                   "--log-iterates", "--out", name],
