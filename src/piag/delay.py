@@ -167,8 +167,10 @@ class GradientTable(StepWindow):
 
     Entries are evaluated by the row kernel that ``grad_f`` uses, so a
     refreshed row is bitwise ``components[i].grad(x)``; ``threads`` may share
-    out the rows of a full or ``cyclic`` refresh (see
-    :class:`piag.model.RowThreads`), which changes no value.
+    out the rows of a large refresh, whether its indices are consecutive
+    (``none``, ``cyclic``) or scattered (``uniform_random``,
+    ``adversarial_max``; see :class:`piag.model.RowThreads`), which changes
+    no value.
 
     Single-owner mutable state; not safe for concurrent mutation.
     """

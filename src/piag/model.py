@@ -21,8 +21,8 @@ evaluated as a one-row stack, so a point's value is bitwise its value as a
 row of any stack, such as a whole iterate log.
 
 Component gradients have one body too, ``_component_grads``: ``grad_f`` and
-the gradient table write their rows through it, and a large full or
-``cyclic`` refresh is shared out across ``RowThreads``.
+the gradient table write their rows through it, and a large refresh, full,
+``cyclic`` or scattered, is shared out across ``RowThreads``.
 """
 
 from __future__ import annotations
@@ -406,10 +406,17 @@ def grad_f(problem: Problem, x, threads: RowThreads | None = None) -> Array:
     return np.sum(grads, axis=0)
 
 
-#: A refresh whose matrices fill at least this many bytes, in one or two runs
-#: of consecutive indices, is shared out across ``RowThreads``: measured
-#: break-even of two threads against one on a 2-core host, at d = 100 to 200.
+#: A refresh whose matrices fill at least this many bytes is shared out across
+#: ``RowThreads``, whether its indices are consecutive or scattered: measured
+#: break-even of two threads against one on a 2-core host, ~1.7 MiB for one
+#: run at d = 100 to 200 and 1.5 to 1.8 MiB for scattered rows at d = 200.
 _SPLIT_BYTES = 2 << 20
+
+#: Runs of at most this many rows are computed a row at a time by ``np.dot``,
+#: which releases the GIL.  ``np.matmul`` keeps the GIL for a lone row or a
+#: pair, so two threads sharing such runs through it were no faster than one;
+#: from three rows on, a shared stacked matmul was at least as fast.
+_DOT_ROWS = 2
 
 
 def _component_grads(problem: Problem, x: Array, indices, out: Array,
@@ -420,12 +427,12 @@ def _component_grads(problem: Problem, x: Array, indices, out: Array,
     With a quadratic stack ``(A, b, c)`` each run of consecutive ascending
     indices ``lo, ..., hi - 1`` is one ``np.matmul(A[lo:hi], x[:, None])``,
     which runs a gemv per row as ``A_i @ x`` does, written into
-    ``out[lo:hi]`` and offset by ``b[lo:hi]``; so each row is bitwise
-    ``components[i].grad(x)``.  When the indices form one or two runs (every
-    index, or a ``cyclic`` window that may wrap) whose matrices fill at least
-    ``_SPLIT_BYTES``, ``threads`` computes the rows in near-equal shares, one
-    per CPU.  Scattered indices, and problems with a callable component,
-    are computed in the calling thread.
+    ``out[lo:hi]`` and offset by ``b[lo:hi]``; a run of at most ``_DOT_ROWS``
+    rows is one ``np.dot(A[i], x)`` per row, the same gemv.  So each row is
+    bitwise ``components[i].grad(x)``.  When the matrices of the indices fill
+    at least ``_SPLIT_BYTES``, consecutive or scattered, ``threads`` computes
+    the rows in near-equal shares, one per CPU.  Problems with a callable
+    component are computed in the calling thread.
     """
     stack = problem.quadratic_stack
     if stack is None:
@@ -433,9 +440,8 @@ def _component_grads(problem: Problem, x: Array, indices, out: Array,
             out[i] = problem.components[i].grad(x)
         return
     runs = _runs(indices)
-    if (threads is not None and threads.shares > 1  # float64 matrices:
-            and 8 * problem.dimension ** 2 * len(indices) >= _SPLIT_BYTES
-            and 1 <= len(runs) <= 2):
+    if (runs and threads is not None and threads.shares > 1  # float64 matrices:
+            and 8 * problem.dimension ** 2 * len(indices) >= _SPLIT_BYTES):
         threads.run(functools.partial(_quadratic_grads, stack, x, out),
                     _shares(runs, threads.shares))
     else:
@@ -454,20 +460,21 @@ def _runs(indices) -> list[list[int]]:
 
 
 def _shares(runs: list, count: int) -> list[list[tuple[int, int]]]:
-    """The rows of ``runs`` cut, in order, into at most ``count`` nonempty
-    shares whose row counts differ by at most one."""
+    """The rows of the nonempty ``runs`` cut, in order and in one pass, into
+    at most ``count`` nonempty shares whose row counts differ by at most one."""
     total = sum(hi - lo for lo, hi in runs)
     count = min(count, total)
-    bounds = [total * j // count for j in range(count + 1)]
-    shares = []
-    for start, stop in zip(bounds, bounds[1:]):
-        share, offset = [], 0
-        for lo, hi in runs:
-            first, last = max(start - offset, 0), min(stop - offset, hi - lo)
-            if first < last:
-                share.append((lo + first, lo + last))
-            offset += hi - lo
-        shares.append(share)
+    shares, share, placed = [], [], 0
+    stop = total // count  # rows placed when the current share is full
+    for lo, hi in runs:
+        while lo < hi:
+            cut = min(hi, lo + stop - placed)
+            share.append((lo, cut))
+            placed, lo = placed + cut - lo, cut
+            if placed == stop:
+                shares.append(share)
+                share = []
+                stop = total * (len(shares) + 1) // count
     return shares
 
 
@@ -476,9 +483,10 @@ def _quadratic_grads(stack: tuple, x: Array, out: Array, runs) -> None:
     Worker threads run this: it calls only numpy."""
     A, b, _ = stack
     for lo, hi in runs:
-        if hi - lo == 1:  # a lone row, through cheaper views
-            np.matmul(A[lo], x, out=out[lo])
-            out[lo] += b[lo]
+        if hi - lo <= _DOT_ROWS:
+            for i in range(lo, hi):
+                np.dot(A[i], x, out=out[i])
+                out[i] += b[i]
         else:
             rows = out[lo:hi]
             np.matmul(A[lo:hi], x[:, None], out=rows[:, :, None])

@@ -328,8 +328,8 @@ def solve(problem: Problem, config: SolverConfig) -> Trace:
     The trace keeps every ``trace_every``-th record plus the first ``tau + 1``
     and the terminal one.  The stationarity check uses a fresh full gradient
     and runs every ``check_every`` iterations.  The gradient table shares
-    large refreshes out across ``RowThreads`` opened for the run and joined
-    when it ends.
+    large refreshes, consecutive or scattered, out across ``RowThreads``
+    opened for the run and joined when it ends.
     """
     n = problem.n_components
     schedule = config.schedule

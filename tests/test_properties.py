@@ -16,7 +16,8 @@ one vector; so is the prox residual of a stack.  The rate fit, left to choose
 its limit, gives bitwise the rate, r² and limit of the CLI's former record
 selection.  The gradient row kernel writes bitwise each component's own
 gradient for every kind of index set, whether its rows are shared out
-across threads or not.
+across threads or not, and cuts its rows into the same shares as its former
+cut did.
 """
 
 import math
@@ -24,7 +25,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from piag import (DelaySchedule, SolverConfig, check_sufficient_descent,
@@ -346,7 +347,10 @@ def gradient_rows(draw):
     n = draw(st.integers(1, 9))
     d = draw(st.sampled_from([1, 2, 7, 40]))
     seed = draw(st.integers(0, 2**16))
-    problem = make_quadratic_l1(n, d, seed, lam=0.0)
+    try:
+        problem = make_quadratic_l1(n, d, seed, lam=0.0)
+    except RuntimeError:  # e.g. 2 x 40: no strongly convex sum in 100 draws
+        assume(False)
     comps = list(problem.components)
     build = draw(st.sampled_from(["rows", "copied", "callable"]))
     if build == "copied":
@@ -359,20 +363,24 @@ def gradient_rows(draw):
         n = problem.n_components
     start = draw(st.integers(0, n - 1))
     length = draw(st.integers(1, n))
-    shape = draw(st.sampled_from(["full", "contiguous", "wrapped", "scattered", "single",
-                                  "empty"]))
+    shape = draw(st.sampled_from(["full", "contiguous", "wrapped", "scattered", "pairs",
+                                  "single", "empty"]))
+    cut = model._DOT_ROWS  # runs of this many rows, apart from the last, take np.dot
     indices = {"full": range(n),
                "contiguous": range(start, min(start + length, n)),
                "wrapped": [(start + j) % n for j in range(length)],
                "scattered": sorted(set(draw(st.lists(st.integers(0, n - 1), max_size=n)))),
+               "pairs": [i for i in range(n) if i % (cut + 1) < cut],
                "single": [start],
                "empty": []}[shape]
     x = draw(st.sampled_from([1e-3, 1.0, 1e3])) * np.random.default_rng(seed).standard_normal(d)
-    split_bytes = draw(st.sampled_from([0, 8 * d * d, 1 << 62]))
+    # The set's own size, at which its rows are shared out, and one byte more.
+    size = 8 * d * d * len(indices)
+    split_bytes = draw(st.sampled_from([0, 8 * d * d, size, size + 1, 1 << 62]))
     return problem, x, indices, split_bytes, draw(st.integers(1, 4))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(gradient_rows())
 def test_row_kernel_rows_are_the_component_gradients_bit_for_bit(case):
     """``model._component_grads`` writes ``components[i].grad(x)`` into row i
@@ -387,6 +395,39 @@ def test_row_kernel_rows_are_the_component_gradients_bit_for_bit(case):
     for i in range(problem.n_components):
         expected = problem.components[i].grad(x) if i in indices else np.full(len(x), np.nan)
         assert _bits(out[i]) == _bits(expected)
+
+
+def _former_shares(runs, count):
+    """``model._shares`` as it was, one pass over the runs for each share."""
+    total = sum(hi - lo for lo, hi in runs)
+    count = min(count, total)
+    bounds = [total * j // count for j in range(count + 1)]
+    shares = []
+    for start, stop in zip(bounds, bounds[1:]):
+        share, offset = [], 0
+        for lo, hi in runs:
+            first, last = max(start - offset, 0), min(stop - offset, hi - lo)
+            if first < last:
+                share.append((lo + first, lo + last))
+            offset += hi - lo
+        shares.append(share)
+    return shares
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=25).flatmap(
+    lambda sizes: st.tuples(st.just(sizes), st.lists(st.integers(0, 3), min_size=len(sizes),
+                                                     max_size=len(sizes)))),
+       st.integers(1, 5))
+def test_shares_cut_in_one_pass_are_the_former_shares(runs_drawn, count):
+    """Runs of the drawn lengths, separated by the drawn gaps (a gap of 0
+    joins two runs, as ``_runs`` never does), cut into at most ``count``
+    shares."""
+    runs, lo = [], 0
+    for size, gap in zip(*runs_drawn):
+        runs.append([lo + gap, lo + gap + size])
+        lo += gap + size
+    assert model._shares(runs, count) == _former_shares(runs, count)
 
 
 @st.composite

@@ -365,11 +365,17 @@ def test_iterate_log_bytes_match_formatting_each_float(tmp_path):
 
 
 def _share_rows(monkeypatch, on: bool) -> list:
-    """Share every full or cyclic refresh out across three threads whatever
-    the host's CPU count (``on``), or keep every refresh in the calling
-    thread; returns the list of thread names that computed a share."""
+    """Share every refresh out across three threads whatever the host's CPU
+    count (``on``), or keep every refresh in the calling thread; returns the
+    list of thread names that computed a share."""
     monkeypatch.setattr(piag.model, "_SPLIT_BYTES", 0 if on else 1 << 62)
     monkeypatch.setattr(piag.model.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    return _share_names(monkeypatch)
+
+
+def _share_names(monkeypatch) -> list:
+    """The list that each call of the row kernel's share body appends the
+    name of its thread to."""
     names = []
     real = piag.model._quadratic_grads
 
@@ -402,6 +408,26 @@ def test_rows_shared_out_on_threads_give_bitwise_the_same_run(monkeypatch, runne
         runs.append(_run_bytes(runner(p, cfg)))
         assert ("piag-rows" in names) == on
     assert runs[0] == runs[1]
+
+
+def test_a_scattered_refresh_above_the_split_size_is_shared_out(monkeypatch):
+    # At d = 200 seven lone rows fill 2.1 MiB, at least the split size, and
+    # six fill 1.8 MiB, below it; the host's CPU count is taken to be two.
+    monkeypatch.setattr(piag.model.os, "sched_getaffinity", lambda pid: {0, 1})
+    names = _share_names(monkeypatch)
+    p = make_quadratic_l1(13, 200, seed=4, lam=0.1)
+    x = np.random.default_rng(4).standard_normal(200)
+    assert 8 * 200 ** 2 * 6 < piag.model._SPLIT_BYTES <= 8 * 200 ** 2 * 7
+    shared = []
+    with piag.model.RowThreads() as threads:
+        table = GradientTable(p, np.zeros(200), 13, threads)
+        for rows in ([0, 2, 4, 6, 8, 10, 12], [1, 3, 5, 7, 9, 11]):
+            names.clear()
+            table.refresh_and_aggregate(p, x, np.array(rows))
+            shared.append("piag-rows" in names)
+    assert shared == [True, False]
+    expected = np.array([c.grad(x) for c in p.components])
+    assert table.entries.tobytes() == expected.tobytes()
 
 
 def _no_refresh(schedule, k, n, ages=None):

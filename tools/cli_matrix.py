@@ -2,7 +2,7 @@
 
     python3 tools/cli_matrix.py OUT [--src SRC]
 
-Runs about 55 commands, one after another, as ``python -m piag.cli`` child
+Runs about 57 commands, one after another, as ``python -m piag.cli`` child
 processes with ``OPENBLAS_NUM_THREADS=1``, importing ``piag`` from SRC (by
 default this checkout's ``src``).  The commands run in ``OUT/work`` with
 relative paths, so no output depends on where OUT is:
@@ -20,10 +20,11 @@ relative paths, so no output depends on where OUT is:
   output depends on the pool's worker count;
 - ``generate`` at 24x160, whose refreshes fill more than the size at which
   the gradient rows are shared out across threads, and on it ``solve --tau
-  0``, ``solve --reference-fbs --tau 0`` and a ``cyclic`` run at ``--tau 1
-  --block 20``, whose windows wrap; under ``taskset -c 0`` the rows stay in
-  the calling thread, so the diff checks the shared rows against the serial
-  ones;
+  0``, ``solve --reference-fbs --tau 0``, a ``cyclic`` run at ``--tau 1
+  --block 20``, whose windows wrap, and a ``uniform_random`` run at ``--tau
+  1``, whose scattered refresh sets of about 16 rows fill more than that
+  size too; under ``taskset -c 0`` the rows stay in the calling thread, so
+  the diff checks the shared rows against the serial ones;
 - ``solve --log-iterates``, ``verify`` and ``rate`` on two hand-made 3-d
   problems, one with a ``zero`` term and one with a ``box_plus_l1`` term
   that has an infinite bound, since the generators make only ``l1`` and
@@ -102,7 +103,9 @@ def commands() -> list[list[str]]:
     ]
     for name, flags in (("tau0", ["--tau", "0"]), ("fbs-tau0", ["--tau", "0", "--reference-fbs"]),
                         ("cyclic-tau1", ["--tau", "1", "--schedule-kind", "cyclic",
-                                         "--block", "20"])):
+                                         "--block", "20"]),
+                        ("uniform_random-tau1", ["--tau", "1", "--schedule-kind",
+                                                 "uniform_random", "--seed", "5"])):
         cmds.append(["solve", "--problem", "rows/problem.json", *flags, *SOLVE_ITERS,
                      "--log-iterates", "--out", f"rows/{name}"])
     for name in HAND_PROBLEMS:
