@@ -125,6 +125,13 @@ class _Rows(tuple):
 _EIGEN_BLOCK = 4  # fewest rows per stacked eigvalsh in _build_quadratics
 
 
+def _block_rows(d: int) -> int:
+    """Rows of a block of a stack of ``d x d`` float64 matrices: ``_EIGEN_BLOCK``, or as
+    many as fill ``_STACK_BLOCK_BYTES`` if that is more.  A stack of one block is
+    worked on in the calling thread, without a pool."""
+    return max(_EIGEN_BLOCK, _STACK_BLOCK_BYTES // max(8 * d * d, 1))
+
+
 def _build_quadratics(n: int, d: int, entries=None, stack=None) -> _Rows:
     """The components ``quadratic_component(A, b, constant)`` of the first
     ``n`` triples that ``entries`` yields, or of the rows of the given stack
@@ -156,7 +163,7 @@ def _build_quadratics(n: int, d: int, entries=None, stack=None) -> _Rows:
             failure.append(exc)
 
     draws = iter(range(n)) if entries is None else drawn()
-    size = max(_EIGEN_BLOCK, _STACK_BLOCK_BYTES // max(8 * d * d, 1))  # float64 matrices
+    size = _block_rows(d)
     blocks = iter(lambda: list(itertools.islice(draws, size)), [])
     first, second = next(blocks, []), next(blocks, None)
     if second is None:
@@ -816,16 +823,16 @@ def save_problem(problem: Problem, path) -> None:
     """Write ``problem`` to the JSON file ``path`` and its sidecar ``<path>.npz``.
 
     The components are encoded in parallel, one worker process per available
-    CPU, and written in order.  The sidecar holds the SHA-256 of the JSON
-    bytes, taken as they are written, and the same numbers in binary form,
-    so ``load_problem`` can skip the text parse.  Each file is written to a
+    CPU, and written in order; a stack of one block (see ``_block_rows``) is
+    encoded in the calling process, as it is checked there when built.  The
+    sidecar holds the SHA-256 of the JSON bytes, taken as they are written,
+    and the same numbers in binary form, so ``load_problem`` can skip the
+    text parse.  Each file is written to a
     temporary file and renamed into place.
     """
     # Imported here because solve, verify and rate never write a problem:
-    # hashlib maps OpenSSL (see _sha256), and the pool pulls in
-    # multiprocessing (~2 MB resident, ~20 ms).
+    # hashlib maps OpenSSL (see _sha256).
     import hashlib
-    from concurrent.futures import ProcessPoolExecutor
 
     A, b, c = _written_stack(problem)
     nonsmooth = nonsmooth_to_dict(problem.nonsmooth)
@@ -839,13 +846,19 @@ def save_problem(problem: Problem, path) -> None:
             digest.update(data)
 
         emit(head)
-        pool = ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(c)))
+        pool = None
+        if len(c) > _block_rows(problem.dimension):
+            # Imported here: the pool pulls in multiprocessing (~2 MB resident, ~20 ms).
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(c)))
         try:
-            texts = pool.map(_component_text, A, b, c.tolist())
+            texts = (pool.map if pool else map)(_component_text, A, b, c.tolist())
             for i, text in enumerate(texts):
                 emit(",\n    " + text if i else text)
         finally:
-            pool.shutdown(cancel_futures=True)
+            if pool:
+                pool.shutdown(cancel_futures=True)
         emit(tail + "\n")
     meta = json.dumps({"dimension": problem.dimension, "nonsmooth": nonsmooth})
     with _replacing(_sidecar_path(path)) as fh:

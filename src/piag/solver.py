@@ -235,10 +235,11 @@ def piag_step(problem: Problem, table: GradientTable, x_k, alpha: float,
         raise ValueError("stepsize must be positive")
     x_k = as_vector(x_k, problem.dimension)
     g = table.refresh_and_aggregate(problem, x_k, refresh_set)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise DivergenceError("aggregated gradient is not finite")
-    y = x_k - alpha * g
-    return prox(problem.nonsmooth, y, alpha)
+    g *= -alpha  # y = x_k - alpha * g, bit for bit, in the aggregate's memory
+    g += x_k
+    return prox(problem.nonsmooth, g, alpha)
 
 
 def _iterate(problem: Problem, config: SolverConfig, window: StepWindow,
@@ -290,7 +291,7 @@ def _iterate(problem: Problem, config: SolverConfig, window: StepWindow,
                 break
         try:
             x_next = advance(k, x, alpha)
-            if not np.all(np.isfinite(x_next)):
+            if not np.isfinite(x_next).all():
                 raise DivergenceError("iterate is not finite")
         except DivergenceError:
             termination, residual = "diverged", math.inf

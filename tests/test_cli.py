@@ -853,7 +853,8 @@ def test_float_settings_from_flags_and_numbers_from_a_config_are_accepted(l1_set
 
 
 def test_generate_whose_worker_dies_leaves_the_old_problem_file(tmp_path, capsys, monkeypatch):
-    args = ["generate", "--family", "l1", "--components", "3", "--dimension", "4",
+    # Ten matrices of 60 x 60 fill more than one block, so an encoder process writes them.
+    args = ["generate", "--family", "l1", "--components", "10", "--dimension", "60",
             "--out", str(tmp_path), "--quiet"]
     assert run(args) == 0
     before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from piag import (DelaySchedule, GradientTable, NonsmoothTerm, Problem,
+from piag import (DelaySchedule, GradientTable, NonsmoothTerm, Problem, SmoothComponent,
                   grad_f, next_refresh_set, piag_step, quadratic_component,
                   schedule_from_dict)
 from piag.problems import make_quadratic_box
@@ -86,6 +86,20 @@ def test_uniform_random_is_reproducible():
     second = next_refresh_set(sched, 7, 5, ages)
     assert first == second
     assert 2 in first  # age == tau forces a refresh
+
+
+def test_cyclic_windows_cannot_be_written_through():
+    # Windows are views of an array that later calls share.
+    sched = DelaySchedule("cyclic", tau=2, block=3)
+    window = next_refresh_set(sched, 2, 7)
+    assert window.tolist() == [6, 0, 1]
+    with pytest.raises(ValueError):
+        window[0] = 5
+    with pytest.raises(ValueError):
+        window.setflags(write=True)
+    window.shape = (1, 3)
+    assert next_refresh_set(sched, 2, 7).tolist() == [6, 0, 1]
+    assert next_refresh_set(sched, 9, 7).tolist() == [6, 0, 1]
 
 
 def test_schedule_validation():
@@ -247,6 +261,75 @@ def test_refresh_set_forms_give_bitwise_the_same_table():
                         table.ages.tolist()))
     assert results[0][2] == [0, 0, 0, 0, 0]
     assert all(r == results[0] for r in results[1:])
+
+
+@pytest.mark.parametrize("refresh_set", [np.array([True, False, True]), [True, False],
+                                         [0.5, 1.9], np.array([0.0, 2.0]),
+                                         np.array([[0, 1]]), np.array(1)])
+def test_refresh_set_of_a_mask_floats_or_more_dimensions_is_rejected(refresh_set):
+    # A mask used to refresh components 0 and 1, and floats were truncated.
+    p = small_problem(n=3, d=2, seed=4)
+    table = GradientTable(p, np.zeros(2), tau=2)
+    with pytest.raises(ValueError, match="refresh set"):
+        table.refresh_and_aggregate(p, np.ones(2), refresh_set)
+
+
+@pytest.mark.parametrize("empty", [[], set(), range(0), (), np.array([]),
+                                   np.array(range(0)), np.zeros(0, dtype=np.int32)])
+def test_empty_refresh_sets_are_accepted(empty):
+    p = small_problem(n=3, d=2, seed=4)
+    table = GradientTable(p, np.zeros(2), tau=2)
+    table.refresh_and_aggregate(p, np.zeros(2), range(3))
+    aggregate = table.refresh_and_aggregate(p, np.ones(2), empty)
+    assert np.array_equal(aggregate, grad_f(p, np.zeros(2)))
+    assert table.ages.tolist() == [1, 1, 1]
+
+
+def _counting_problem(shift=0.0):
+    """Callable components ``0.5 (i + 1) ||x - shift||^2`` that count their
+    gradient calls in ``calls``."""
+    calls = []
+
+    def component(i):
+        def grad(x):
+            calls.append(i)
+            return (i + 1.0) * (x - shift)
+
+        return SmoothComponent(lambda x: 0.5 * (i + 1.0) * float(np.dot(x - shift, x - shift)),
+                               grad, lipschitz=i + 1.0)
+
+    return Problem([component(i) for i in range(3)], NonsmoothTerm.zero(), 2), calls
+
+
+def test_first_refresh_at_the_start_point_keeps_the_rows_evaluated_there():
+    p, calls = _counting_problem()
+    x0 = np.array([0.0, -1.5])
+    table = GradientTable(p, x0, tau=2)
+    entries = table.entries.copy()
+    assert calls == [0, 1, 2]
+    aggregate = table.refresh_and_aggregate(p, x0.copy(), range(3))
+    assert calls == [0, 1, 2]  # bitwise the start point: no row is evaluated again
+    assert table.entries.tobytes() == entries.tobytes()
+    assert aggregate.tobytes() == np.sum(entries, axis=0).tobytes()
+    assert table.ages.tolist() == [0, 0, 0]
+    table.refresh_and_aggregate(p, x0, [1])  # later refreshes are never skipped
+    assert calls == [0, 1, 2, 1]
+
+
+def test_first_refresh_off_the_start_point_evaluates_its_rows():
+    # -0.0 equals 0.0 but is another point bit for bit, and a different
+    # problem has other rows at the same point.
+    x0 = np.array([0.0, 2.0])
+    for x, other in ((np.array([-0.0, 2.0]), False), (x0.copy(), True)):
+        p, calls = _counting_problem()
+        table = GradientTable(p, x0, tau=2)
+        q, q_calls = _counting_problem(shift=1.0)
+        aggregate = table.refresh_and_aggregate(q if other else p, x, [0, 2])
+        assert (q_calls if other else calls[3:]) == [0, 2]
+        expected = [(q if other else p).components[i].grad(x) if i != 1
+                    else p.components[1].grad(x0) for i in range(3)]
+        assert table.entries.tobytes() == np.array(expected).tobytes()
+        assert aggregate.tobytes() == np.sum(expected, axis=0).tobytes()
 
 
 def test_max_staleness_zero_cases():

@@ -511,6 +511,27 @@ def test_save_problem_writes_the_interchange_bytes(tmp_path):
     assert sorted(f.name for f in tmp_path.iterdir()) == ["problem.json", "problem.json.npz"]
 
 
+def test_save_problem_encodes_a_stack_of_one_block_in_the_calling_process(tmp_path,
+                                                                          monkeypatch):
+    # 81 matrices of 20 x 20 fill one block of the builder's stack; 82 do not.
+    import concurrent.futures
+
+    from piag.problems import make_quadratic_l1
+
+    pools, real = [], concurrent.futures.ProcessPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda *args: pools.append(args) or real(*args))
+    assert model._block_rows(20) == 81
+    for n, pooled in ((5, False), (81, False), (82, True)):
+        p = make_quadratic_l1(n, 20, seed=3, lam=0.1)
+        path = tmp_path / f"problem{n}.json"
+        save_problem(p, path)
+        assert bool(pools) == pooled
+        assert path.read_bytes() == (json.dumps(problem_to_dict(p), indent=2, sort_keys=True)
+                                     + "\n").encode()
+        _assert_bitwise_equal(p, load_problem(path))
+
+
 # Finite floats, with the edge cases of float repr drawn on purpose: -0.0,
 # subnormals and exponents near +-308.
 _REPR_EDGES = [-0.0, 5e-324, -2.2250738585072014e-308, 1e-308, -1e308, 1.7976931348623157e308]
@@ -629,12 +650,33 @@ class _FailsToPickle(np.ndarray):
 @pytest.mark.parametrize("matrix_class", [_FailsToPickle, KillsTheWorker],
                          ids=["encode-raises", "worker-dies"])
 def test_failed_write_leaves_the_existing_files_untouched(tmp_path, matrix_class):
+    from piag.problems import make_quadratic_l1
+
     path = tmp_path / "problem.json"
     save_problem(_sidecar_case(NonsmoothTerm.zero()), path)
     before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    # Ten matrices of 60 x 60 fill more than one block, so the process pool
+    # encodes them and the last one fails on its way to a worker.
     with pytest.raises(RuntimeError):
-        save_problem(with_last_matrix_as(_sidecar_case(NonsmoothTerm.l1(0.3)), matrix_class),
-                     path)
+        save_problem(with_last_matrix_as(make_quadratic_l1(10, 60, seed=5, lam=0.3),
+                                         matrix_class), path)
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+
+def test_failed_in_process_write_leaves_the_existing_files_untouched(tmp_path, monkeypatch):
+    path = tmp_path / "problem.json"
+    save_problem(_sidecar_case(NonsmoothTerm.zero()), path)
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    encode = model._component_text
+
+    def fails_on_the_last(A, b, c0):
+        if c0 == 0.1:  # the third of _sidecar_case's constants
+            raise RuntimeError("this component cannot be encoded")
+        return encode(A, b, c0)
+
+    monkeypatch.setattr(model, "_component_text", fails_on_the_last)
+    with pytest.raises(RuntimeError):
+        save_problem(_sidecar_case(NonsmoothTerm.l1(0.3)), path)
     assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
 

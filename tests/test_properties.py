@@ -8,7 +8,8 @@ A second property compares the summed-quadratic objective and prox residual
 with their per-component forms on random all-quadratic problems.  The next
 three check the gradient table's aggregate against the sum of its entries
 after every refresh, every schedule's refresh indices against the set
-formula they replace, and the prox of every nonsmooth kind against its
+formula they replace and against the array formula they replace (across
+blocks of ``uniform_random`` masks and at iterations beyond 2**62), and the prox of every nonsmooth kind against its
 optimality condition.  The last properties and test check that the objective
 of a stack of points, the solver's iterate log and its replay are bitwise the
 row-by-row objective, and the row-by-row objective is bitwise its formula on
@@ -31,7 +32,7 @@ from hypothesis import strategies as st
 from piag import (DelaySchedule, SolverConfig, check_sufficient_descent,
                   check_summability, rate_constants, reference_fbs,
                   smoothness_totals, solve)
-from piag import model
+from piag import delay, model
 from piag import (NonsmoothTerm, Problem, SmoothComponent, eval_F, eval_f, grad_f, prox,
                   prox_residual, quadratic_component, trace_from_iterates)
 from piag.delay import SCHEDULE_KINDS, GradientTable, next_refresh_set
@@ -185,6 +186,61 @@ def test_refresh_indices_are_distinct_in_range_and_the_set_formula(case):
     assert len(set(listed)) == len(listed)
     assert all(0 <= i < n for i in listed)
     assert set(listed) == _set_formula(schedule, k, n, ages)
+
+
+def _former_refresh_set(schedule, k, n, ages):
+    """The refresh indices by the formula next_refresh_set used before it drew
+    random masks in blocks and kept its cyclic windows."""
+    if schedule.kind == "none":
+        return np.arange(n)
+    if schedule.kind == "cyclic":
+        start = (k * schedule.block) % n
+        stop = start + min(schedule.block, n)
+        return np.arange(start, stop) if stop <= n else np.arange(start, stop) % n
+    due = np.asarray(ages) >= schedule.tau
+    if schedule.kind == "uniform_random":
+        due |= np.random.default_rng([int(schedule.seed), int(k)]).random(n) < 1.0 / (
+            schedule.tau + 1)
+    return np.flatnonzero(due)
+
+
+@st.composite
+def refresh_sequences(draw):
+    """A schedule and iterations on both sides of a boundary between two
+    blocks of uniform_random masks, with the table ages of each call."""
+    # Above 2048 components a block holds fewer than 32 iterations.
+    n = draw(st.one_of(st.integers(1, 40), st.integers(2040, 5000)))
+    tau = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(SCHEDULE_KINDS))
+    block = None
+    if kind == "cyclic":
+        block = draw(st.one_of(st.integers(math.ceil(n / (tau + 1)), n + 3),
+                               st.integers(n, 10**25)))
+    schedule = DelaySchedule(kind, tau=tau, block=block, seed=draw(st.integers(0, 2**64)))
+    rows = delay._mask_rows(n)
+    boundary = rows * draw(st.one_of(st.integers(1, 2**20), st.integers(2**62, 2**66)))
+    ks = draw(st.lists(st.integers(max(0, boundary - rows - 1), boundary + rows), min_size=1,
+                       max_size=4))
+    ages = [np.asarray(draw(st.lists(st.integers(0, tau), min_size=n, max_size=n)))
+            if n < 100 else np.random.default_rng(draw(st.integers(0, 99))).integers(0, tau + 1, n)
+            for _ in ks]
+    return schedule, n, ks, ages
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(refresh_sequences())
+def test_refresh_indices_are_the_former_formula_across_mask_blocks(case):
+    schedule, n, ks, ages = case
+    for k, a in zip(ks + ks, ages + ages):  # each call twice: the second is served from a cache
+        indices = next_refresh_set(schedule, k, n, a)
+        assert indices.dtype == np.intp
+        assert np.array_equal(indices, _former_refresh_set(schedule, k, n, a))
+        # Writing through a returned array must not change a later call.
+        if indices.flags.writeable:
+            indices[...] = -1
+        elif len(indices):
+            with pytest.raises(ValueError):
+                indices[0] = -1
 
 
 @st.composite
