@@ -874,14 +874,40 @@ def load_problem(path) -> Problem:
     arrays are checked as the JSON's would be and become the problem's
     stack; otherwise ``problem_from_dict`` reads the JSON text.  Text that
     is not JSON raises ``json.JSONDecodeError``, a ValueError.
+
+    For a stack of more than one block (see ``_block_rows``) on more than
+    one CPU, the digest is taken on a thread of its own while the sidecar's
+    matrices are read and checked; the thread is joined before anything is
+    returned or raised.  That build is a guess until the digest matches:
+    for an out-of-date sidecar it is dropped, with any error it raised,
+    before the JSON text is parsed.
     """
-    sidecar = _read_sidecar(path)
-    if sidecar is None:
+    problem = _sidecar_problem(path)
+    if problem is None:
         with open(path) as fh:
             return problem_from_dict(json.load(fh))
-    stack, d, nonsmooth = sidecar
-    return Problem(_build_quadratics(len(stack[2]), d, stack=stack),
-                   nonsmooth_from_dict(nonsmooth), d)
+    return problem
+
+
+def _sidecar_problem(path) -> Problem | None:
+    """The problem of the sidecar's stack, or None when ``_read_sidecar``
+    finds no usable sidecar or the digest taken beside the build does not
+    match; a build error is raised only once the digest is known to match."""
+    sidecar = _read_sidecar(path)
+    if sidecar is None:
+        return None
+    stack, d, nonsmooth, digest = sidecar
+    try:
+        problem = Problem(_build_quadratics(len(stack[2]), d, stack=stack),
+                          nonsmooth_from_dict(nonsmooth), d)
+    except Exception:
+        if digest is None or digest.matches():
+            raise
+        return None
+    finally:
+        if digest is not None:
+            digest.join()
+    return problem if digest is None or digest.matches() else None
 
 
 def _sidecar_path(path) -> str:
@@ -889,34 +915,73 @@ def _sidecar_path(path) -> str:
 
 
 def _sha256(path) -> str:
-    """Hex SHA-256 of a file's bytes, read in 1 MiB chunks."""
+    """Hex SHA-256 of a file's bytes, read into one 1 MiB buffer.  Beside a
+    build on a busy host, fewer and larger reads win: each one hands the GIL
+    over and back twice."""
     # Imported here: it maps OpenSSL (~3.6 MB resident), which a process that
     # never digests a problem file should not pay.
     import hashlib
 
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    digest, buffer = hashlib.sha256(), bytearray(1 << 20)
+    with open(path, "rb", buffering=0) as fh, memoryview(buffer) as view:
+        while size := fh.readinto(buffer):
+            digest.update(view[:size])
     return digest.hexdigest()
+
+
+class _Digest(threading.Thread):
+    """``_sha256(path)`` on a thread of its own, started at once.  ``matches``
+    joins it and tells whether the digest is ``expected``; a digest that
+    could not be taken matches nothing, and its error is left to the JSON
+    parse to meet again."""
+
+    def __init__(self, path, expected: str):
+        super().__init__(name="piag-digest", daemon=True)
+        self._path, self._expected, self._matches = path, expected, False
+        self.start()
+
+    def run(self) -> None:
+        try:
+            self._matches = _sha256(self._path) == self._expected
+        except Exception:
+            pass
+
+    def matches(self) -> bool:
+        self.join()
+        return self._matches
+
+
+_UNUSABLE_SIDECAR = (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile)
 
 
 def _read_sidecar(path) -> tuple | None:
     """The stack ``(A, b, c0)``, the dimension and the nonsmooth spec stored
-    in ``<path>.npz``, or None when the sidecar is missing, unreadable,
-    inconsistent or written for other JSON bytes."""
+    in ``<path>.npz``, with the ``_Digest`` that is still to confirm them, or
+    None if the digest was taken already; None when the sidecar is missing,
+    unreadable, inconsistent or found to be written for other JSON bytes.
+
+    The digest is taken before the matrices are read, or, for a stack of more
+    than one block on more than one CPU, started beside the read and left
+    for the caller to confirm."""
+    digest = None
     try:
         # A plain .npy raises TypeError (no context manager), an empty file EOFError.
         # np.load is given the open file: on a damaged zip it would leave its own open.
         with open(_sidecar_path(path), "rb") as fh, np.load(fh, allow_pickle=False) as z:
-            if str(z["sha256"]) != _sha256(path):
+            expected, meta, c0 = str(z["sha256"]), json.loads(str(z["meta"])), z["c0"]
+            n, d = len(c0), meta["dimension"]
+            if n > _block_rows(d) and len(os.sched_getaffinity(0)) > 1:
+                digest = _Digest(path, expected)
+            elif _sha256(path) != expected:
                 return None
-            meta = json.loads(str(z["meta"]))
-            stack = z["A"], z["b"], z["c0"]
-        n, d = len(stack[2]), meta["dimension"]
+            stack = z["A"], z["b"], c0
         if [v.shape for v in stack] != [(n, d, d), (n, d), (n,)] or any(
                 v.dtype != float for v in stack):
+            raise ValueError("the sidecar's arrays do not fit together")
+        return stack, d, meta["nonsmooth"], digest
+    except BaseException as exc:
+        if digest is not None:
+            digest.join()
+        if isinstance(exc, _UNUSABLE_SIDECAR):
             return None
-        return stack, d, meta["nonsmooth"]
-    except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile):
-        return None
+        raise

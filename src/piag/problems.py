@@ -110,8 +110,10 @@ def make_quadratic_l1(N: int, d: int, seed: int, lam: float) -> Problem:
     """Strongly convex component sum plus an l1 term.
 
     Individual components may be indefinite for ``N > 1``; draws are repeated
-    until the summed matrix has smallest eigenvalue at least 0.1 (up to 100
-    attempts).
+    until the summed matrix has smallest eigenvalue at least 0.1.  Few
+    components of a large dimension rarely get there: after 100 attempts,
+    the spectrum of each component of the last draw is shifted up by an
+    equal share of the missing margin.
     """
     _check_generator_args(N, d, lam, "l1 weight")
     rng = np.random.default_rng(seed)
@@ -120,10 +122,15 @@ def make_quadratic_l1(N: int, d: int, seed: int, lam: float) -> Problem:
     for _ in range(100):
         comps = _draw_components(rng, N, d, eig_lo)
         S, sb, _ = comps.quadratic_sum
-        if float(np.linalg.eigvalsh(S)[0]) >= 0.1:
+        missing = 0.1 - float(np.linalg.eigvalsh(S)[0])
+        if missing <= 0:
             break
     else:
-        raise RuntimeError("failed to draw a strongly convex component sum in 100 attempts")
+        # 1e-9 more than the margin: far above the rounding of the sum and of eigvalsh.
+        A, b, c = comps.stack
+        A += (missing + 1e-9) / N * np.eye(d)
+        comps = _build_quadratics(N, d, stack=(A, b, c))
+        S, sb, _ = comps.quadratic_sum
     x_free = np.linalg.solve(S, -sb)
     hint = float(_quadratic_values(comps.quadratic_sum, x_free.reshape(1, d))[0])  # eval_f
     return Problem(comps, nonsmooth, d, f_lower_bound_hint=hint)

@@ -56,6 +56,15 @@ def test_generate_rejects_a_non_finite_curvature(tmp_path, capsys, value):
     assert not (tmp_path / "g" / "problem.json").exists()
 
 
+def test_generate_l1_with_few_large_components(tmp_path, capsys):
+    # Seed 15 draws no strongly convex sum in 100 attempts at 2 x 40.
+    out = tmp_path / "g"
+    assert run(["generate", "--family", "l1", "--components", "2", "--dimension", "40",
+                "--seed", "15", "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "problem.json").read_text())["dimension"] == 40
+
+
 def test_solve_with_a_block_beyond_int64_converges(l1_setup):
     # The cyclic window's start (k * block) % N is formed in Python ints.
     problem, tmp = l1_setup

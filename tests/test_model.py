@@ -355,6 +355,118 @@ def test_building_and_loading_leave_no_thread_running(tmp_path, blocks_of_four):
         assert threading.active_count() == before
 
 
+# ------------------------------------- the digest taken beside the sidecar build
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs in the affinity mask whatever the host's, so that a sidecar of
+    more than one block is digested beside its build."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.fixture
+def digests(monkeypatch) -> list:
+    """The ``_Digest`` threads that loads start."""
+    started = []
+
+    class Counted(model._Digest):
+        def __init__(self, *args):
+            started.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(model, "_Digest", Counted)
+    return started
+
+
+def _saved_l1(path, seed: int = 4) -> Problem:
+    """A 13 x 6 l1 problem saved at ``path``: four blocks of four components."""
+    from piag.problems import make_quadratic_l1
+
+    p = make_quadratic_l1(13, 6, seed=seed, lam=0.1)
+    path.parent.mkdir(exist_ok=True)
+    save_problem(p, path)
+    return p
+
+
+def _asymmetric(sidecar):
+    with np.load(sidecar) as z:
+        A = z["A"]
+    A[5, 0, 1] += 1.0
+    _rewrite_sidecar(sidecar, A=A)
+
+
+@pytest.mark.parametrize("damage", [
+    _asymmetric,
+    lambda s: _rewrite_sidecar(s, A=np.zeros((13, 6, 5))),
+], ids=["asymmetric", "wrong-shape"])
+def test_an_out_of_date_sidecar_that_fails_its_build_is_dropped(tmp_path, blocks_of_four,
+                                                                 two_cpus, digests, damage):
+    # The sidecar of another problem of the same shape, damaged: its build
+    # raises, or its arrays do not fit, while its digest is being taken.
+    path, other = tmp_path / "problem.json", tmp_path / "other" / "problem.json"
+    _saved_l1(path)
+    _saved_l1(other, seed=5)
+    damage(tmp_path / "other" / "problem.json.npz")
+    os.replace(tmp_path / "other" / "problem.json.npz", tmp_path / "problem.json.npz")
+    before = threading.active_count()
+    _assert_bitwise_equal(_parse_json(path), load_problem(path))
+    assert len(digests) == 1 and threading.active_count() == before
+
+
+def test_a_current_sidecar_that_fails_its_build_raises_its_error(tmp_path, blocks_of_four,
+                                                                 two_cpus, digests):
+    path = tmp_path / "problem.json"
+    _saved_l1(path)
+    _asymmetric(tmp_path / "problem.json.npz")  # the digest still matches the JSON
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="must be symmetric"):
+        load_problem(path)
+    assert len(digests) == 1 and threading.active_count() == before
+
+
+def test_a_digest_that_fails_on_its_thread_falls_back_to_the_json(tmp_path, monkeypatch, capsys,
+                                                                  blocks_of_four, two_cpus,
+                                                                  digests):
+    path = tmp_path / "problem.json"
+    p = _saved_l1(path)
+
+    def unreadable(path):
+        raise OSError("the problem file cannot be read")
+
+    parses, parse = [], model.json.load
+    monkeypatch.setattr(model, "_sha256", unreadable)
+    monkeypatch.setattr(model.json, "load", lambda fh: parses.append(fh) or parse(fh))
+    before = threading.active_count()
+    _assert_bitwise_equal(p, load_problem(path))
+    assert len(digests) == 1 and len(parses) == 1 and threading.active_count() == before
+    assert capsys.readouterr().err == ""
+
+
+def test_a_one_block_sidecar_starts_no_thread(tmp_path, monkeypatch, two_cpus):
+    from piag.problems import make_quadratic_l1
+
+    path = tmp_path / "problem.json"
+    p = make_quadratic_l1(5, 20, seed=7, lam=0.1)
+    save_problem(p, path)
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    _assert_bitwise_equal(p, load_problem(path))
+    assert started == []
+
+
+def test_a_sidecar_on_one_cpu_is_digested_before_its_build(tmp_path, monkeypatch,
+                                                           blocks_of_four, digests):
+    path = tmp_path / "problem.json"
+    p = _saved_l1(path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    _assert_bitwise_equal(p, load_problem(path))
+    _asymmetric(tmp_path / "problem.json.npz")
+    with pytest.raises(ValueError, match="must be symmetric"):
+        load_problem(path)
+    assert digests == []
+
+
 @pytest.mark.parametrize("with_sidecar", [True, False], ids=["sidecar", "json"])
 def test_loading_a_small_problem_imports_no_thread_pool(tmp_path, with_sidecar):
     # Five 20 x 20 matrices fill less than one block, so a fresh process that

@@ -57,6 +57,38 @@ def test_l1_generator_sum_strongly_convex():
         assert np.linalg.eigvalsh(S)[0] >= 0.1 - 1e-12
 
 
+def _redrawn_until_strongly_convex(N, d, seed):
+    """The stack ``make_quadratic_l1`` returned before it shifted spectra: the
+    first of 100 draws whose sum reaches the margin, or None."""
+    from piag.problems import _draw_components
+
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        comps = _draw_components(rng, N, d, -0.2)
+        if np.linalg.eigvalsh(comps.quadratic_sum[0])[0] >= 0.1:
+            return comps.stack
+    return None
+
+
+def test_l1_generator_shifts_spectra_when_redraws_fail():
+    # Two components of dimension 40 reach the margin on 26 of seeds 0-39;
+    # seed 15 does not in 100 draws, and seed 9 is the first such seed.
+    p = make_quadratic_l1(2, 40, seed=15, lam=0.5)
+    assert np.linalg.eigvalsh(p.quadratic_sum[0])[0] >= 0.1
+    for comp in p.components:
+        eigenvalues = np.linalg.eigvalsh(comp.matrix)
+        assert comp.lipschitz == max(float(np.max(np.abs(eigenvalues))), 1e-12)
+        assert comp.weak_convexity == max(0.0, float(-eigenvalues[0]))
+    for seed in range(12):
+        stack = make_quadratic_l1(2, 40, seed=seed, lam=0.5).quadratic_stack
+        assert np.linalg.eigvalsh(sum(stack[0]))[0] >= 0.1
+        redrawn = _redrawn_until_strongly_convex(2, 40, seed)
+        if redrawn is not None:  # a seed that reached the margin keeps its bits
+            assert [v.tobytes() for v in stack] == [v.tobytes() for v in redrawn]
+        else:
+            assert seed == 9
+
+
 def test_generator_caps():
     with pytest.raises(ValueError):
         make_quadratic_box(1, 500, seed=0)
