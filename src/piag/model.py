@@ -35,6 +35,7 @@ import json
 import math
 import numbers
 import os
+import queue
 import sys
 import tempfile
 import threading
@@ -128,23 +129,24 @@ _EIGEN_BLOCK = 4  # fewest rows per stacked eigvalsh in _build_quadratics
 def _block_rows(d: int) -> int:
     """Rows of a block of a stack of ``d x d`` float64 matrices: ``_EIGEN_BLOCK``, or as
     many as fill ``_STACK_BLOCK_BYTES`` if that is more.  A stack of one block is
-    worked on in the calling thread, without a pool."""
+    worked on in the calling thread, which starts no thread for it."""
     return max(_EIGEN_BLOCK, _STACK_BLOCK_BYTES // max(8 * d * d, 1))
 
 
-def _build_quadratics(n: int, d: int, entries=None, stack=None) -> _Rows:
+def _build_quadratics(n: int, d: int, entries=None, stack=None, first=()) -> _Rows:
     """The components ``quadratic_component(A, b, constant)`` of the first
     ``n`` triples that ``entries`` yields, or of the rows of the given stack
     ``(A, b, c)``, as rows of one stack of dimension ``d``.
 
     The calling thread writes each triple into its row as it draws it (the
-    stack is allocated once a triple has the right shape) while worker
-    threads, one per CPU of the process, check the rows in blocks as they
-    are drawn.  A block holds ``_EIGEN_BLOCK`` rows, or as many as fill
-    ``_STACK_BLOCK_BYTES`` if that is more, so the threads serve large
-    matrices only; one block is checked in the calling thread.  Once all
-    rows are drawn, the error of the lowest row is raised, as a one-by-one
-    build would: a draw's error waits until the rows before it are checked.
+    stack is allocated once a triple has the right shape) while the rows
+    are checked in blocks by ``RowThreads.map``, as they are drawn.  A block
+    holds ``_EIGEN_BLOCK`` rows, or as many as fill ``_STACK_BLOCK_BYTES``
+    if that is more, so the threads serve large matrices only.  The error of
+    the lowest row is raised, as a one-by-one build would: a draw's error
+    waits until the rows before it are checked.  The callables of ``first``
+    are the map's first items, so an error of theirs is raised before any
+    of the build's.
     """
     stack, failure = list(stack or ()), []
 
@@ -165,21 +167,12 @@ def _build_quadratics(n: int, d: int, entries=None, stack=None) -> _Rows:
     draws = iter(range(n)) if entries is None else drawn()
     size = _block_rows(d)
     blocks = iter(lambda: list(itertools.islice(draws, size)), [])
-    first, second = next(blocks, []), next(blocks, None)
-    if second is None:
-        built = _checked_block(stack, first)
-    else:
-        # Imported here: a problem of one block, such as a single
-        # quadratic_component, needs no thread.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
-            checked = pool.map(functools.partial(_checked_block, stack),
-                               itertools.chain((first, second), blocks))
-            built = list(itertools.chain.from_iterable(checked))
+    tasks = (functools.partial(_checked_block, stack, rows) for rows in blocks)
+    with RowThreads() as threads:
+        checked = threads.map(lambda task: task(), itertools.chain(first, tasks))
     if failure:
         raise failure[0]
-    rows = _Rows(built)
+    rows = _Rows(itertools.chain.from_iterable(checked[len(first):]))
     rows.stack = tuple(stack)
     return rows
 
@@ -188,8 +181,6 @@ def _checked_block(stack, rows: list) -> list[QuadraticComponent]:
     """The components of the consecutive ``rows`` of the stack ``[A, b, c]``,
     checked in order and symmetrized in place through one temporary matrix.
     One stacked ``eigvalsh`` of the slice gives each matrix's values bit for bit."""
-    if not rows:
-        return []
     A, b, c = (v[rows[0]:rows[-1] + 1] for v in stack)
     for A_i, b_i, c_i in zip(A, b, c.tolist()):
         if not (np.all(np.isfinite(A_i)) and np.all(np.isfinite(b_i)) and math.isfinite(c_i)):
@@ -500,21 +491,29 @@ def _quadratic_grads(stack: tuple, x: Array, out: Array, runs) -> None:
             rows += b[lo:hi]
 
 
-class RowThreads:
-    """Worker threads that take shares of the row kernel's rows: one per CPU
-    in the process's affinity mask (``os.sched_getaffinity``) but one, since
-    the calling thread takes a share itself.  With one CPU there are none.
+def _cpu_count() -> int:
+    """The CPUs the process may run on: those of its affinity mask, or every
+    CPU where the platform has no ``os.sched_getaffinity`` (macOS)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    The threads start when a kernel call first shares out its rows, and
-    ``close``, or the end of a ``with`` block, joins them; ``solve`` and
-    ``reference_fbs`` open one for the length of a run, so no thread outlives
-    the run.  Each share runs in a copy of the caller's context, so numpy's
-    error state (``np.errstate``) is the caller's, and an exception raised in
-    a share is raised in the calling thread once every share has ended.
+
+class RowThreads:
+    """The process's one thread pool: the calling thread and a worker per
+    further CPU it may run on (``_cpu_count``), so none with one CPU.
+    ``run`` shares out the row kernel's rows, ``map`` the component build.
+
+    The workers start when a call first shares out its work, and ``close``,
+    or the end of a ``with`` block, joins them; ``solve``, ``reference_fbs``
+    and a build each open one for their length, so no thread outlives them.
+    Each share or item runs in a copy of the caller's context, so numpy's
+    error state (``np.errstate``) is the caller's, and an exception raised
+    in one is raised in the calling thread once every one has ended.
     """
 
     def __init__(self):
-        self.shares = len(os.sched_getaffinity(0))
+        self.shares = _cpu_count()
         self._threads: list = []
 
     def __enter__(self) -> "RowThreads":
@@ -538,10 +537,42 @@ class RowThreads:
             if error is not None:
                 raise error
 
-    def _start(self) -> None:
-        # Imported here: only a run that shares out its rows needs the queues.
-        import queue
+    def map(self, fn: Callable, items) -> list:
+        """``[fn(item) for item in items]``, in item order.  Each item goes to
+        the workers' queue as the iterable yields it, so they start on the
+        first items while the calling thread draws the next; once the
+        iterable is spent, the calling thread runs the items that no worker
+        has started.  Once every item has ended, the error of the lowest
+        item that failed is raised.  Fewer than two items, or one CPU, start
+        no thread: the items run in order in the calling thread."""
+        items = iter(items)
+        head = list(itertools.islice(items, 2))
+        if len(head) < 2 or self.shares < 2:
+            return [fn(item) for item in itertools.chain(head, items)]
+        if not self._threads:
+            self._start()
+        outcomes, taken = [], 0  # taken: the items the calling thread ran
+        try:
+            for item in itertools.chain(head, items):
+                task = functools.partial(_outcome, fn, outcomes, len(outcomes))
+                outcomes.append(None)
+                self._tasks.put((contextvars.copy_context(), task, item))
+        finally:
+            while True:
+                try:
+                    context, task, item = self._tasks.get_nowait()
+                except queue.Empty:
+                    break
+                context.run(task, item)
+                taken += 1
+            for _ in range(len(outcomes) - taken):
+                self._done.get()
+        for _, error in outcomes:
+            if error is not None:
+                raise error
+        return [result for result, _ in outcomes]
 
+    def _start(self) -> None:
         self._tasks, self._done = queue.SimpleQueue(), queue.SimpleQueue()
         self._threads = [threading.Thread(target=_serve, args=(self._tasks, self._done),
                                           name="piag-rows", daemon=True)
@@ -550,7 +581,7 @@ class RowThreads:
             thread.start()
 
     def close(self) -> None:
-        """Stop and join the worker threads; a later ``run`` starts new ones."""
+        """Stop and join the worker threads; a later call starts new ones."""
         for _ in self._threads:
             self._tasks.put(None)
         for thread in self._threads:
@@ -569,6 +600,15 @@ def _serve(tasks, done) -> None:
             done.put(exc)
         else:
             done.put(None)
+
+
+def _outcome(fn: Callable, outcomes: list, i: int, item) -> None:
+    """A ``RowThreads.map`` item: set ``outcomes[i]`` to ``(fn(item), None)``,
+    or to ``(None, error)`` when it raises."""
+    try:
+        outcomes[i] = fn(item), None
+    except BaseException as exc:  # raised by map in the calling thread
+        outcomes[i] = None, exc
 
 
 def eval_F(problem: Problem, x) -> float | Array:
@@ -851,7 +891,7 @@ def save_problem(problem: Problem, path) -> None:
             # Imported here: the pool pulls in multiprocessing (~2 MB resident, ~20 ms).
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(c)))
+            pool = ProcessPoolExecutor(min(_cpu_count(), len(c)))
         try:
             texts = (pool.map if pool else map)(_component_text, A, b, c.tolist())
             for i, text in enumerate(texts):
@@ -875,39 +915,55 @@ def load_problem(path) -> Problem:
     stack; otherwise ``problem_from_dict`` reads the JSON text.  Text that
     is not JSON raises ``json.JSONDecodeError``, a ValueError.
 
-    For a stack of more than one block (see ``_block_rows``) on more than
-    one CPU, the digest is taken on a thread of its own while the sidecar's
-    matrices are read and checked; the thread is joined before anything is
-    returned or raised.  That build is a guess until the digest matches:
-    for an out-of-date sidecar it is dropped, with any error it raised,
-    before the JSON text is parsed.
+    For a stack of more than one block (see ``_block_rows``) the digest and
+    the check that the arrays fit together are the first item of the
+    build's ``RowThreads.map``, taken beside the checks and eigenvalues of
+    the blocks, or before them on one CPU.  That build counts only once the
+    item passes: otherwise it is dropped, with any error it raised, before
+    the JSON text is parsed.
     """
-    problem = _sidecar_problem(path)
-    if problem is None:
-        with open(path) as fh:
-            return problem_from_dict(json.load(fh))
-    return problem
-
-
-def _sidecar_problem(path) -> Problem | None:
-    """The problem of the sidecar's stack, or None when ``_read_sidecar``
-    finds no usable sidecar or the digest taken beside the build does not
-    match; a build error is raised only once the digest is known to match."""
-    sidecar = _read_sidecar(path)
-    if sidecar is None:
-        return None
-    stack, d, nonsmooth, digest = sidecar
     try:
-        problem = Problem(_build_quadratics(len(stack[2]), d, stack=stack),
-                          nonsmooth_from_dict(nonsmooth), d)
-    except Exception:
-        if digest is None or digest.matches():
-            raise
-        return None
-    finally:
-        if digest is not None:
-            digest.join()
-    return problem if digest is None or digest.matches() else None
+        # A plain .npy raises TypeError (no context manager), an empty file EOFError.
+        # np.load is given the open file: on a damaged zip it would leave its own open.
+        with open(_sidecar_path(path), "rb") as fh, np.load(fh, allow_pickle=False) as z:
+            expected, meta = str(z["sha256"]), json.loads(str(z["meta"]))
+            stack = z["A"], z["b"], z["c0"]
+        n, d, nonsmooth = len(stack[2]), meta["dimension"], meta["nonsmooth"]
+        usable = functools.partial(_check_sidecar, path, expected, stack, d)
+        # Beside a stack of one block, the check would be a second item: a thread.
+        first = (usable,) if n > _block_rows(d) else ()
+    except _UNUSABLE_SIDECAR:
+        pass
+    else:
+        try:
+            if not first:
+                usable()
+            return Problem(_build_quadratics(n, d, stack=stack, first=first),
+                           nonsmooth_from_dict(nonsmooth), d)
+        except _Unusable:
+            pass
+    with open(path) as fh:
+        return problem_from_dict(json.load(fh))
+
+
+_UNUSABLE_SIDECAR = (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile)
+
+
+class _Unusable(Exception):
+    """A sidecar is written for other JSON bytes, or its arrays do not fit together."""
+
+
+def _check_sidecar(path, expected: str, stack: tuple, d) -> None:
+    """Raise ``_Unusable`` unless the SHA-256 of the bytes of ``path`` is
+    ``expected`` and the sidecar's ``stack`` holds float arrays of shapes
+    (n, d, d), (n, d) and (n,).  A digest that cannot be taken matches
+    nothing: the JSON parse meets its error again."""
+    n = len(stack[2])
+    with contextlib.suppress(Exception):
+        if _sha256(path) == expected and [v.shape for v in stack] == [
+                (n, d, d), (n, d), (n,)] and all(v.dtype == float for v in stack):
+            return
+    raise _Unusable
 
 
 def _sidecar_path(path) -> str:
@@ -927,61 +983,3 @@ def _sha256(path) -> str:
         while size := fh.readinto(buffer):
             digest.update(view[:size])
     return digest.hexdigest()
-
-
-class _Digest(threading.Thread):
-    """``_sha256(path)`` on a thread of its own, started at once.  ``matches``
-    joins it and tells whether the digest is ``expected``; a digest that
-    could not be taken matches nothing, and its error is left to the JSON
-    parse to meet again."""
-
-    def __init__(self, path, expected: str):
-        super().__init__(name="piag-digest", daemon=True)
-        self._path, self._expected, self._matches = path, expected, False
-        self.start()
-
-    def run(self) -> None:
-        try:
-            self._matches = _sha256(self._path) == self._expected
-        except Exception:
-            pass
-
-    def matches(self) -> bool:
-        self.join()
-        return self._matches
-
-
-_UNUSABLE_SIDECAR = (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile)
-
-
-def _read_sidecar(path) -> tuple | None:
-    """The stack ``(A, b, c0)``, the dimension and the nonsmooth spec stored
-    in ``<path>.npz``, with the ``_Digest`` that is still to confirm them, or
-    None if the digest was taken already; None when the sidecar is missing,
-    unreadable, inconsistent or found to be written for other JSON bytes.
-
-    The digest is taken before the matrices are read, or, for a stack of more
-    than one block on more than one CPU, started beside the read and left
-    for the caller to confirm."""
-    digest = None
-    try:
-        # A plain .npy raises TypeError (no context manager), an empty file EOFError.
-        # np.load is given the open file: on a damaged zip it would leave its own open.
-        with open(_sidecar_path(path), "rb") as fh, np.load(fh, allow_pickle=False) as z:
-            expected, meta, c0 = str(z["sha256"]), json.loads(str(z["meta"])), z["c0"]
-            n, d = len(c0), meta["dimension"]
-            if n > _block_rows(d) and len(os.sched_getaffinity(0)) > 1:
-                digest = _Digest(path, expected)
-            elif _sha256(path) != expected:
-                return None
-            stack = z["A"], z["b"], c0
-        if [v.shape for v in stack] != [(n, d, d), (n, d), (n,)] or any(
-                v.dtype != float for v in stack):
-            raise ValueError("the sidecar's arrays do not fit together")
-        return stack, d, meta["nonsmooth"], digest
-    except BaseException as exc:
-        if digest is not None:
-            digest.join()
-        if isinstance(exc, _UNUSABLE_SIDECAR):
-            return None
-        raise

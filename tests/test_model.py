@@ -313,6 +313,107 @@ def test_more_workers_than_cores_each_fill_their_own_rows(monkeypatch):
         assert (comp.constant, comp.lipschitz, comp.weak_convexity) == (constant, lipschitz, weak)
 
 
+@pytest.mark.parametrize("cpus", [2, 8])
+def test_blocks_are_checked_while_the_entries_are_drawn(monkeypatch, blocks_of_four, cpus):
+    # The entries wait, before their last draw, for a block to be checked:
+    # a map that took list(items) first would draw every entry before
+    # checking any, and lose the draw/eigvalsh overlap.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    checked, check = threading.Event(), model._checked_block
+
+    def checking(*args):
+        checked.set()
+        return check(*args)
+
+    monkeypatch.setattr(model, "_checked_block", checking)
+    rng = np.random.default_rng(6)
+    matrices, waits = rng.standard_normal((13, 5, 5)), []
+
+    def entries():
+        for k, m in enumerate(matrices):
+            if k == len(matrices) - 1:
+                waits.append(checked.wait(timeout=10))
+            yield m + m.T, rng.standard_normal(5), 0.0
+
+    assert len(model._build_quadratics(13, 5, entries())) == 13
+    assert waits == [True]
+
+
+def test_map_returns_results_in_item_order_and_raises_the_lowest_error(monkeypatch):
+    # Later items end first; items 3 and 7 fail.  Then an iterable that
+    # fails after three items: its error comes once they have ended, and
+    # the threads serve the next map as before.
+    import time
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    ended = []
+
+    def square(i):
+        time.sleep(0.001 * (20 - i))
+        ended.append(i)
+        if i in (7, 3):
+            raise ValueError(f"item {i}")
+        return i * i
+
+    def broken():
+        yield from (11, 12, 13)
+        raise KeyError("the iterable")
+
+    with model.RowThreads() as threads:
+        assert threads.map(square, range(11, 21)) == [i * i for i in range(11, 21)]
+        with pytest.raises(ValueError, match="item 3"):
+            threads.map(square, range(10))
+        assert sorted(ended[10:]) == list(range(10))
+        ended.clear()
+        with pytest.raises(KeyError, match="the iterable"):
+            threads.map(square, broken())
+        assert sorted(ended) == [11, 12, 13]
+        assert threads.map(square, range(11, 21)) == [i * i for i in range(11, 21)]
+        assert len(threads._threads) == 3
+
+
+@pytest.mark.parametrize("cpus, items", [(8, []), (8, [5]), (1, [1, 2, 3])],
+                         ids=["no-item", "one-item", "one-cpu"])
+def test_map_of_one_item_or_on_one_cpu_starts_no_thread(monkeypatch, cpus, items):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    with model.RowThreads() as threads:
+        assert threads.map(lambda i: -i, items) == [-i for i in items]
+    assert started == []
+
+
+@pytest.mark.parametrize("cpus", [None, 3], ids=["count-unknown", "three"])
+def test_a_platform_without_an_affinity_mask_gives_the_same_bits(tmp_path, monkeypatch,
+                                                                 blocks_of_four, cpus):
+    # macOS has no os.sched_getaffinity: the CPU count is os.cpu_count(),
+    # or 1 when that is unknown.  The rows are shared out at any size.
+    from piag import DelaySchedule, SolverConfig, solve
+    from piag.problems import make_quadratic_l1
+
+    monkeypatch.setattr(model, "_SPLIT_BYTES", 0)
+
+    def outputs(name: str) -> tuple:
+        p = make_quadratic_l1(13, 6, seed=4, lam=0.1)  # four blocks
+        path = tmp_path / name / "problem.json"
+        path.parent.mkdir()
+        save_problem(p, path)
+        q = load_problem(path)
+        _assert_bitwise_equal(p, q)
+        trace = solve(q, SolverConfig(alpha="auto_lemma2", x0=np.linspace(-1.0, 1.0, 6),
+                                      schedule=DelaySchedule("cyclic", tau=2, block=5),
+                                      max_iters=60, keep_iterates=True))
+        return p, path.read_bytes(), trace.iterates.tobytes(), trace.objective_values.tobytes()
+
+    before = outputs("mask")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert model._cpu_count() == (cpus or 1)
+    after = outputs("no-mask")
+    _assert_bitwise_equal(before[0], after[0])
+    assert before[1:] == after[1:]
+
+
 def _spec_with(d, n, bad: dict) -> dict:
     """A problem spec of ``n`` identity components with the entries of ``bad``
     (index -> A list) in their place."""
@@ -367,16 +468,23 @@ def two_cpus(monkeypatch):
 
 @pytest.fixture
 def digests(monkeypatch) -> list:
-    """The ``_Digest`` threads that loads start."""
-    started = []
+    """The paths of the digests taken beside a build: the ``_sha256`` calls
+    made while a thread started since the fixture was set up is alive."""
+    started, taken = [], []
+    start, sha256 = threading.Thread.start, model._sha256
 
-    class Counted(model._Digest):
-        def __init__(self, *args):
-            started.append(self)
-            super().__init__(*args)
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
 
-    monkeypatch.setattr(model, "_Digest", Counted)
-    return started
+    def counted_sha256(path):
+        if any(thread.is_alive() for thread in started):
+            taken.append(path)
+        return sha256(path)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    monkeypatch.setattr(model, "_sha256", counted_sha256)
+    return taken
 
 
 def _saved_l1(path, seed: int = 4) -> Problem:
@@ -430,8 +538,10 @@ def test_a_digest_that_fails_on_its_thread_falls_back_to_the_json(tmp_path, monk
                                                                   digests):
     path = tmp_path / "problem.json"
     p = _saved_l1(path)
+    counted = model._sha256  # see the digests fixture
 
     def unreadable(path):
+        counted(path)
         raise OSError("the problem file cannot be read")
 
     parses, parse = [], model.json.load
@@ -470,21 +580,23 @@ def test_a_sidecar_on_one_cpu_is_digested_before_its_build(tmp_path, monkeypatch
 @pytest.mark.parametrize("with_sidecar", [True, False], ids=["sidecar", "json"])
 def test_loading_a_small_problem_imports_no_thread_pool(tmp_path, with_sidecar):
     # Five 20 x 20 matrices fill less than one block, so a fresh process that
-    # loads them neither starts threads nor imports concurrent.futures and
-    # logging for them.
+    # loads them starts no thread for them; twelve 96 x 96 matrices fill
+    # three, which RowThreads checks.  Neither imports concurrent.futures and
+    # logging.
     from piag.problems import make_quadratic_l1
 
-    path = tmp_path / "problem.json"
-    save_problem(make_quadratic_l1(5, 20, seed=7, lam=0.1), path)
-    if not with_sidecar:
-        (tmp_path / "problem.json.npz").unlink()
-    code = ("import sys; from piag.model import load_problem; load_problem(sys.argv[1]); "
-            "print('concurrent.futures' in sys.modules)")
-    src = os.path.dirname(os.path.dirname(model.__file__))
-    proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
-                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    for n, d in ((5, 20), (12, 96)):
+        path = tmp_path / f"problem{n}.json"
+        save_problem(make_quadratic_l1(n, d, seed=7, lam=0.1), path)
+        if not with_sidecar:
+            (tmp_path / f"problem{n}.json.npz").unlink()
+        code = ("import sys; from piag.model import load_problem; load_problem(sys.argv[1]); "
+                "print('concurrent.futures' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(model.__file__))
+        proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n", (n, d)
 
 
 @pytest.mark.parametrize("blocks", ["one-block", "blocks-of-four"])
@@ -521,11 +633,13 @@ def test_a_list_of_components_is_copied_into_one_stack():
 
 
 def test_loading_a_sidecar_keeps_one_copy_of_its_stack(tmp_path, monkeypatch):
-    # From the moment the sidecar's arrays are read, building the problem may
-    # add the temporaries of one block but no second copy of the matrices.
-    # Reading itself is left out: the digest's and numpy's read buffers have
-    # fixed sizes near that of this A.  One worker thread, so that the bound
-    # does not depend on the host: each worker holds its own temporaries.
+    # From the moment the sidecar's digest is taken, building the problem
+    # may add the temporaries of one block but no second copy of the
+    # matrices.  With one CPU the digest comes after the sidecar's arrays are
+    # read and before the build, so reading is left out: the digest's and
+    # numpy's read buffers have fixed sizes near that of this A.  One CPU
+    # also keeps the bound from depending on the host: each worker holds its
+    # own temporaries.
     import tracemalloc
 
     from piag.problems import make_quadratic_l1
@@ -534,22 +648,23 @@ def test_loading_a_sidecar_keeps_one_copy_of_its_stack(tmp_path, monkeypatch):
     save_problem(make_quadratic_l1(20, 60, seed=2, lam=0.1), path)
     load_problem(path)  # the allocations of first use
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    read = model._read_sidecar
+    sha256, resets = model._sha256, []
 
-    def read_then_reset_peak(p):
-        out = read(p)
+    def digest_then_reset_peak(p):
+        out = sha256(p)
         assert out is not None
         tracemalloc.reset_peak()
+        resets.append(p)
         return out
 
-    monkeypatch.setattr(model, "_read_sidecar", read_then_reset_peak)
+    monkeypatch.setattr(model, "_sha256", digest_then_reset_peak)
     tracemalloc.start()
     try:
         load_problem(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * (20 * 60 * 60 * 8)
+    assert peak < 1.5 * (20 * 60 * 60 * 8) and len(resets) == 1
 
 
 def test_box_bounds_of_different_lengths_are_rejected():

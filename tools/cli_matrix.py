@@ -16,8 +16,9 @@ relative paths, so no output depends on where OUT is:
   ``solve --alpha 1e300``, which stops when a step overflows, and ``solve
   --max-iters 0``, which records x0 and runs no iteration;
 - ``generate`` and ``solve`` at 12x96, where a problem spans three blocks of
-  the eigenvalue pool, so that a run under ``taskset -c 0`` checks that no
-  output depends on the pool's worker count;
+  the component builder, which checks them on the thread pool (the calling
+  thread and a worker per further CPU), so that a run under ``taskset -c 0``
+  checks that no output depends on the pool's worker count;
 - ``generate`` at 24x160, whose refreshes fill more than the size at which
   the gradient rows are shared out across threads, and on it ``solve --tau
   0``, ``solve --reference-fbs --tau 0``, a ``cyclic`` run at ``--tau 1
