@@ -139,14 +139,15 @@ def _build_quadratics(n: int, d: int, entries=None, stack=None, first=()) -> _Ro
     ``(A, b, c)``, as rows of one stack of dimension ``d``.
 
     The calling thread writes each triple into its row as it draws it (the
-    stack is allocated once a triple has the right shape) while the rows
-    are checked in blocks by ``RowThreads.map``, as they are drawn.  A block
-    holds ``_EIGEN_BLOCK`` rows, or as many as fill ``_STACK_BLOCK_BYTES``
-    if that is more, so the threads serve large matrices only.  The error of
-    the lowest row is raised, as a one-by-one build would: a draw's error
-    waits until the rows before it are checked.  The callables of ``first``
-    are the map's first items, so an error of theirs is raised before any
-    of the build's.
+    stack is allocated once a triple has the right shape) and hands the
+    rows in blocks to ``RowThreads.map``: the workers check each block as
+    it is drawn, and the calling thread runs the map's first item once
+    every triple is drawn.  A block holds ``_EIGEN_BLOCK`` rows, or as many
+    as fill ``_STACK_BLOCK_BYTES`` if that is more, so the threads serve
+    large matrices only.  The error of the lowest row is raised, as a
+    one-by-one build would: a draw's error waits until the rows before it
+    are checked.  The callables of ``first`` are the map's first items, so
+    an error of theirs is raised before any of the build's.
     """
     stack, failure = list(stack or ()), []
 
@@ -281,7 +282,7 @@ class NonsmoothTerm:
         stack; ``np.add.reduce`` along a C-contiguous row adds in the order
         it uses on that row alone, so each row's value is the same in any stack."""
         X = np.asarray(x, dtype=float)
-        out = self._stack_values(X if X.ndim == 2 else X.reshape(1, -1))
+        out = self._stack_values(X if X.ndim == 2 else as_vector(X)[None])
         return out if X.ndim == 2 else float(out[0])
 
     def _stack_values(self, X: Array) -> Array:
@@ -428,9 +429,10 @@ def _component_grads(problem: Problem, x: Array, indices, out: Array,
     ``out[lo:hi]`` and offset by ``b[lo:hi]``; a run of at most ``_DOT_ROWS``
     rows is one ``np.dot(A[i], x)`` per row, the same gemv.  So each row is
     bitwise ``components[i].grad(x)``.  When the matrices of the indices fill
-    at least ``_SPLIT_BYTES``, consecutive or scattered, ``threads`` computes
-    the rows in near-equal shares, one per CPU.  Problems with a callable
-    component are computed in the calling thread.
+    at least ``_SPLIT_BYTES``, consecutive or scattered, ``threads.map``
+    computes the rows in near-equal shares, one per CPU, the first in the
+    calling thread.  Problems with a callable component are computed in the
+    calling thread.
     """
     stack = problem.quadratic_stack
     if stack is None:
@@ -440,7 +442,7 @@ def _component_grads(problem: Problem, x: Array, indices, out: Array,
     runs = _runs(indices)
     if (runs and threads is not None and threads.shares > 1  # float64 matrices:
             and 8 * problem.dimension ** 2 * len(indices) >= _SPLIT_BYTES):
-        threads.run(functools.partial(_quadratic_grads, stack, x, out),
+        threads.map(functools.partial(_quadratic_grads, stack, x, out),
                     _shares(runs, threads.shares))
     else:
         _quadratic_grads(stack, x, out, runs)
@@ -502,14 +504,15 @@ def _cpu_count() -> int:
 class RowThreads:
     """The process's one thread pool: the calling thread and a worker per
     further CPU it may run on (``_cpu_count``), so none with one CPU.
-    ``run`` shares out the row kernel's rows, ``map`` the component build.
+    ``map`` is its one way to hand out work: the row kernel's shares, the
+    component build's blocks and the sidecar digest.
 
     The workers start when a call first shares out its work, and ``close``,
     or the end of a ``with`` block, joins them; ``solve``, ``reference_fbs``
     and a build each open one for their length, so no thread outlives them.
-    Each share or item runs in a copy of the caller's context, so numpy's
-    error state (``np.errstate``) is the caller's, and an exception raised
-    in one is raised in the calling thread once every one has ended.
+    Each item runs in a copy of the caller's context, so numpy's error
+    state (``np.errstate``) is the caller's, and an exception raised in one
+    is raised in the calling thread once every one has ended.
     """
 
     def __init__(self):
@@ -522,50 +525,40 @@ class RowThreads:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def run(self, fn: Callable, shares: list) -> None:
-        """``fn(share)`` for each share: the first in the calling thread, each
-        other one on the workers."""
-        if len(shares) > 1 and not self._threads:
-            self._start()
-        for share in shares[1:]:
-            self._tasks.put((contextvars.copy_context(), fn, share))
-        try:
-            fn(shares[0])
-        finally:
-            errors = [self._done.get() for _ in shares[1:]]  # the workers write into fn's output
-        for error in errors:
-            if error is not None:
-                raise error
-
     def map(self, fn: Callable, items) -> list:
-        """``[fn(item) for item in items]``, in item order.  Each item goes to
-        the workers' queue as the iterable yields it, so they start on the
-        first items while the calling thread draws the next; once the
-        iterable is spent, the calling thread runs the items that no worker
-        has started.  Once every item has ended, the error of the lowest
-        item that failed is raised.  Fewer than two items, or one CPU, start
-        no thread: the items run in order in the calling thread."""
+        """``[fn(item) for item in items]``, in item order.  The calling
+        thread keeps the first item, and each other one goes to the workers'
+        queue as the iterable yields it, so they start on it while the
+        calling thread draws the next.  Once the iterable is spent, the
+        calling thread runs the first item, then the queued items that no
+        worker has started, leaving one for each worker: so one item per
+        CPU runs one item on each thread.  Once every item has ended, the
+        error of the lowest item that failed is raised.  Fewer than two
+        items, or one CPU, start no thread: the items run in order in the
+        calling thread."""
         items = iter(items)
         head = list(itertools.islice(items, 2))
         if len(head) < 2 or self.shares < 2:
             return [fn(item) for item in itertools.chain(head, items)]
         if not self._threads:
             self._start()
-        outcomes, taken = [], 0  # taken: the items the calling thread ran
+        outcomes = [None]
         try:
-            for item in itertools.chain(head, items):
+            for item in itertools.chain(head[1:], items):
                 task = functools.partial(_outcome, fn, outcomes, len(outcomes))
                 outcomes.append(None)
                 self._tasks.put((contextvars.copy_context(), task, item))
         finally:
-            while True:
-                try:
+            queued = len(outcomes) - 1
+            _outcome(fn, outcomes, 0, head[0])
+            try:
+                while self._tasks.qsize() > len(self._threads):
                     context, task, item = self._tasks.get_nowait()
-                except queue.Empty:
-                    break
-                context.run(task, item)
-                taken += 1
-            for _ in range(len(outcomes) - taken):
+                    context.run(task, item)
+                    queued -= 1
+            except queue.Empty:  # the workers took the rest meanwhile
+                pass
+            for _ in range(queued):
                 self._done.get()
         for _, error in outcomes:
             if error is not None:
@@ -590,15 +583,14 @@ class RowThreads:
 
 
 def _serve(tasks, done) -> None:
-    """A ``RowThreads`` worker: run ``(context, fn, share)`` tasks until ``None``,
-    and put each one's exception, or None, on ``done``."""
+    """A ``RowThreads`` worker: run ``(context, fn, item)`` tasks until
+    ``None``, and put None on ``done`` as each one ends.  ``fn`` is an
+    ``_outcome``, which keeps its own error."""
     while (task := tasks.get()) is not None:
-        context, fn, share = task
+        context, fn, item = task
         try:
-            context.run(fn, share)
-        except BaseException as exc:  # handed to the calling thread, which raises it
-            done.put(exc)
-        else:
+            context.run(fn, item)
+        finally:
             done.put(None)
 
 
@@ -917,10 +909,11 @@ def load_problem(path) -> Problem:
 
     For a stack of more than one block (see ``_block_rows``) the digest and
     the check that the arrays fit together are the first item of the
-    build's ``RowThreads.map``, taken beside the checks and eigenvalues of
-    the blocks, or before them on one CPU.  That build counts only once the
-    item passes: otherwise it is dropped, with any error it raised, before
-    the JSON text is parsed.
+    build's ``RowThreads.map``: the calling thread takes them once it has
+    queued the blocks, while the workers check the blocks and give them
+    their eigenvalues, or before the blocks on one CPU.  That build counts
+    only once the item passes: otherwise it is dropped, with any error it
+    raised, before the JSON text is parsed.
     """
     try:
         # A plain .npy raises TypeError (no context manager), an empty file EOFError.

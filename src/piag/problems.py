@@ -277,7 +277,7 @@ def dist_to_stationary(x, ref: ReferenceSolution) -> float:
     """Euclidean distance from ``x`` to the enumerated stationary set."""
     if not ref.points:
         raise ValueError("reference stationary set is empty")
-    x = as_vector(x)
+    x = as_vector(x, len(ref.points[0]))
     return min(float(np.linalg.norm(x - p)) for p in ref.points)
 
 

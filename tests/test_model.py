@@ -186,6 +186,19 @@ def test_nonsmooth_value_is_midpoint_convex():
             assert mid <= 0.5 * (term.value(x) + term.value(y)) + 1e-10
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda p, x: eval_F(p, x), lambda p, x: p.nonsmooth.value(x),
+    lambda p, x: prox(p.nonsmooth, x, 1.0), lambda p, x: prox_residual(p, 1.0, x)],
+    ids=["eval_F", "value", "prox", "prox_residual"])
+def test_a_stack_of_more_than_two_dimensions_is_refused(evaluate):
+    # A point or a (K, d) stack is evaluated; a 3-d array is an error,
+    # not one long point.
+    p = Problem([quadratic_component(np.eye(4), np.zeros(4))], NonsmoothTerm.l1(1.0), 4)
+    with pytest.raises(ValueError, match=r"expected a 1-d vector, got shape \(2, 3, 4\)"):
+        evaluate(p, np.ones((2, 3, 4)))
+    assert len(evaluate(p, np.ones((3, 4)))) == 3
+
+
 def test_problem_requires_l_below_L():
     bad = SmoothComponent(lambda x: 0.0, lambda x: x, lipschitz=1.0, weak_convexity=1.0)
     ok = Problem([bad], NonsmoothTerm.zero(), 1)  # l == L is allowed
@@ -381,6 +394,26 @@ def test_map_of_one_item_or_on_one_cpu_starts_no_thread(monkeypatch, cpus, items
     with model.RowThreads() as threads:
         assert threads.map(lambda i: -i, items) == [-i for i in items]
     assert started == []
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_map_of_one_item_per_cpu_runs_one_item_on_each_thread(monkeypatch, cpus):
+    # Each worker starts 50 ms late, so the calling thread ends its item
+    # first: it must leave the queued items to the workers, as a refresh
+    # cut into one share per CPU expects.
+    import time
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    serve = model._serve
+
+    def late(*args):
+        time.sleep(0.05)
+        serve(*args)
+
+    monkeypatch.setattr(model, "_serve", late)
+    with model.RowThreads() as threads:
+        names = threads.map(lambda i: threading.current_thread().name, range(cpus))
+    assert names == [threading.current_thread().name] + ["piag-rows"] * (cpus - 1)
 
 
 @pytest.mark.parametrize("cpus", [None, 3], ids=["count-unknown", "three"])

@@ -214,6 +214,15 @@ def test_dist_examples():
     assert dist_to_stationary(np.array([0.4]), ref) == pytest.approx(0.4, abs=1e-12)
 
 
+def test_dist_refuses_a_point_of_another_dimension():
+    # Broadcasting would measure a scalar or a one-entry point against
+    # every entry of each 4-d reference point.
+    ref = reference_solution(make_quadratic_l1(3, 4, seed=1, lam=0.1))
+    for x in (0.5, [0.5], np.zeros(5)):
+        with pytest.raises(ValueError, match="dimension mismatch: expected 4"):
+            dist_to_stationary(x, ref)
+
+
 def test_dist_requires_points():
     empty = ReferenceSolution(points=[], objective_values=[], method="analytic")
     with pytest.raises(ValueError, match="empty"):

@@ -2,7 +2,7 @@
 
     python3 tools/cli_matrix.py OUT [--src SRC]
 
-Runs about 57 commands, one after another, as ``python -m piag.cli`` child
+Runs about 58 commands, one after another, as ``python -m piag.cli`` child
 processes with ``OPENBLAS_NUM_THREADS=1``, importing ``piag`` from SRC (by
 default this checkout's ``src``).  The commands run in ``OUT/work`` with
 relative paths, so no output depends on where OUT is:
@@ -15,6 +15,9 @@ relative paths, so no output depends on where OUT is:
 - on the l1 seed-1 problem: ``rate --limit-value`` below the run's smallest F,
   ``solve --alpha 1e300``, which stops when a step overflows, and ``solve
   --max-iters 0``, which records x0 and runs no iteration;
+- ``generate`` for box at 2x3 with ``--negative-curvature 1``, whose
+  reference set holds seven stationary points, so the KKT dedupe, the
+  value separation and the c0 fit over several points are byte-checked;
 - ``generate`` and ``solve`` at 12x96, where a problem spans three blocks of
   the component builder, which checks them on the thread pool (the calling
   thread and a worker per further CPU), so that a run under ``taskset -c 0``
@@ -95,6 +98,8 @@ def commands() -> list[list[str]]:
          "--out", "l11/alpha1e300"],
         ["solve", "--problem", "l11/problem.json", "--max-iters", "0", "--out",
          "l11/max-iters0"],
+        ["generate", "--family", "box", "--components", "2", "--dimension", "3",
+         "--seed", "1", "--negative-curvature", "1", "--out", "box-stationary"],
         ["generate", "--family", "l1", "--components", "12", "--dimension", "96",
          "--seed", "3", "--out", "pool"],
         ["solve", "--problem", "pool/problem.json", "--tau", "3", *SOLVE_ITERS,
