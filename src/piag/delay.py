@@ -46,6 +46,9 @@ class DelaySchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        for name, value in (("tau", self.tau), ("block", self.block), ("seed", self.seed)):
+            if not INTEGER.test(value) and (value is not None or name == "tau"):
+                raise ValueError(f"{name} must be {INTEGER.text}, got {value!r}")
         if self.tau < 0:
             raise ValueError("delay parameter tau must be nonnegative")
         if self.kind == "cyclic" and (self.block is None or self.block < 1):

@@ -263,7 +263,8 @@ def fit_rlinear_rate(values, limit: float | None, skip: int = 0, ks=None) -> Rat
 
     Least-squares slope of ``log(values_k - limit)`` against ``k`` over
     ``k >= skip``; the reported rate is ``exp(slope)``.  ``ks`` gives the
-    iteration index of each value (default ``0, 1, 2, ...``).  ``limit`` None
+    iteration index of each value (default ``0, 1, 2, ...``); a ``ks`` of
+    another length raises ``ValueError``.  ``limit`` None
     means the smallest value less a pad of ``1e-14 (1 + |min|)``, and drops
     values within 100 pads of it as rounding noise.  Residuals must be
     strictly positive and at least 10 points must remain after the skip.
@@ -272,6 +273,8 @@ def fit_rlinear_rate(values, limit: float | None, skip: int = 0, ks=None) -> Rat
     if skip < 0:
         raise ValueError("transient skip must be nonnegative")
     ks = np.arange(len(v), dtype=float) if ks is None else np.asarray(ks, dtype=float)
+    if len(ks) != len(v):
+        raise ValueError(f"ks holds {len(ks)} iteration indices for {len(v)} values")
     keep = ks >= skip
     if limit is None:
         f_min = float(np.min(v))

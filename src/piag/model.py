@@ -34,6 +34,7 @@ import itertools
 import json
 import math
 import numbers
+import operator
 import os
 import queue
 import sys
@@ -128,8 +129,7 @@ _EIGEN_BLOCK = 4  # fewest rows per stacked eigvalsh in _build_quadratics
 
 def _block_rows(d: int) -> int:
     """Rows of a block of a stack of ``d x d`` float64 matrices: ``_EIGEN_BLOCK``, or as
-    many as fill ``_STACK_BLOCK_BYTES`` if that is more.  A stack of one block is
-    worked on in the calling thread, which starts no thread for it."""
+    many as fill ``_STACK_BLOCK_BYTES`` if that is more."""
     return max(_EIGEN_BLOCK, _STACK_BLOCK_BYTES // max(8 * d * d, 1))
 
 
@@ -142,12 +142,13 @@ def _build_quadratics(n: int, d: int, entries=None, stack=None, first=()) -> _Ro
     stack is allocated once a triple has the right shape) and hands the
     rows in blocks to ``RowThreads.map``: the workers check each block as
     it is drawn, and the calling thread runs the map's first item once
-    every triple is drawn.  A block holds ``_EIGEN_BLOCK`` rows, or as many
-    as fill ``_STACK_BLOCK_BYTES`` if that is more, so the threads serve
-    large matrices only.  The error of the lowest row is raised, as a
-    one-by-one build would: a draw's error waits until the rows before it
-    are checked.  The callables of ``first`` are the map's first items, so
-    an error of theirs is raised before any of the build's.
+    every triple is drawn.  A block holds ``_block_rows(d)`` rows, so the
+    threads serve large matrices only, and a build of one block runs its
+    items in order in the calling thread, starting no thread.  The error of
+    the lowest row is raised, as a one-by-one build would: a draw's error
+    waits until the rows before it are checked.  The callables of ``first``
+    are the items before the blocks, so an error of theirs is raised before
+    any of the build's.
     """
     stack, failure = list(stack or ()), []
 
@@ -168,9 +169,13 @@ def _build_quadratics(n: int, d: int, entries=None, stack=None, first=()) -> _Ro
     draws = iter(range(n)) if entries is None else drawn()
     size = _block_rows(d)
     blocks = iter(lambda: list(itertools.islice(draws, size)), [])
-    tasks = (functools.partial(_checked_block, stack, rows) for rows in blocks)
-    with RowThreads() as threads:
-        checked = threads.map(lambda task: task(), itertools.chain(first, tasks))
+    tasks = itertools.chain(first, (functools.partial(_checked_block, stack, rows)
+                                    for rows in blocks))
+    if n <= size:  # one block: no thread
+        checked = [task() for task in tasks]
+    else:
+        with RowThreads() as threads:
+            checked = threads.map(lambda task: task(), tasks)
     if failure:
         raise failure[0]
     rows = _Rows(itertools.chain.from_iterable(checked[len(first):]))
@@ -429,23 +434,24 @@ def _component_grads(problem: Problem, x: Array, indices, out: Array,
     ``out[lo:hi]`` and offset by ``b[lo:hi]``; a run of at most ``_DOT_ROWS``
     rows is one ``np.dot(A[i], x)`` per row, the same gemv.  So each row is
     bitwise ``components[i].grad(x)``.  When the matrices of the indices fill
-    at least ``_SPLIT_BYTES``, consecutive or scattered, ``threads.map``
-    computes the rows in near-equal shares, one per CPU, the first in the
-    calling thread.  Problems with a callable component are computed in the
-    calling thread.
+    at least ``_SPLIT_BYTES``, consecutive or scattered, ``indices`` is cut
+    into one contiguous slice per CPU, in order, whose sizes differ by at
+    most one, and ``threads.map`` computes them, the first in the calling
+    thread; each slice finds its own runs.  Problems with a callable
+    component are computed in the calling thread.
     """
     stack = problem.quadratic_stack
     if stack is None:
         for i in indices:
             out[i] = problem.components[i].grad(x)
         return
-    runs = _runs(indices)
-    if (runs and threads is not None and threads.shares > 1  # float64 matrices:
-            and 8 * problem.dimension ** 2 * len(indices) >= _SPLIT_BYTES):
+    size = len(indices)
+    if threads is not None and 8 * problem.dimension ** 2 * size >= _SPLIT_BYTES:  # float64
+        parts = min(threads.shares, size)
         threads.map(functools.partial(_quadratic_grads, stack, x, out),
-                    _shares(runs, threads.shares))
+                    [indices[size * j // parts:size * (j + 1) // parts] for j in range(parts)])
     else:
-        _quadratic_grads(stack, x, out, runs)
+        _quadratic_grads(stack, x, out, indices)
 
 
 def _runs(indices) -> list[list[int]]:
@@ -459,30 +465,11 @@ def _runs(indices) -> list[list[int]]:
     return runs
 
 
-def _shares(runs: list, count: int) -> list[list[tuple[int, int]]]:
-    """The rows of the nonempty ``runs`` cut, in order and in one pass, into
-    at most ``count`` nonempty shares whose row counts differ by at most one."""
-    total = sum(hi - lo for lo, hi in runs)
-    count = min(count, total)
-    shares, share, placed = [], [], 0
-    stop = total // count  # rows placed when the current share is full
-    for lo, hi in runs:
-        while lo < hi:
-            cut = min(hi, lo + stop - placed)
-            share.append((lo, cut))
-            placed, lo = placed + cut - lo, cut
-            if placed == stop:
-                shares.append(share)
-                share = []
-                stop = total * (len(shares) + 1) // count
-    return shares
-
-
-def _quadratic_grads(stack: tuple, x: Array, out: Array, runs) -> None:
-    """``out[lo:hi] = A[lo:hi] @ x + b[lo:hi]`` for each ``(lo, hi)`` of ``runs``.
-    Worker threads run this: it calls only numpy."""
+def _quadratic_grads(stack: tuple, x: Array, out: Array, indices) -> None:
+    """``out[lo:hi] = A[lo:hi] @ x + b[lo:hi]`` for each run ``[lo, hi)`` of
+    ``_runs(indices)``.  Worker threads run this: it calls only numpy."""
     A, b, _ = stack
-    for lo, hi in runs:
+    for lo, hi in _runs(indices):
         if hi - lo <= _DOT_ROWS:
             for i in range(lo, hi):
                 np.dot(A[i], x, out=out[i])
@@ -504,8 +491,8 @@ def _cpu_count() -> int:
 class RowThreads:
     """The process's one thread pool: the calling thread and a worker per
     further CPU it may run on (``_cpu_count``), so none with one CPU.
-    ``map`` is its one way to hand out work: the row kernel's shares, the
-    component build's blocks and the sidecar digest.
+    ``map`` is its one way to hand out work: the row kernel's index slices,
+    the component build's blocks and the sidecar digest.
 
     The workers start when a call first shares out its work, and ``close``,
     or the end of a ``with`` block, joins them; ``solve``, ``reference_fbs``
@@ -907,13 +894,14 @@ def load_problem(path) -> Problem:
     stack; otherwise ``problem_from_dict`` reads the JSON text.  Text that
     is not JSON raises ``json.JSONDecodeError``, a ValueError.
 
-    For a stack of more than one block (see ``_block_rows``) the digest and
-    the check that the arrays fit together are the first item of the
-    build's ``RowThreads.map``: the calling thread takes them once it has
-    queued the blocks, while the workers check the blocks and give them
-    their eigenvalues, or before the blocks on one CPU.  That build counts
-    only once the item passes: otherwise it is dropped, with any error it
-    raised, before the JSON text is parsed.
+    The digest and the check that the arrays fit together are the build's
+    first item (see ``_build_quadratics``): for a stack of more than one
+    block the calling thread takes them once it has queued the blocks,
+    while the workers check the blocks and give them their eigenvalues;
+    on one CPU, or for one block, they come before the blocks.  That build
+    counts only once the item passes: otherwise it is dropped, with any
+    error it raised, before the JSON text is parsed.  A sidecar whose
+    dimension is not an integer is not used.
     """
     try:
         # A plain .npy raises TypeError (no context manager), an empty file EOFError.
@@ -921,17 +909,13 @@ def load_problem(path) -> Problem:
         with open(_sidecar_path(path), "rb") as fh, np.load(fh, allow_pickle=False) as z:
             expected, meta = str(z["sha256"]), json.loads(str(z["meta"]))
             stack = z["A"], z["b"], z["c0"]
-        n, d, nonsmooth = len(stack[2]), meta["dimension"], meta["nonsmooth"]
+        n, d, nonsmooth = len(stack[2]), operator.index(meta["dimension"]), meta["nonsmooth"]
         usable = functools.partial(_check_sidecar, path, expected, stack, d)
-        # Beside a stack of one block, the check would be a second item: a thread.
-        first = (usable,) if n > _block_rows(d) else ()
     except _UNUSABLE_SIDECAR:
         pass
     else:
         try:
-            if not first:
-                usable()
-            return Problem(_build_quadratics(n, d, stack=stack, first=first),
+            return Problem(_build_quadratics(n, d, stack=stack, first=(usable,)),
                            nonsmooth_from_dict(nonsmooth), d)
         except _Unusable:
             pass

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .delay import DelaySchedule, GradientTable, StepWindow, next_refresh_set
-from .model import Problem, RowThreads, as_vector, eval_F, grad_f, smoothness_totals
+from .model import INTEGER, Problem, RowThreads, as_vector, eval_F, grad_f, smoothness_totals
 from .prox import prox, prox_residual
 
 Array = np.ndarray
@@ -147,6 +147,9 @@ class SolverConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
+        for name in ("max_iters", "trace_every", "check_every"):
+            if not INTEGER.test(value := getattr(self, name)):
+                raise ValueError(f"{name} must be {INTEGER.text}, got {value!r}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if not self.prox_residual_tol >= 0:

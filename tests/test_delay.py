@@ -161,6 +161,22 @@ def test_schedule_from_dict_accepts_numpy_integers():
     assert sched == DelaySchedule("uniform_random", tau=3, seed=7)
     assert type(sched.tau) is int and type(sched.seed) is int
 
+
+@pytest.mark.parametrize("field, kind, value", [
+    ("tau", "none", 1.5), ("tau", "none", True), ("tau", "none", None),
+    ("block", "cyclic", 2.5), ("block", "cyclic", True),
+    ("seed", "uniform_random", 1.5), ("seed", "uniform_random", False),
+])
+def test_schedule_rejects_non_integer_counts(field, kind, value):
+    spec = {"tau": 1, "block": 2, "seed": 3, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        DelaySchedule(kind, **spec)
+
+
+def test_schedule_accepts_numpy_integers():
+    sched = DelaySchedule("cyclic", tau=np.int64(1), block=np.int32(2), seed=np.uint8(3))
+    assert next_refresh_set(sched, 1, 4).tolist() == [2, 3]
+
 # ---------------------------------------------------------------- gradient table
 
 

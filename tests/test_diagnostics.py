@@ -300,6 +300,14 @@ def test_fit_rate_validation():
         fit_rlinear_rate([1.0] * 10 + [0.0] * 10, 0.0, skip=0)
 
 
+@pytest.mark.parametrize("limit", [None, 0.0])
+@pytest.mark.parametrize("ks", [[5], list(range(21))], ids=["short", "long"])
+def test_fit_rate_rejects_ks_of_another_length(limit, ks):
+    values = 2.0 ** -np.arange(20.0)
+    with pytest.raises(ValueError, match=f"ks holds {len(ks)} iteration indices for 20 values"):
+        fit_rlinear_rate(values, limit, 0, ks=ks)
+
+
 # ---------------------------------------------------------------- step recursion
 
 

@@ -961,6 +961,13 @@ def _rewrite_sidecar(path, **members):
         np.savez(fh, **arrays)
 
 
+def _sidecar_meta(path, dimension):
+    """The sidecar's meta text with its dimension replaced."""
+    with np.load(path) as z:
+        meta = json.loads(str(z["meta"]))
+    return np.array(json.dumps({**meta, "dimension": dimension}))
+
+
 def _write_npy(path):
     with open(path, "wb") as fh:
         np.save(fh, np.zeros(3))
@@ -974,7 +981,10 @@ def _write_npy(path):
     _write_npy,
     lambda s: _rewrite_sidecar(s, A=np.zeros((3, 4, 3))),
     lambda s: _rewrite_sidecar(s, meta=np.array("[]")),
-], ids=["missing", "truncated", "garbage", "empty", "plain-npy", "wrong-shape", "bad-meta"])
+    lambda s: _rewrite_sidecar(s, meta=_sidecar_meta(s, "4")),
+    lambda s: _rewrite_sidecar(s, meta=_sidecar_meta(s, 4.0)),
+], ids=["missing", "truncated", "garbage", "empty", "plain-npy", "wrong-shape", "bad-meta",
+        "text-dimension", "float-dimension"])
 def test_unusable_sidecar_falls_back_to_the_json(tmp_path, damage):
     path = tmp_path / "problem.json"
     save_problem(_sidecar_case(NonsmoothTerm.l1(0.3)), path)

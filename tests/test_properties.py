@@ -17,8 +17,8 @@ one vector; so is the prox residual of a stack.  The rate fit, left to choose
 its limit, gives bitwise the rate, r² and limit of the CLI's former record
 selection.  The gradient row kernel writes bitwise each component's own
 gradient for every kind of index set, whether its rows are shared out
-across threads or not, and cuts its rows into the same shares as its former
-cut did.
+across threads or not, and hands the threads the same shares of rows as
+its former cut did.
 """
 
 import math
@@ -26,7 +26,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piag import (DelaySchedule, SolverConfig, check_sufficient_descent,
@@ -403,10 +403,7 @@ def gradient_rows(draw):
     n = draw(st.integers(1, 9))
     d = draw(st.sampled_from([1, 2, 7, 40]))
     seed = draw(st.integers(0, 2**16))
-    try:
-        problem = make_quadratic_l1(n, d, seed, lam=0.0)
-    except RuntimeError:  # e.g. 2 x 40: no strongly convex sum in 100 draws
-        assume(False)
+    problem = make_quadratic_l1(n, d, seed, lam=0.0)
     comps = list(problem.components)
     build = draw(st.sampled_from(["rows", "copied", "callable"]))
     if build == "copied":
@@ -454,7 +451,8 @@ def test_row_kernel_rows_are_the_component_gradients_bit_for_bit(case):
 
 
 def _former_shares(runs, count):
-    """``model._shares`` as it was, one pass over the runs for each share."""
+    """The former cut of a refresh's ``runs`` into at most ``count`` shares, at
+    row bounds ``total * j // count``: one pass over the runs for each share."""
     total = sum(hi - lo for lo, hi in runs)
     count = min(count, total)
     bounds = [total * j // count for j in range(count + 1)]
@@ -470,20 +468,41 @@ def _former_shares(runs, count):
     return shares
 
 
+@st.composite
+def refresh_sets(draw):
+    """A component count and one of the index sets a refresh takes."""
+    n = draw(st.integers(1, 40))
+    start, length = draw(st.integers(0, n - 1)), draw(st.integers(1, n))
+    shape = draw(st.sampled_from(["full", "contiguous", "wrapped", "scattered", "empty"]))
+    indices = {"full": range(n),
+               "contiguous": range(start, min(start + length, n)),
+               "wrapped": [(start + j) % n for j in range(length)],
+               "scattered": sorted(set(draw(st.lists(st.integers(0, n - 1), max_size=n)))),
+               "empty": []}[shape]
+    return n, indices
+
+
 @settings(max_examples=500, deadline=None, derandomize=True)
-@given(st.lists(st.integers(1, 40), min_size=1, max_size=25).flatmap(
-    lambda sizes: st.tuples(st.just(sizes), st.lists(st.integers(0, 3), min_size=len(sizes),
-                                                     max_size=len(sizes)))),
-       st.integers(1, 5))
-def test_shares_cut_in_one_pass_are_the_former_shares(runs_drawn, count):
-    """Runs of the drawn lengths, separated by the drawn gaps (a gap of 0
-    joins two runs, as ``_runs`` never does), cut into at most ``count``
-    shares."""
-    runs, lo = [], 0
-    for size, gap in zip(*runs_drawn):
-        runs.append([lo + gap, lo + gap + size])
-        lo += gap + size
-    assert model._shares(runs, count) == _former_shares(runs, count)
+@given(refresh_sets(), st.integers(1, 5))
+def test_refresh_slices_are_the_former_shares(case, cpus):
+    """The items ``_component_grads`` hands ``RowThreads.map`` hold the rows
+    of the shares that ``_former_shares`` cuts from the set's runs."""
+    n, indices = case
+    problem = Problem([quadratic_component(np.eye(1), [0.0])] * n, NonsmoothTerm.zero(), 1)
+    handed, original = [], model.RowThreads.map
+
+    def recording(threads, fn, items):
+        items = list(items)
+        handed.extend(list(item) for item in items)
+        return original(threads, fn, items)
+
+    with mock.patch.object(model, "_SPLIT_BYTES", 0), \
+            mock.patch.object(model.os, "sched_getaffinity", lambda pid: set(range(cpus))), \
+            mock.patch.object(model.RowThreads, "map", recording), model.RowThreads() as threads:
+        model._component_grads(problem, np.ones(1), indices, np.empty((n, 1)), threads)
+    runs = model._runs(indices)
+    shares = _former_shares(runs, cpus) if runs else []
+    assert handed == [[i for lo, hi in share for i in range(lo, hi)] for share in shares]
 
 
 @st.composite

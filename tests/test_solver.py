@@ -312,6 +312,20 @@ def test_config_rejects_out_of_range_settings():
             base_config(np.zeros(2), **bad)
 
 
+@pytest.mark.parametrize("field", ["max_iters", "trace_every", "check_every"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True])
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        base_config(np.zeros(2), **{field: value})
+
+
+def test_config_accepts_numpy_integer_counts():
+    p = Problem([quadratic_component(np.eye(2), np.zeros(2))], NonsmoothTerm.zero(), 2)
+    cfg = base_config(np.ones(2), max_iters=np.int64(3), trace_every=np.int32(1),
+                      check_every=np.uint16(2), prox_residual_tol=0.0)
+    assert solve(p, cfg).iterations == 3
+
+
 @pytest.mark.parametrize("runner", [solve, reference_fbs])
 def test_objective_evaluated_at_most_once_per_iterate(monkeypatch, runner):
     # The loop reads F only at checks and records, at most once per iterate;
