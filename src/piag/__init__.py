@@ -1,7 +1,7 @@
 """Incremental aggregated proximal gradient solver with convergence
 diagnostics for nonconvex composite minimization."""
 
-from .delay import DelaySchedule, GradientTable, next_refresh_set, schedule_from_dict
+from .delay import DelaySchedule, GradientTable, next_refresh_set
 from .diagnostics import (InequalityReport, RateFit, characteristic_root,
                           check_delayed_recursion_rate,
                           check_perturbed_contraction,
@@ -37,7 +37,6 @@ __all__ = [
     "make_quadratic_l1", "next_refresh_set", "piag_step", "prox",
     "prox_residual", "quadratic_component", "rate_constants",
     "reference_fbs", "reference_solution", "resolve_stepsize",
-    "save_problem", "schedule_from_dict", "smoothness_totals",
-    "soft_threshold", "solve", "squared_step_norms", "stepsize_threshold",
-    "trace_from_iterates",
+    "save_problem", "smoothness_totals", "soft_threshold", "solve",
+    "squared_step_norms", "stepsize_threshold", "trace_from_iterates",
 ]

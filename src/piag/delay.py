@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import INTEGER, TEXT, Problem, RowThreads, _component_grads, as_vector, check_fields
+from .model import INTEGER, TEXT, Problem, RowThreads, _component_grads, as_vector
 
 Array = np.ndarray
 
@@ -74,24 +74,6 @@ def min_cyclic_block(n_components: int, tau: int) -> int:
 
 
 SCHEDULE_FIELDS = {"kind": TEXT, "tau": INTEGER, "block": INTEGER, "seed": INTEGER}
-
-
-def schedule_from_dict(obj: dict, default_tau: int | None = None,
-                       default_seed: int | None = None) -> DelaySchedule:
-    """Parse a schedule spec like ``{"kind": "cyclic", "block": 2, "tau": 5}``.
-
-    ``tau`` and ``seed`` fall back to the given defaults when absent.
-    """
-    check_fields(obj, SCHEDULE_FIELDS, ("kind",), "schedule")
-    tau = obj.get("tau", default_tau)
-    if tau is None:
-        raise ValueError("schedule spec needs 'tau' (given neither inline nor as default)")
-    return DelaySchedule(
-        kind=obj["kind"],
-        tau=int(tau),
-        block=int(obj["block"]) if "block" in obj else None,
-        seed=int(obj["seed"]) if "seed" in obj else default_seed,
-    )
 
 
 def next_refresh_set(schedule: DelaySchedule, k: int, n_components: int,
@@ -243,7 +225,6 @@ class GradientTable(StepWindow):
         _component_grads(problem, x0, range(problem.n_components), self.entries, threads)
         self.ages = np.zeros(problem.n_components, dtype=int)
         self.refreshed = False
-        self._start = problem, x0.tobytes()  # where every entry was just evaluated
 
     def refresh_and_aggregate(self, problem: Problem, x, refresh_set) -> Array:
         """Re-evaluate the given components at ``x`` and return the aggregate,
@@ -260,17 +241,12 @@ class GradientTable(StepWindow):
         listed = indices.tolist()  # min and max of a short list beat the array's
         if listed and (min(listed) < 0 or max(listed) >= len(self.entries)):
             raise ValueError("refresh set contains an out-of-range component index")
+        _component_grads(problem, x, listed, self.entries, self.threads)
         ages = self.ages
         if self.refreshed:
-            _component_grads(problem, x, listed, self.entries, self.threads)
             ages += 1
             ages[indices] = 0
-        else:
-            # Every entry was just evaluated at the start point with age 0.  At
-            # bitwise that point a refreshed row would come out the same.
-            if problem is not self._start[0] or x.tobytes() != self._start[1]:
-                _component_grads(problem, x, listed, self.entries, self.threads)
-            self.refreshed, self._start = True, None
+        self.refreshed = True
         if ages.max() > self.tau:
             worst = int(np.argmax(ages))
             raise RuntimeError(f"delay bound violated: component {worst} reached "

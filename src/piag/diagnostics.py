@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Problem, eval_F
+from .model import INTEGER, Problem, as_real, eval_F
 from .solver import TheoryConstants, Trace
 
 Array = np.ndarray
@@ -270,8 +270,12 @@ def fit_rlinear_rate(values, limit: float | None, skip: int = 0, ks=None) -> Rat
     strictly positive and at least 10 points must remain after the skip.
     """
     v = np.asarray(values, dtype=float)
+    if not INTEGER.test(skip):
+        raise ValueError(f"transient skip must be {INTEGER.text}, got {skip!r}")
     if skip < 0:
         raise ValueError("transient skip must be nonnegative")
+    if limit is not None and not math.isfinite(as_real("limit", limit)):
+        raise ValueError(f"limit must be finite, got {limit!r}")
     ks = np.arange(len(v), dtype=float) if ks is None else np.asarray(ks, dtype=float)
     if len(ks) != len(v):
         raise ValueError(f"ks holds {len(ks)} iteration indices for {len(v)} values")

@@ -64,6 +64,13 @@ def as_vector(x, dim: int | None = None) -> Array:
     return v
 
 
+def as_real(name: str, value) -> float:
+    """``value`` as a float: a real number, numpy's included, but not a bool."""
+    if not REAL.test(value):
+        raise ValueError(f"{name} must be {REAL.text}, got {value!r}")
+    return float(value)
+
+
 def _as_points(x, dim: int) -> Array:
     """Coerce a point (see ``as_vector``) or a (K, dim) stack to a C-contiguous float stack."""
     v = np.asarray(x, dtype=float)
@@ -252,8 +259,16 @@ class NonsmoothTerm:
     def __post_init__(self):
         if self.kind not in _NONSMOOTH_KINDS:
             raise ValueError(f"unknown nonsmooth kind {self.kind!r}")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
+        if not (math.isfinite(as_real("lam", self.lam)) and self.lam >= 0):
             raise ValueError("l1 weight must be a finite nonnegative number")
+        if self.kind in ("zero", "box") and self.lam != 0:
+            raise ValueError(f"kind {self.kind!r} takes no l1 weight, got lam={self.lam!r}")
+        for name, bound in (("lo", self.lo), ("hi", self.hi)):
+            if bound is None:
+                continue
+            if self.kind in ("zero", "l1"):
+                raise ValueError(f"kind {self.kind!r} takes no box bounds, got {name}={bound!r}")
+            _bound(name, bound)  # a real number or a vector of them, no bool
         if self.kind in ("box", "box_plus_l1"):
             if self.lo is None or self.hi is None:
                 raise ValueError(f"kind {self.kind!r} requires lo and hi bounds")
@@ -271,15 +286,16 @@ class NonsmoothTerm:
 
     @classmethod
     def l1(cls, lam: float) -> "NonsmoothTerm":
-        return cls(kind="l1", lam=float(lam))
+        return cls(kind="l1", lam=as_real("lam", lam))
 
     @classmethod
     def box(cls, lo, hi) -> "NonsmoothTerm":
-        return cls(kind="box", lo=_bound(lo), hi=_bound(hi))
+        return cls(kind="box", lo=_bound("lo", lo), hi=_bound("hi", hi))
 
     @classmethod
     def box_plus_l1(cls, lo, hi, lam: float) -> "NonsmoothTerm":
-        return cls(kind="box_plus_l1", lo=_bound(lo), hi=_bound(hi), lam=float(lam))
+        return cls(kind="box_plus_l1", lo=_bound("lo", lo), hi=_bound("hi", hi),
+                   lam=as_real("lam", lam))
 
     def value(self, x) -> float | Array:
         """Evaluate the term at a point, or at each row of a (K, d) stack of
@@ -301,9 +317,13 @@ class NonsmoothTerm:
         return out
 
 
-def _bound(v):
-    """Normalize a box bound to a float scalar or a float vector."""
-    arr = np.asarray(v, dtype=float)
+def _bound(name: str, v):
+    """Normalize the box bound ``name``, a real number or a vector of them and
+    no bool, to a float scalar or a float vector."""
+    arr = v if isinstance(v, np.ndarray) else np.asarray(v, dtype=object)
+    if arr.dtype.kind not in "iufO" or arr.dtype == object and not all(map(REAL.test, arr.flat)):
+        raise ValueError(f"{name} must be {REAL.text} or a vector of them, got {_shown(v)}")
+    arr = arr.astype(float)
     if arr.ndim == 0:
         return float(arr)
     return as_vector(arr)
@@ -663,6 +683,7 @@ def _is_numbers(value) -> bool:
 
 NUMBER = Kind("a number", _is_number)
 INTEGER = Kind("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool))
+REAL = Kind("a real number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool))
 SWITCH = Kind("true or false", lambda v: isinstance(v, bool))
 TEXT = Kind("a string", lambda v: isinstance(v, str))
 NUMBERS = Kind("a list of numbers", _is_numbers)
@@ -721,8 +742,8 @@ def nonsmooth_from_dict(obj: dict) -> NonsmoothTerm:
         fields.update(lo=_BOUND, hi=_BOUND)
     check_fields(obj, fields, fields.keys() - {"lambda"}, "nonsmooth")  # lambda defaults to 0
     return NonsmoothTerm(kind, lam=float(obj.get("lambda", 0.0)),
-                         lo=_bound(obj["lo"]) if "lo" in obj else None,
-                         hi=_bound(obj["hi"]) if "hi" in obj else None)
+                         lo=_bound("lo", obj["lo"]) if "lo" in obj else None,
+                         hi=_bound("hi", obj["hi"]) if "hi" in obj else None)
 
 
 def problem_to_dict(problem: Problem) -> dict:

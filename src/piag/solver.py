@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .delay import DelaySchedule, GradientTable, StepWindow, next_refresh_set
-from .model import INTEGER, Problem, RowThreads, as_vector, eval_F, grad_f, smoothness_totals
+from .model import (INTEGER, Problem, RowThreads, as_real, as_vector, eval_F, grad_f,
+                    smoothness_totals)
 from .prox import prox, prox_residual
 
 Array = np.ndarray
@@ -101,7 +102,7 @@ def rate_constants(L: float, l: float, tau: int, c0: float) -> TheoryConstants:
     The cap ``c8 = min(step_threshold, 1/(2 c5 + 2 c7), 1/L)`` never exceeds
     ``1/L`` or the descent threshold.
     """
-    if not c0 > 0:
+    if not (c0 := as_real("c0", c0)) > 0:  # a float, so numpy's precision does not carry over
         raise ValueError("error-bound constant c0 must be positive")
     threshold = stepsize_threshold(L, l, tau)  # validates L, l, tau
     L_bar = L * (tau + 1) / 2.0
@@ -150,13 +151,15 @@ class SolverConfig:
         for name in ("max_iters", "trace_every", "check_every"):
             if not INTEGER.test(value := getattr(self, name)):
                 raise ValueError(f"{name} must be {INTEGER.text}, got {value!r}")
+        if not isinstance(self.alpha, str):
+            as_real("alpha", self.alpha)
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if not self.prox_residual_tol >= 0:
+        if not as_real("prox_residual_tol", self.prox_residual_tol) >= 0:
             raise ValueError("prox_residual_tol must be a nonnegative number")
         if self.trace_every < 1 or self.check_every < 1:
             raise ValueError("trace_every and check_every must be positive")
-        if self.c0 is not None and not (self.c0 > 0 and math.isfinite(self.c0)):
+        if self.c0 is not None and not (as_real("c0", self.c0) > 0 and math.isfinite(self.c0)):
             raise ValueError("error-bound constant c0 must be positive and finite")
 
 

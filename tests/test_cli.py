@@ -500,6 +500,24 @@ def test_config_cyclic_schedule_without_block_gets_default_block(l1_setup):
     assert _summary(out)["schedule"] == {"kind": "cyclic", "tau": 2, "block": 1}
 
 
+def test_config_schedule_takes_tau_and_seed_from_the_top_level(l1_setup):
+    problem, tmp = l1_setup
+    cfg = _write_config(tmp, {"schedule": {"kind": "uniform_random"}, "tau": 2, "seed": 7})
+    out = tmp / "run"
+    run(["solve", "--problem", problem, "--config", cfg, "--max-iters", "50",
+         "--out", str(out), "--quiet"])
+    assert _summary(out)["schedule"] == {"kind": "uniform_random", "tau": 2, "seed": 7}
+
+
+def test_config_schedule_with_an_unknown_field_is_bad_config(l1_setup, capsys):
+    problem, tmp = l1_setup
+    cfg = _write_config(tmp, {"schedule": {"kind": "none", "tau": 0, "rate": 1}})
+    rc = run(["solve", "--problem", problem, "--config", cfg, "--out", str(tmp / "x"),
+              "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == "piag: error: bad-config: schedule: unknown field(s) ['rate']\n"
+
+
 def test_compare_delays_out_of_range_setting_is_bad_config(l1_setup, capsys):
     problem, tmp = l1_setup
     rc = run(["compare-delays", "--problem", problem, "--tau-list", "0,2", "--tol", "nan",

@@ -300,6 +300,30 @@ def test_fit_rate_validation():
         fit_rlinear_rate([1.0] * 10 + [0.0] * 10, 0.0, skip=0)
 
 
+@pytest.mark.parametrize("limit", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_fit_rate_rejects_a_non_finite_limit(limit):
+    with pytest.raises(ValueError, match="limit must be finite"):
+        fit_rlinear_rate(2.0 ** -np.arange(20.0), limit)
+
+
+@pytest.mark.parametrize("limit", [True, "0", 1j])
+def test_fit_rate_rejects_a_limit_that_is_not_a_real_number(limit):
+    with pytest.raises(ValueError, match="limit must be a real number"):
+        fit_rlinear_rate(2.0 ** -np.arange(20.0), limit)
+
+
+@pytest.mark.parametrize("skip", [True, 2.5, 2.0, "2", None])
+def test_fit_rate_rejects_a_skip_that_is_not_an_integer(skip):
+    with pytest.raises(ValueError, match="transient skip must be an integer"):
+        fit_rlinear_rate(2.0 ** -np.arange(20.0), 0.0, skip)
+
+
+def test_fit_rate_accepts_numpy_integer_skip_and_floating_limit():
+    values = 2.0 ** -np.arange(20.0)
+    assert (fit_rlinear_rate(values, np.float32(0.0), np.int64(2))
+            == fit_rlinear_rate(values, 0.0, 2))
+
+
 @pytest.mark.parametrize("limit", [None, 0.0])
 @pytest.mark.parametrize("ks", [[5], list(range(21))], ids=["short", "long"])
 def test_fit_rate_rejects_ks_of_another_length(limit, ks):

@@ -174,6 +174,43 @@ def test_nonsmooth_validation():
         NonsmoothTerm(kind="spline")
 
 
+@pytest.mark.parametrize("kind, fields, name", [
+    ("zero", dict(lam=2.0), "lam"), ("box", dict(lam=0.7, lo=-1.0, hi=1.0), "lam"),
+    ("zero", dict(lo=-1.0), "lo"), ("zero", dict(hi=1.0), "hi"),
+    ("l1", dict(lam=1.0, lo=0.0, hi=1.0), "lo"), ("l1", dict(lam=1.0, hi=np.ones(2)), "hi"),
+])
+def test_nonsmooth_term_rejects_a_field_its_kind_does_not_use(kind, fields, name):
+    with pytest.raises(ValueError, match=f"kind '{kind}' takes no .*{name}="):
+        NonsmoothTerm(kind, **fields)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda v: NonsmoothTerm.l1(v), "lam"),
+    (lambda v: NonsmoothTerm("l1", lam=v), "lam"),
+    (lambda v: NonsmoothTerm.box_plus_l1(-1.0, 1.0, v), "lam"),
+    (lambda v: NonsmoothTerm.box(v, 2.0), "lo"),
+    (lambda v: NonsmoothTerm("box", lo=v, hi=2.0), "lo"),
+    (lambda v: NonsmoothTerm.box_plus_l1(-1.0, v, 0.5), "hi"),
+], ids=["l1", "l1-direct", "box_plus_l1-lam", "box-lo", "box-lo-direct", "box_plus_l1-hi"])
+@pytest.mark.parametrize("value", [True, np.True_, "1", 1j, {}], ids=repr)
+def test_nonsmooth_term_rejects_non_real_numbers(make, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a real number"):
+        make(value)
+
+
+@pytest.mark.parametrize("bound", [[True, 1.0], np.array([True, False]), [1.0, "2"], [[1.0], 2.0]],
+                         ids=["list-bool", "array-bool", "list-string", "nested"])
+def test_box_bound_vectors_hold_real_numbers(bound):
+    with pytest.raises(ValueError, match="hi must be a real number or a vector of them"):
+        NonsmoothTerm.box([-1.0, -1.0], bound)
+
+
+def test_nonsmooth_term_accepts_numpy_reals():
+    assert NonsmoothTerm.l1(np.float32(0.5)).lam == 0.5
+    term = NonsmoothTerm.box_plus_l1(np.int64(-1), np.array([1, 2]), np.float64(0.25))
+    assert (term.lo, term.hi.tolist(), term.lam) == (-1.0, [1.0, 2.0], 0.25)
+
+
 def test_nonsmooth_value_is_midpoint_convex():
     rng = np.random.default_rng(29)
     terms = [NonsmoothTerm.l1(0.7), NonsmoothTerm.box(-2.0, 2.0),

@@ -303,7 +303,9 @@ def point_stacks(draw):
             lo, hi = draw(st.sampled_from([-np.inf, -1.0])), draw(st.sampled_from([np.inf, 1.5]))
         else:
             lo, hi = rng.choice([-np.inf, -1.0, -2.5], d), rng.choice([np.inf, 1.0, 2.0], d)
-    nonsmooth = NonsmoothTerm(kind, lam=draw(st.floats(0.0, 2.0)), lo=lo, hi=hi)
+    lam = draw(st.floats(0.0, 2.0))  # drawn for every kind, so the examples stay the same
+    nonsmooth = NonsmoothTerm(kind, lam=lam if kind in ("l1", "box_plus_l1") else 0.0,
+                              lo=lo, hi=hi)
     k = draw(st.one_of(st.just(1), st.integers(1, 300)))  # 300 rows of 200 span two blocks
     points = draw(st.sampled_from([0.01, 1.0, 3.0])) * rng.standard_normal((k, d))
     return Problem(comps, nonsmooth, d), points

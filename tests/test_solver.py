@@ -319,6 +319,23 @@ def test_config_rejects_non_integer_counts(field, value):
         base_config(np.zeros(2), **{field: value})
 
 
+@pytest.mark.parametrize("field", ["alpha", "prox_residual_tol", "c0"])
+@pytest.mark.parametrize("value", [True, False, 1 + 0j, [0.5]],
+                         ids=["true", "false", "complex", "list"])
+def test_config_rejects_non_real_numbers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a real number"):
+        base_config(np.zeros(2), **{field: value})
+
+
+def test_config_accepts_numpy_floating_scalars():
+    p = Problem([quadratic_component(np.eye(2), np.zeros(2))], NonsmoothTerm.zero(), 2)
+    cfg = base_config(np.ones(2), alpha=np.float32(0.5), prox_residual_tol=np.float64(0.0),
+                      c0=np.float16(2.0), enforce_theory=True, max_iters=3)
+    plain = base_config(np.ones(2), alpha=0.5, prox_residual_tol=0.0, c0=2.0,
+                        enforce_theory=True, max_iters=3)
+    assert solve(p, cfg).records == solve(p, plain).records
+
+
 def test_config_accepts_numpy_integer_counts():
     p = Problem([quadratic_component(np.eye(2), np.zeros(2))], NonsmoothTerm.zero(), 2)
     cfg = base_config(np.ones(2), max_iters=np.int64(3), trace_every=np.int32(1),

@@ -2,7 +2,7 @@
 
     python3 tools/cli_matrix.py OUT [--src SRC]
 
-Runs about 58 commands, one after another, as ``python -m piag.cli`` child
+Runs about 62 commands, one after another, as ``python -m piag.cli`` child
 processes with ``OPENBLAS_NUM_THREADS=1``, importing ``piag`` from SRC (by
 default this checkout's ``src``).  The commands run in ``OUT/work`` with
 relative paths, so no output depends on where OUT is:
@@ -33,7 +33,12 @@ relative paths, so no output depends on where OUT is:
   problems, one with a ``zero`` term and one with a ``box_plus_l1`` term
   that has an infinite bound, since the generators make only ``l1`` and
   ``box``;
-- five malformed inputs.
+- ``solve --config`` on the l1 seed-1 problem: a run config whose
+  ``schedule.tau`` and ``schedule.seed`` win over its top-level ``tau`` and
+  ``seed``, and which sets ``max_iters``, ``tol`` and ``trace_every``; the same
+  config under ``--tau`` and ``--seed`` flags, which win over both; and a
+  config of ``alpha 0.5``, ``c0 2`` and ``enforce_theory``;
+- six malformed inputs, one of them a run config with ``schedule.block 1.5``.
 
 ``OUT/manifest.txt`` gets one line per command: the command, its exit code,
 and the SHA-256 of its stdout, of its stderr and of every file it wrote,
@@ -64,6 +69,14 @@ HAND_PROBLEMS = {
         "lambda": 0.3}, "components": [
         {"A": [1.0, -0.3, 0.0, -0.3, 0.8, 0.1, 0.0, 0.1, -0.4], "b": [2.0, -0.5, 1.0]},
         {"A": [0.5, 0.0, 0.0, 0.0, 1.2, 0.0, 0.0, 0.0, 0.6], "b": [-1.0, 0.0, 3.0]}]},
+}
+
+# Run configs, also written before the first command.
+CONFIGS = {
+    "config_schedule": {"tau": 1, "seed": 2, "max_iters": 400, "tol": 1e-6, "trace_every": 7,
+                        "schedule": {"kind": "uniform_random", "tau": 3, "seed": 5}},
+    "config_theory": {"tau": 3, "alpha": 0.5, "c0": 2, "enforce_theory": True},
+    "config_bad_block": {"tau": 2, "schedule": {"kind": "cyclic", "block": 1.5}},
 }
 
 
@@ -98,6 +111,12 @@ def commands() -> list[list[str]]:
          "--out", "l11/alpha1e300"],
         ["solve", "--problem", "l11/problem.json", "--max-iters", "0", "--out",
          "l11/max-iters0"],
+        ["solve", "--problem", "l11/problem.json", "--config", "config_schedule.json",
+         "--log-iterates", "--out", "l11/config"],
+        ["solve", "--problem", "l11/problem.json", "--config", "config_schedule.json",
+         "--tau", "2", "--seed", "9", "--log-iterates", "--out", "l11/config-flags"],
+        ["solve", "--problem", "l11/problem.json", "--config", "config_theory.json",
+         *SOLVE_ITERS, "--out", "l11/config-theory"],
         ["generate", "--family", "box", "--components", "2", "--dimension", "3",
          "--seed", "1", "--negative-curvature", "1", "--out", "box-stationary"],
         ["generate", "--family", "l1", "--components", "12", "--dimension", "96",
@@ -127,6 +146,8 @@ def commands() -> list[list[str]]:
         ["generate", "--family", "box", "--components", "2", "--dimension", "2",
          "--negative-curvature", "-1", "--out", "bad4"],
         ["verify", "--problem", "l11/problem.json", "--run", "missing-run"],
+        ["solve", "--problem", "l11/problem.json", "--config", "config_bad_block.json",
+         "--out", "bad5"],
     ]
     return cmds
 
@@ -158,9 +179,9 @@ def main() -> int:
     os.makedirs(work)
     with open(os.path.join(work, BAD_PROBLEM), "w") as fh:
         fh.write('{"dimension": 2, "components": [\n')
-    for name, problem in HAND_PROBLEMS.items():
+    for name, document in {**HAND_PROBLEMS, **CONFIGS}.items():
         with open(os.path.join(work, f"{name}.json"), "w") as fh:
-            json.dump(problem, fh)
+            json.dump(document, fh)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.abspath(args.src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
