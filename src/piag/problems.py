@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (NonsmoothTerm, Problem, _build_quadratics, _quadratic_values, as_vector,
-                    eval_F, smoothness_totals)
+from .model import (INTEGER, NonsmoothTerm, Problem, _build_quadratics, _quadratic_values,
+                    as_vector, eval_F, smoothness_totals)
 from .prox import prox_residual, soft_threshold
 
 Array = np.ndarray
@@ -65,11 +65,15 @@ def _quadratic_lower_bound(lam_min: float, sb: Array, const: float, radius: floa
     return min(phi(r) for r in candidates)
 
 
-def _check_generator_args(N: int, d: int, param: float, param_name: str) -> None:
+def _check_generator_args(N: int, d: int, seed: int, param: float, param_name: str) -> None:
     if not 1 <= d <= MAX_DIMENSION:
         raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}]")
     if not 1 <= N <= MAX_COMPONENTS:
         raise ValueError(f"component count must be in [1, {MAX_COMPONENTS}]")
+    if not INTEGER.test(seed):
+        raise ValueError(f"seed must be {INTEGER.text}, got {seed!r}")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     if not 0 <= param < math.inf:  # nan fails both comparisons
         kind = "nonnegative" if param < 0 else "a finite nonnegative number"
         raise ValueError(f"{param_name} must be {kind}")
@@ -97,7 +101,7 @@ def make_quadratic_box(N: int, d: int, seed: int,
     half-width scales with the linear terms so that interior stationary
     points stay reachable, and compactness bounds the objective below.
     """
-    _check_generator_args(N, d, negative_curvature, "negative_curvature")
+    _check_generator_args(N, d, seed, negative_curvature, "negative_curvature")
     comps = _draw_components(np.random.default_rng(seed), N, d, -negative_curvature)
     S, sb, const = comps.quadratic_sum
     lam_min = float(np.linalg.eigvalsh(S)[0])
@@ -115,7 +119,7 @@ def make_quadratic_l1(N: int, d: int, seed: int, lam: float) -> Problem:
     the spectrum of each component of the last draw is shifted up by an
     equal share of the missing margin.
     """
-    _check_generator_args(N, d, lam, "l1 weight")
+    _check_generator_args(N, d, seed, lam, "l1 weight")
     rng = np.random.default_rng(seed)
     eig_lo = 0.15 if N == 1 else -0.2
     nonsmooth = NonsmoothTerm.l1(lam)

@@ -23,6 +23,7 @@ from ``model``'s one row kernel.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -90,10 +91,12 @@ class TheoryConstants:
     step_threshold: float
 
     def contraction(self, alpha: float) -> float:
-        """Certified geometric factor ``1 / (1 + (L * alpha / c0)^2)``."""
+        """Certified geometric factor ``1 / (1 + (L * alpha / c0)^2)``, 0 when
+        the square exceeds the largest float."""
         if not alpha > 0:
             raise ValueError("stepsize must be positive")
-        return 1.0 / (1.0 + (self.L * alpha / self.c0) ** 2)
+        r = self.L * alpha / self.c0
+        return 1.0 / (1.0 + r * r)  # r ** 2 raises OverflowError
 
 
 def rate_constants(L: float, l: float, tau: int, c0: float) -> TheoryConstants:
@@ -102,8 +105,7 @@ def rate_constants(L: float, l: float, tau: int, c0: float) -> TheoryConstants:
     The cap ``c8 = min(step_threshold, 1/(2 c5 + 2 c7), 1/L)`` never exceeds
     ``1/L`` or the descent threshold.
     """
-    if not (c0 := as_real("c0", c0)) > 0:  # a float, so numpy's precision does not carry over
-        raise ValueError("error-bound constant c0 must be positive")
+    c0 = _checked_c0(c0)
     threshold = stepsize_threshold(L, l, tau)  # validates L, l, tau
     L_bar = L * (tau + 1) / 2.0
     l_bar = l * (tau + 1) / 2.0
@@ -124,6 +126,20 @@ def rate_constants(L: float, l: float, tau: int, c0: float) -> TheoryConstants:
         c1=c1, c2=c2, c3=c3, c4=c4, c5=c5, c6=c6, c7=c7, c8=c8,
         step_threshold=threshold,
     )
+
+
+def _checked_c0(c0) -> float:
+    """The error-bound constant ``c0`` as a float, so numpy's precision does
+    not carry over.  It must be positive and finite, and ``c0 * c0``, which
+    the rate constants divide by, a normal float: ``c0`` from about 1.5e-154
+    to 1.3e154."""
+    c0 = as_real("c0", c0)
+    if not (c0 > 0 and math.isfinite(c0)):
+        raise ValueError("error-bound constant c0 must be positive and finite")
+    if not sys.float_info.min <= c0 * c0 < math.inf:
+        raise ValueError(f"error-bound constant c0 must lie between about 1.5e-154 and "
+                         f"1.3e154, so that c0*c0 is a normal float, got {c0!r}")
+    return c0
 
 
 @dataclass
@@ -159,8 +175,8 @@ class SolverConfig:
             raise ValueError("prox_residual_tol must be a nonnegative number")
         if self.trace_every < 1 or self.check_every < 1:
             raise ValueError("trace_every and check_every must be positive")
-        if self.c0 is not None and not (as_real("c0", self.c0) > 0 and math.isfinite(self.c0)):
-            raise ValueError("error-bound constant c0 must be positive and finite")
+        if self.c0 is not None:
+            _checked_c0(self.c0)
 
 
 @dataclass

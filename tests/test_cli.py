@@ -56,6 +56,13 @@ def test_generate_rejects_a_non_finite_curvature(tmp_path, capsys, value):
     assert not (tmp_path / "g" / "problem.json").exists()
 
 
+def test_generate_with_a_negative_seed_names_the_seed(tmp_path, capsys):
+    assert run(["generate", "--family", "l1", "--components", "2", "--dimension", "2",
+                "--seed", "-1", "--out", str(tmp_path / "g"), "--quiet"]) == 1
+    assert capsys.readouterr().err == "piag: error: bad-input: seed must be nonnegative\n"
+    assert not (tmp_path / "g" / "problem.json").exists()
+
+
 def test_generate_l1_with_few_large_components(tmp_path, capsys):
     # Seed 15 draws no strongly convex sum in 100 attempts at 2 x 40.
     out = tmp_path / "g"
@@ -609,6 +616,22 @@ def test_c0_out_of_range_stops_the_run_before_it_writes(l1_setup, capsys, flags)
     assert rc == 1
     assert capsys.readouterr().err == (
         "piag: error: bad-config: error-bound constant c0 must be positive and finite\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", [[], ["--alpha", "auto_c8"]], ids=["lemma2", "c8"])
+@pytest.mark.parametrize("c0", ["1e-155", "1e-170", "5e-324", "1e155"])
+def test_c0_whose_square_is_not_a_normal_float_stops_the_run_before_it_writes(
+        l1_setup, capsys, alpha, c0):
+    # 1e-155 overflowed (L alpha / c0) ** 2 after trace.csv was written, and
+    # 1e-170 divided by c0 * c0, which underflows to 0.
+    problem, tmp = l1_setup
+    out = tmp / "run"
+    rc = run(["solve", "--problem", problem, *alpha, "--c0", c0, "--out", str(out), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "piag: error: bad-config: error-bound constant c0 must lie between about 1.5e-154 and "
+        f"1.3e154, so that c0*c0 is a normal float, got {float(c0)!r}\n")
     assert not out.exists()
 
 

@@ -1,7 +1,9 @@
 """Damage one file of a finished run directory and run every command that
 reads it: the CLI must keep its exit-code contract, report an input error
 under the damaged file's own code, never pass a log it should reject, and
-reject a JSON value whose kind its reader's field table does not allow."""
+reject a JSON value whose kind its reader's field table does not allow.
+Give every float flag a number at the edge of the float range: the CLI
+must keep the same contract."""
 
 import contextlib
 import io
@@ -157,3 +159,44 @@ def test_damaged_run_file_is_reported_under_its_own_code(run_dir, name, data):
                 assert _accepted_log_is_clean(path)
             if rc == 0 and command == "rate" and name == "trace.csv":
                 assert all(math.isfinite(float(row[1])) for row in _rows(path))
+
+
+# Float texts at the edges of the float range: the smallest subnormal, a
+# subnormal, numbers whose square underflows or overflows, the largest
+# powers of ten, and both zeros.
+_EXTREMES = ["5e-324", "1e-320", "1e-170", "1e-155", "1e154", "1e308", "-0.0", "0"]
+_SOLVE = ["solve", "--problem", "{run}/problem.json", "--max-iters", "20", "--out", "{out}"]
+_COMPARE = ["compare-delays", "--problem", "{run}/problem.json", "--tau-list", "0,1",
+            "--max-iters", "20", "--out", "{out}"]
+_GENERATE = ["generate", "--components", "4", "--dimension", "3", "--seed", "1", "--out", "{out}"]
+# Each float flag of the CLI, with {text} as its value: each entry of the
+# 3-d --x0, and --c0 both alone and with --alpha auto_c8.
+_FLOAT_FLAGS = {
+    "solve-alpha": _SOLVE + ["--alpha={text}"],
+    "solve-tol": _SOLVE + ["--tol={text}"],
+    "solve-c0": _SOLVE + ["--c0={text}"],
+    "solve-c0-auto_c8": _SOLVE + ["--alpha", "auto_c8", "--c0={text}"],
+    **{f"solve-x0[{i}]": _SOLVE + ["--x0=" + ",".join(["0"] * i + ["{text}"] + ["0"] * (2 - i))]
+       for i in range(3)},
+    "compare-tol": _COMPARE + ["--tol={text}"],
+    "compare-x0[0]": _COMPARE + ["--x0={text},0,0"],
+    "rate-limit-value": ["rate", "--run", "{run}", "--limit-value={text}"],
+    "generate-l1-weight": _GENERATE + ["--family", "l1", "--l1-weight={text}"],
+    "generate-negative-curvature": _GENERATE + ["--family", "box",
+                                                "--negative-curvature={text}"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_FLOAT_FLAGS))
+@pytest.mark.parametrize("text", _EXTREMES)
+def test_an_extreme_float_in_any_flag_keeps_the_exit_code_contract(run_dir, tmp_path, text,
+                                                                   flag):
+    command = [arg.format(run=run_dir, out=tmp_path / "out", text=text)
+               for arg in _FLOAT_FLAGS[flag]] + ["--quiet"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(command)  # an exception that would print a traceback raises here
+    err = err.getvalue()
+    assert rc in range(5), (command, err)
+    assert rc != 1 or err.startswith("piag: error: "), (command, err)
+    assert "Traceback" not in err, (command, err)

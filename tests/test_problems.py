@@ -102,6 +102,18 @@ def test_box_generator_needs_a_finite_nonnegative_curvature(value):
         make_quadratic_box(3, 2, seed=1, negative_curvature=value)
 
 
+@pytest.mark.parametrize("make", [lambda seed: make_quadratic_l1(3, 2, seed, lam=0.1),
+                                  lambda seed: make_quadratic_box(3, 2, seed)],
+                         ids=["l1", "box"])
+@pytest.mark.parametrize("seed, message", [(-1, "seed must be nonnegative"),
+                                           (2.5, "seed must be an integer, got 2.5"),
+                                           (True, "seed must be an integer, got True")])
+def test_generators_name_a_bad_seed(make, seed, message):
+    # numpy's own messages ("expected non-negative integer") named no field.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(seed)
+
+
 def test_box_generator_builds_at_a_large_negative_curvature():
     # The builder's symmetry check is absolute (1e-12), so the generator has
     # to hand it matrices that are symmetric already: at eigenvalues near

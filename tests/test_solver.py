@@ -121,6 +121,29 @@ def test_constants_validation():
         rate_constants(1.0, 0.0, 1, 0.0)
 
 
+@pytest.mark.parametrize("c0", [1e-155, 1e-170, 5e-324, 1.49e-154, 1.35e154, 1e300, math.inf])
+def test_constants_refuse_a_c0_whose_square_is_not_a_normal_float(c0):
+    # 1e-170 divided by zero: c0 * c0 underflows.
+    with pytest.raises(ValueError, match="c0"):
+        rate_constants(3.0, 1.0, 2, c0)
+    with pytest.raises(ValueError, match="c0"):
+        base_config(np.zeros(2), c0=c0)
+
+
+@pytest.mark.parametrize("tau", [0, 2])
+@pytest.mark.parametrize("c0", [1.5e-154, 1.3e154])
+def test_constants_at_the_ends_of_the_c0_range_raise_nothing(tau, c0):
+    tc = rate_constants(3.0, 1.0, tau, c0)
+    assert 0.0 <= tc.c8 <= tc.step_threshold
+    for alpha in (1e-300, 1e-3, 1e300):
+        assert 0.0 <= tc.contraction(alpha) <= 1.0
+
+
+def test_contraction_of_a_huge_step_is_zero():
+    # (L * alpha / c0) ** 2 raised OverflowError.
+    assert rate_constants(3.0, 1.0, 2, 1.0).contraction(1e300) == 0.0
+
+
 # ---------------------------------------------------------------- piag_step
 
 
