@@ -224,7 +224,6 @@ def _value_separation(ref) -> float | None:
 
 def cmd_generate(args) -> int:
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     seed = args.seed if args.seed is not None else 0
     if args.family == "box":
         problem = problems.make_quadratic_box(args.components, args.dimension, seed,
@@ -232,6 +231,7 @@ def cmd_generate(args) -> int:
     else:
         problem = problems.make_quadratic_l1(args.components, args.dimension, seed,
                                              lam=args.l1_weight)
+    os.makedirs(out_dir, exist_ok=True)  # only once the generator has taken its arguments
     problem_path = os.path.join(out_dir, "problem.json")
     save_problem(problem, problem_path)
     L, l = smoothness_totals(problem)

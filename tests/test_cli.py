@@ -63,6 +63,19 @@ def test_generate_with_a_negative_seed_names_the_seed(tmp_path, capsys):
     assert not (tmp_path / "g" / "problem.json").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "seed must be nonnegative"),
+    ("--components", "0", "component count must be in [1, 100]"),
+    ("--dimension", "201", "dimension must be in [1, 200]"),
+])
+def test_a_refused_generate_leaves_no_out_directory(tmp_path, capsys, flag, value, message):
+    args = {"--components": "2", "--dimension": "2", "--seed": "1", flag: value}
+    assert run(["generate", "--family", "l1", *[v for kv in args.items() for v in kv],
+                "--out", str(tmp_path / "g"), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"piag: error: bad-input: {message}\n"
+    assert not (tmp_path / "g").exists()
+
+
 def test_generate_l1_with_few_large_components(tmp_path, capsys):
     # Seed 15 draws no strongly convex sum in 100 attempts at 2 x 40.
     out = tmp_path / "g"

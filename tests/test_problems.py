@@ -9,7 +9,7 @@ from piag import (DelaySchedule, NonsmoothTerm, Problem, SolverConfig,
                   dist_to_stationary, eval_F, fit_error_bound_constant,
                   prox, prox_residual, quadratic_component, reference_fbs,
                   reference_solution, smoothness_totals, solve)
-from piag.model import problem_to_dict
+from piag.model import problem_to_dict, sum_quadratics
 from piag.problems import (ReferenceSolution, ReferenceUnavailableError,
                            make_quadratic_box, make_quadratic_l1)
 
@@ -59,14 +59,21 @@ def test_l1_generator_sum_strongly_convex():
 
 def _redrawn_until_strongly_convex(N, d, seed):
     """The stack ``make_quadratic_l1`` returned before it shifted spectra: the
-    first of 100 draws whose sum reaches the margin, or None."""
-    from piag.problems import _draw_components
-
+    first of 100 draws whose sum reaches the margin, or None.  Each draw is
+    that of the generator: per component, eigenvalues uniform in [-0.2, 1]
+    planted through the sign-fixed Q of a QR, then a standard normal b."""
     rng = np.random.default_rng(seed)
     for _ in range(100):
-        comps = _draw_components(rng, N, d, -0.2)
-        if np.linalg.eigvalsh(comps.quadratic_sum[0])[0] >= 0.1:
-            return comps.stack
+        A, b = np.empty((N, d, d)), np.empty((N, d))
+        for i in range(N):
+            lam = rng.uniform(-0.2, 1.0, size=d)
+            q, r = np.linalg.qr(rng.standard_normal((d, d)))
+            q = q * np.sign(np.diag(r))
+            M = (q * lam) @ q.T
+            A[i], b[i] = 0.5 * (M + M.T), rng.standard_normal(d)
+        stack = A, b, np.zeros(N)
+        if np.linalg.eigvalsh(sum_quadratics(*stack)[0])[0] >= 0.1:
+            return stack
     return None
 
 

@@ -15,13 +15,15 @@ of a stack of points, the solver's iterate log and its replay are bitwise the
 row-by-row objective, and the row-by-row objective is bitwise its formula on
 one vector; so is the prox residual of a stack.  The rate fit, left to choose
 its limit, gives bitwise the rate, r² and limit of the CLI's former record
-selection.  The gradient row kernel writes bitwise each component's own
-gradient for every kind of index set, whether its rows are shared out
-across threads or not, and hands the threads the same shares of rows as
-its former cut did.
+selection.  The gradient table and the full gradient hold bitwise each
+component's own gradient for every kind of index set, on any number of
+CPUs, at sizes whose refreshes are shared out across threads and at sizes
+whose refreshes are not.
 """
 
+import functools
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -32,10 +34,10 @@ from hypothesis import strategies as st
 from piag import (DelaySchedule, SolverConfig, check_sufficient_descent,
                   check_summability, rate_constants, reference_fbs,
                   smoothness_totals, solve)
-from piag import delay, model
 from piag import (NonsmoothTerm, Problem, SmoothComponent, eval_F, eval_f, grad_f, prox,
                   prox_residual, quadratic_component, trace_from_iterates)
 from piag.delay import SCHEDULE_KINDS, GradientTable, next_refresh_set
+from piag.model import RowThreads
 from piag.diagnostics import ShortSeriesError, fit_rlinear_rate
 from piag.problems import make_quadratic_box, make_quadratic_l1
 
@@ -204,6 +206,9 @@ def _former_refresh_set(schedule, k, n, ages):
     return np.flatnonzero(due)
 
 
+_PASS_EDGE = math.lcm(*range(1, 33))
+
+
 @st.composite
 def refresh_sequences(draw):
     """A schedule and iterations on both sides of a boundary between two
@@ -217,9 +222,10 @@ def refresh_sequences(draw):
         block = draw(st.one_of(st.integers(math.ceil(n / (tau + 1)), n + 3),
                                st.integers(n, 10**25)))
     schedule = DelaySchedule(kind, tau=tau, block=block, seed=draw(st.integers(0, 2**64)))
-    rows = delay._mask_rows(n)
-    boundary = rows * draw(st.one_of(st.integers(1, 2**20), st.integers(2**62, 2**66)))
-    ks = draw(st.lists(st.integers(max(0, boundary - rows - 1), boundary + rows), min_size=1,
+    # uniform_random draws the masks of at most 32 iterations in one pass, so
+    # a multiple of lcm(1, ..., 32) is a boundary between two passes.
+    boundary = _PASS_EDGE * draw(st.one_of(st.integers(0, 2**8), st.integers(2**20, 2**24)))
+    ks = draw(st.lists(st.integers(max(0, boundary - 33), boundary + 32), min_size=1,
                        max_size=4))
     ages = [np.asarray(draw(st.lists(st.integers(0, tau), min_size=n, max_size=n)))
             if n < 100 else np.random.default_rng(draw(st.integers(0, 99))).integers(0, tau + 1, n)
@@ -396,21 +402,27 @@ def test_replayed_objective_is_the_solvers_bit_for_bit(kind, family, n, d):
     assert _bits(replay.objective_values) == _bits(trace.objective_values)
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_problem(n: int, d: int) -> Problem:
+    """An l1 problem whose refreshes of at least 2 MiB of matrices (seven of
+    200 x 200, sixteen of 128 x 128) are shared out across threads (README)."""
+    return make_quadratic_l1(n, d, seed=n, lam=0.0)
+
+
 @st.composite
 def gradient_rows(draw):
-    """A problem (sometimes with a callable component, sometimes of components
-    built on their own, so that its stack is a copy), a point, one of the
-    index sets a refresh takes, a size at or above which the rows are shared
-    out, and a CPU count."""
-    n = draw(st.integers(1, 9))
-    d = draw(st.sampled_from([1, 2, 7, 40]))
-    seed = draw(st.integers(0, 2**16))
-    problem = make_quadratic_l1(n, d, seed, lam=0.0)
+    """A problem (sometimes with a callable component, sometimes a list of
+    components, so that its stack is a copy), two points, one of the index
+    sets a refresh takes, and a CPU count."""
+    if draw(st.booleans()):  # refreshes of up to 1.6 MiB: never shared out
+        n, d = draw(st.integers(1, 9)), draw(st.sampled_from([1, 2, 7, 40]))
+        problem = make_quadratic_l1(n, d, draw(st.integers(0, 2**16)), lam=0.0)
+    else:
+        n, d = draw(st.sampled_from([(13, 200), (24, 128)]))
+        problem = _shared_problem(n, d)
     comps = list(problem.components)
     build = draw(st.sampled_from(["rows", "copied", "callable"]))
-    if build == "copied":
-        comps = [quadratic_component(c.matrix.copy(), c.offset, c.constant) for c in comps]
-    elif build == "callable":
+    if build == "callable":
         comps.insert(draw(st.integers(0, n)), SmoothComponent(
             lambda x: 0.5 * float(np.dot(x, x)), lambda x: 2.0 * x, 2.0))
     if build != "rows":
@@ -418,93 +430,39 @@ def gradient_rows(draw):
         n = problem.n_components
     start = draw(st.integers(0, n - 1))
     length = draw(st.integers(1, n))
-    shape = draw(st.sampled_from(["full", "contiguous", "wrapped", "scattered", "pairs",
-                                  "single", "empty"]))
-    cut = model._DOT_ROWS  # runs of this many rows, apart from the last, take np.dot
+    shape = draw(st.sampled_from(["full", "contiguous", "wrapped", "scattered", "holes",
+                                  "pairs", "single", "empty"]))
+    holes = set(draw(st.lists(st.integers(0, n - 1), max_size=3)))
     indices = {"full": range(n),
                "contiguous": range(start, min(start + length, n)),
                "wrapped": [(start + j) % n for j in range(length)],
                "scattered": sorted(set(draw(st.lists(st.integers(0, n - 1), max_size=n)))),
-               "pairs": [i for i in range(n) if i % (cut + 1) < cut],
+               "holes": [i for i in range(n) if i not in holes],
+               "pairs": [i for i in range(n) if i % 3 < 2],  # runs of two rows
                "single": [start],
                "empty": []}[shape]
-    x = draw(st.sampled_from([1e-3, 1.0, 1e3])) * np.random.default_rng(seed).standard_normal(d)
-    # The set's own size, at which its rows are shared out, and one byte more.
-    size = 8 * d * d * len(indices)
-    split_bytes = draw(st.sampled_from([0, 8 * d * d, size, size + 1, 1 << 62]))
-    return problem, x, indices, split_bytes, draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x0, x = draw(st.sampled_from([1e-3, 1.0, 1e3])) * rng.standard_normal((2, d))
+    return problem, x0, x, indices, draw(st.integers(1, 5))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(gradient_rows())
 def test_row_kernel_rows_are_the_component_gradients_bit_for_bit(case):
-    """``model._component_grads`` writes ``components[i].grad(x)`` into row i
-    of each listed index, split across threads or not, and no other row."""
-    problem, x, indices, split_bytes, cpus = case
-    out = np.full((problem.n_components, problem.dimension), np.nan)
-    with mock.patch.object(model, "_SPLIT_BYTES", split_bytes), \
-            mock.patch.object(model.os, "sched_getaffinity", lambda pid: set(range(cpus))), \
-            model.RowThreads() as threads:
+    """The gradient table refreshes row i to ``components[i].grad(x)`` for
+    each listed index and no other row, and ``grad_f`` is the sum of those
+    gradients, on any number of CPUs."""
+    problem, x0, x, indices, cpus = case
+    grads = np.array([comp.grad(x) for comp in problem.components])
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))), \
+            RowThreads() as threads:
         assert threads.shares == cpus
-        model._component_grads(problem, x, indices, out, threads)
-    for i in range(problem.n_components):
-        expected = problem.components[i].grad(x) if i in indices else np.full(len(x), np.nan)
-        assert _bits(out[i]) == _bits(expected)
-
-
-def _former_shares(runs, count):
-    """The former cut of a refresh's ``runs`` into at most ``count`` shares, at
-    row bounds ``total * j // count``: one pass over the runs for each share."""
-    total = sum(hi - lo for lo, hi in runs)
-    count = min(count, total)
-    bounds = [total * j // count for j in range(count + 1)]
-    shares = []
-    for start, stop in zip(bounds, bounds[1:]):
-        share, offset = [], 0
-        for lo, hi in runs:
-            first, last = max(start - offset, 0), min(stop - offset, hi - lo)
-            if first < last:
-                share.append((lo + first, lo + last))
-            offset += hi - lo
-        shares.append(share)
-    return shares
-
-
-@st.composite
-def refresh_sets(draw):
-    """A component count and one of the index sets a refresh takes."""
-    n = draw(st.integers(1, 40))
-    start, length = draw(st.integers(0, n - 1)), draw(st.integers(1, n))
-    shape = draw(st.sampled_from(["full", "contiguous", "wrapped", "scattered", "empty"]))
-    indices = {"full": range(n),
-               "contiguous": range(start, min(start + length, n)),
-               "wrapped": [(start + j) % n for j in range(length)],
-               "scattered": sorted(set(draw(st.lists(st.integers(0, n - 1), max_size=n)))),
-               "empty": []}[shape]
-    return n, indices
-
-
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(refresh_sets(), st.integers(1, 5))
-def test_refresh_slices_are_the_former_shares(case, cpus):
-    """The items ``_component_grads`` hands ``RowThreads.map`` hold the rows
-    of the shares that ``_former_shares`` cuts from the set's runs."""
-    n, indices = case
-    problem = Problem([quadratic_component(np.eye(1), [0.0])] * n, NonsmoothTerm.zero(), 1)
-    handed, original = [], model.RowThreads.map
-
-    def recording(threads, fn, items):
-        items = list(items)
-        handed.extend(list(item) for item in items)
-        return original(threads, fn, items)
-
-    with mock.patch.object(model, "_SPLIT_BYTES", 0), \
-            mock.patch.object(model.os, "sched_getaffinity", lambda pid: set(range(cpus))), \
-            mock.patch.object(model.RowThreads, "map", recording), model.RowThreads() as threads:
-        model._component_grads(problem, np.ones(1), indices, np.empty((n, 1)), threads)
-    runs = model._runs(indices)
-    shares = _former_shares(runs, cpus) if runs else []
-    assert handed == [[i for lo, hi in share for i in range(lo, hi)] for share in shares]
+        table = GradientTable(problem, x0, 1, threads)
+        table.refresh_and_aggregate(problem, x, indices)
+        full = grad_f(problem, x, threads)
+    for i, comp in enumerate(problem.components):
+        assert _bits(table.entries[i]) == _bits(grads[i] if i in indices else comp.grad(x0))
+    assert _bits(full) == _bits(np.sum(grads, axis=0))
 
 
 @st.composite
@@ -525,8 +483,8 @@ def decaying_series(draw):
 
 
 def _former_cli_rate_fit(ks, fs, skip_iters, limit):
-    """``cli._fit_rate_from_records`` before the fit chose its own limit, on
-    the records' ``k`` and ``F`` columns."""
+    """The CLI's rate fit of a run's records before the fit chose its own
+    limit, on the records' ``k`` and ``F`` columns."""
     ks = np.asarray(ks, dtype=float)
     fs = np.asarray(fs, dtype=float)
     if limit is None:

@@ -418,26 +418,13 @@ def test_iterate_log_bytes_match_formatting_each_float(tmp_path):
 # --------------------------------------------------- rows shared out on threads
 
 
-def _share_rows(monkeypatch, on: bool) -> list:
-    """Share every refresh out across three threads whatever the host's CPU
-    count (``on``), or keep every refresh in the calling thread; returns the
-    list of thread names that computed a share."""
-    monkeypatch.setattr(piag.model, "_SPLIT_BYTES", 0 if on else 1 << 62)
-    monkeypatch.setattr(piag.model.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    return _share_names(monkeypatch)
-
-
-def _share_names(monkeypatch) -> list:
-    """The list that each call of the row kernel's share body appends the
-    name of its thread to."""
-    names = []
-    real = piag.model._quadratic_grads
-
-    def named(*args):
-        names.append(threading.current_thread().name)
-        return real(*args)
-
-    monkeypatch.setattr(piag.model, "_quadratic_grads", named)
+def _started_threads(monkeypatch, cpus: int) -> list:
+    """Take the host to have ``cpus`` CPUs; returns the list of the names of
+    the threads started from then on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    names, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: names.append(thread.name) or start(thread))
     return names
 
 
@@ -447,56 +434,46 @@ def _run_bytes(trace) -> tuple:
             trace.termination, trace.iterations)
 
 
+@pytest.fixture(scope="module")
+def large_l1():
+    """13 matrices of 200 x 200: a refresh of seven or more fills 2 MiB, so
+    it is shared out across the CPUs (README)."""
+    return make_quadratic_l1(13, 200, seed=3, lam=0.2)
+
+
 @pytest.mark.parametrize("runner, kind", [(solve, kind) for kind in SCHEDULE_KINDS]
                          + [(reference_fbs, "none")])
-def test_rows_shared_out_on_threads_give_bitwise_the_same_run(monkeypatch, runner, kind):
-    # N = 7 with block 3 gives cyclic windows that wrap, so a refresh is two runs.
-    p = make_quadratic_l1(7, 6, seed=3, lam=0.2)
+def test_rows_shared_out_on_threads_give_bitwise_the_same_run(monkeypatch, large_l1, runner,
+                                                              kind):
+    # Block 7 gives cyclic windows that wrap, so a refresh is two runs; at
+    # tau 2, uniform_random and adversarial_max sets are scattered, some of
+    # them shared out and some not.
     tau = 0 if kind == "none" else 2
-    sched = DelaySchedule(kind, tau=tau, block=3 if kind == "cyclic" else None, seed=5)
-    cfg = base_config(np.linspace(-1.0, 1.0, 6), alpha="auto_lemma2", schedule=sched,
-                      max_iters=300, prox_residual_tol=0.0, trace_every=1)
+    sched = DelaySchedule(kind, tau=tau, block=7 if kind == "cyclic" else None, seed=5)
+    cfg = base_config(np.linspace(-1.0, 1.0, 200), alpha="auto_lemma2", schedule=sched,
+                      max_iters=60, prox_residual_tol=0.0, trace_every=1)
     runs = []
-    for on in (False, True):
-        names = _share_rows(monkeypatch, on)
-        runs.append(_run_bytes(runner(p, cfg)))
-        assert ("piag-rows" in names) == on
-    assert runs[0] == runs[1]
-
-
-def test_a_scattered_refresh_above_the_split_size_is_shared_out(monkeypatch):
-    # At d = 200 seven lone rows fill 2.1 MiB, at least the split size, and
-    # six fill 1.8 MiB, below it; the host's CPU count is taken to be two.
-    monkeypatch.setattr(piag.model.os, "sched_getaffinity", lambda pid: {0, 1})
-    names = _share_names(monkeypatch)
-    p = make_quadratic_l1(13, 200, seed=4, lam=0.1)
-    x = np.random.default_rng(4).standard_normal(200)
-    assert 8 * 200 ** 2 * 6 < piag.model._SPLIT_BYTES <= 8 * 200 ** 2 * 7
-    shared = []
-    with piag.model.RowThreads() as threads:
-        table = GradientTable(p, np.zeros(200), 13, threads)
-        for rows in ([0, 2, 4, 6, 8, 10, 12], [1, 3, 5, 7, 9, 11]):
-            names.clear()
-            table.refresh_and_aggregate(p, x, np.array(rows))
-            shared.append("piag-rows" in names)
-    assert shared == [True, False]
-    expected = np.array([c.grad(x) for c in p.components])
-    assert table.entries.tobytes() == expected.tobytes()
+    for cpus in (1, 2, 5):
+        names = _started_threads(monkeypatch, cpus)
+        runs.append(_run_bytes(runner(large_l1, cfg)))
+        assert ("piag-rows" in names) == (cpus > 1)
+    assert runs[0] == runs[1] == runs[2]
 
 
 def _no_refresh(schedule, k, n, ages=None):
     return np.arange(0)
 
 
-# How a run on the 4 x 3 problem below ends: each way leaves the same threads.
+# How a run on the 13 x 200 problem ends: each way leaves the same threads.
 _THREAD_ENDINGS = {
-    "converged": (dict(alpha="auto_lemma2", max_iters=5000), "converged"),
+    "converged": (dict(alpha="auto_lemma2", prox_residual_tol=1e-3, max_iters=5000),
+                  "converged"),
     "diverged at a check": (dict(alpha=100.0), "diverged"),
     "step overflows": (dict(alpha=1e300, check_every=1000), "diverged"),
     "budget spent": (dict(max_iters=7), "max_iters"),
     "no iterations": (dict(max_iters=0), "max_iters"),
     "delay bound": (dict(schedule=DelaySchedule("adversarial_max", tau=1)), RuntimeError),
-    "start point": (dict(x0=np.full(3, np.inf)), ValueError),
+    "start point": (dict(x0=np.full(200, np.inf)), ValueError),
 }
 
 
@@ -504,19 +481,18 @@ _THREAD_ENDINGS = {
 @pytest.mark.parametrize("runner, ending", [
     (runner, ending) for ending in _THREAD_ENDINGS for runner in (solve, reference_fbs)
     if runner is solve or ending != "delay bound"])  # reference_fbs keeps no table
-def test_no_worker_thread_outlives_a_run(monkeypatch, runner, ending):
+def test_no_worker_thread_outlives_a_run(monkeypatch, large_l1, runner, ending):
     settings, outcome = _THREAD_ENDINGS[ending]
     if ending == "delay bound":
         monkeypatch.setattr(piag.solver, "next_refresh_set", _no_refresh)
-    names = _share_rows(monkeypatch, True)
-    p = make_quadratic_l1(4, 3, seed=2, lam=0.1)
-    cfg = base_config(**{"x0": np.ones(3), **settings})
+    names = _started_threads(monkeypatch, 3)
+    cfg = base_config(**{"x0": np.ones(200), **settings})
     before = threading.enumerate()
     if isinstance(outcome, str):
-        assert runner(p, cfg).termination == outcome
+        assert runner(large_l1, cfg).termination == outcome
     else:
         with pytest.raises(outcome):
-            runner(p, cfg)
+            runner(large_l1, cfg)
     assert threading.enumerate() == before
     # solve refreshes every row at x0 first; reference_fbs only in a step
     assert ("piag-rows" in names) == (runner is solve or ending not in ("no iterations",
@@ -529,13 +505,16 @@ def test_saving_a_problem_after_a_solve_forks_no_threaded_process(tmp_path):
     code = "\n".join([
         "import os, sys",
         "import numpy as np",
-        "from piag import DelaySchedule, SolverConfig, model, solve",
-        "from piag.problems import make_quadratic_l1",
-        "model._SPLIT_BYTES = 0",
+        "from piag import (DelaySchedule, NonsmoothTerm, Problem, QuadraticComponent,",
+        "                  SolverConfig, model, solve)",
         "os.sched_getaffinity = lambda pid: {0, 1}",
-        "p = make_quadratic_l1(6, 5, seed=1, lam=0.1)",
+        "A = np.eye(200) + np.diag(np.full(199, 0.25), 1) + np.diag(np.full(199, 0.25), -1)",
+        "comps = [QuadraticComponent(lambda x: 0.0, lambda x: x, 1.5 * (k + 1),",
+        "                            matrix=(k + 1.0) * A, offset=np.full(200, 0.5))",
+        "         for k in range(7)]",
+        "p = Problem(comps, NonsmoothTerm.l1(0.1), 200)  # refreshes of 2.2 MiB: shared out",
         "solve(p, SolverConfig(alpha='auto_lemma2', schedule=DelaySchedule('none'),",
-        "                      x0=np.zeros(5), max_iters=20))",
+        "                      x0=np.zeros(200), max_iters=20))",
         "model.save_problem(p, sys.argv[1])",
     ])
     src = os.path.dirname(os.path.dirname(piag.model.__file__))
