@@ -465,6 +465,73 @@ def test_row_kernel_rows_are_the_component_gradients_bit_for_bit(case):
     assert _bits(full) == _bits(np.sum(grads, axis=0))
 
 
+def _former_shares(indices, count):
+    """The former cut of a refresh's index list into at most ``count``
+    shares: its runs of consecutive ascending indices, cut at row bounds
+    ``total * j // count`` by one pass over the runs for each share."""
+    runs = []
+    for i in indices:
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1])
+    total = sum(hi - lo for lo, hi in runs)
+    count = min(count, total)
+    bounds = [total * j // count for j in range(count + 1)] if total else []
+    shares = []
+    for start, stop in zip(bounds, bounds[1:]):
+        share, offset = [], 0
+        for lo, hi in runs:
+            first, last = max(start - offset, 0), min(stop - offset, hi - lo)
+            if first < last:
+                share.extend(range(lo + first, lo + last))
+            offset += hi - lo
+        shares.append(share)
+    return shares
+
+
+@st.composite
+def refresh_sets(draw):
+    """A problem whose larger refreshes fill 2 MiB of matrices, and one of
+    the index sets a refresh takes."""
+    n, d = draw(st.sampled_from([(13, 200), (24, 128)]))
+    start, length = draw(st.integers(0, n - 1)), draw(st.integers(1, n))
+    shape = draw(st.sampled_from(["full", "contiguous", "wrapped", "scattered", "empty"]))
+    indices = {"full": range(n),
+               "contiguous": range(start, min(start + length, n)),
+               "wrapped": [(start + j) % n for j in range(length)],
+               "scattered": sorted(set(draw(st.lists(st.integers(0, n - 1), max_size=n)))),
+               "empty": []}[shape]
+    return _shared_problem(n, d), list(indices)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(refresh_sets(), st.integers(1, 5))
+def test_refresh_slices_are_the_former_shares(case, cpus):
+    """A refresh of at least 2 MiB of matrices hands ``RowThreads.map`` one
+    contiguous slice of its index list per CPU, in order, with sizes that
+    differ by at most one (README): the shares the former cut of its runs
+    gave.  A smaller refresh hands it nothing."""
+    problem, indices = case
+    handed, original = [], RowThreads.map
+
+    def recording(threads, fn, items):
+        items = list(items)
+        handed.extend(list(item) for item in items)
+        return original(threads, fn, items)
+
+    x = np.linspace(-1.0, 1.0, problem.dimension)
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))), \
+            RowThreads() as threads:
+        table = GradientTable(problem, np.zeros(problem.dimension), 1, threads)
+        with mock.patch.object(RowThreads, "map", recording):
+            table.refresh_and_aggregate(problem, x, indices)
+    shared = 8 * problem.dimension ** 2 * len(indices) >= 2 << 20
+    assert handed == (_former_shares(indices, cpus) if shared else [])
+    for i in indices:
+        assert _bits(table.entries[i]) == _bits(problem.components[i].grad(x))
+
+
 @st.composite
 def decaying_series(draw):
     """``c + a q^k`` at gapped ``ks``, jittered by a few ulps and ending in a

@@ -460,6 +460,24 @@ def test_rows_shared_out_on_threads_give_bitwise_the_same_run(monkeypatch, large
     assert runs[0] == runs[1] == runs[2]
 
 
+def test_a_scattered_refresh_above_the_split_size_is_shared_out(monkeypatch, large_l1):
+    # At d = 200 seven lone rows fill 2.1 MiB, at least the split size, and
+    # six fill 1.8 MiB, below it (README); the host is taken to have two CPUs.
+    names = _started_threads(monkeypatch, 2)
+    x = np.random.default_rng(4).standard_normal(200)
+    shared = []
+    with piag.model.RowThreads() as threads:
+        table = GradientTable(large_l1, np.zeros(200), 13, threads)
+        for rows in ([0, 2, 4, 6, 8, 10, 12], [1, 3, 5, 7, 9, 11]):
+            threads.close()  # the next call that shares out starts new workers
+            names.clear()
+            table.refresh_and_aggregate(large_l1, x, np.array(rows))
+            shared.append("piag-rows" in names)
+    assert shared == [True, False]
+    expected = np.array([c.grad(x) for c in large_l1.components])
+    assert table.entries.tobytes() == expected.tobytes()
+
+
 def _no_refresh(schedule, k, n, ages=None):
     return np.arange(0)
 
