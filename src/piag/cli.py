@@ -160,10 +160,10 @@ def _build_config(problem: Problem, settings: dict, keep_iterates: bool) -> Solv
             schedule=schedule,
             x0=x0,
             max_iters=settings.get("max_iters", 10000),
-            prox_residual_tol=float(settings.get("tol", 1e-8)),
+            prox_residual_tol=settings.get("tol", 1e-8),
             trace_every=settings.get("trace_every", 10),
             enforce_theory=settings.get("enforce_theory", False),
-            c0=float(settings["c0"]) if "c0" in settings else None,
+            c0=settings.get("c0"),
             keep_iterates=keep_iterates,
         )
 
@@ -269,20 +269,18 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _run_into(out_dir, runner, problem: Problem, settings: dict, problem_path,
-              keep_iterates: bool = False) -> Trace:
-    """Run one configured solve and write ``trace.csv``, ``summary.json``
-    and, when kept, ``iterates.csv`` to ``out_dir``."""
-    config = _build_config(problem, settings, keep_iterates)
-    os.makedirs(out_dir, exist_ok=True)
+def _run_into(out_dir, runner, problem: Problem, config: SolverConfig, problem_path) -> Trace:
+    """Run one solve and write ``trace.csv``, ``summary.json`` and, when
+    kept, ``iterates.csv`` to ``out_dir``, made only once the run is done."""
     try:
         trace = runner(problem, config)
     except ValueError as exc:  # a start point or stepsize the run rejects
         raise CliError("bad-config", str(exc)) from exc
+    os.makedirs(out_dir, exist_ok=True)
     write_trace_csv(trace, os.path.join(out_dir, "trace.csv"))
     _write_json(_summary_dict(problem, config, trace, problem_path),
                 os.path.join(out_dir, "summary.json"))
-    if keep_iterates:
+    if config.keep_iterates:
         write_iterates_csv(trace.iterates, os.path.join(out_dir, "iterates.csv"))
     return trace
 
@@ -290,8 +288,8 @@ def _run_into(out_dir, runner, problem: Problem, settings: dict, problem_path,
 def cmd_solve(args) -> int:
     problem = _load_problem(args.problem)
     runner = reference_fbs if args.reference_fbs else solve
-    trace = _run_into(args.out, runner, problem, _settings(args), args.problem,
-                      keep_iterates=args.log_iterates)
+    config = _build_config(problem, _settings(args), args.log_iterates)
+    trace = _run_into(args.out, runner, problem, config, args.problem)
     _info(args, f"{trace.termination} after {trace.iterations} iterations "
                 f"(F={trace.final_objective:.9g}, residual={trace.final_residual:.3g})")
     return _EXIT_BY_TERMINATION[trace.termination]
@@ -409,16 +407,16 @@ def cmd_compare_delays(args) -> int:
         raise CliError("bad-usage", f"cannot parse tau list {args.tau_list!r}") from exc
     if any(t < 0 for t in tau_list):
         raise CliError("bad-usage", "tau values must be nonnegative")
-    os.makedirs(args.out, exist_ok=True)
     base = _settings(args)
     base.setdefault("max_iters", 100000)
     base["trace_every"] = 1  # dense records so the rate fit has enough points
     base["schedule"].setdefault("seed", 0)
+    configs = [_build_config(problem, {**base, "schedule": {**base["schedule"], "tau": tau,
+                                       "kind": args.schedule_kind if tau else "none"}}, False)
+               for tau in tau_list]  # every tau's, before the first run
     rows = []
-    for tau in tau_list:
-        kind = "none" if tau == 0 else args.schedule_kind
-        settings = {**base, "schedule": {**base["schedule"], "kind": kind, "tau": tau}}
-        trace = _run_into(os.path.join(args.out, f"tau_{tau}"), solve, problem, settings,
+    for tau, config in zip(tau_list, configs):
+        trace = _run_into(os.path.join(args.out, f"tau_{tau}"), solve, problem, config,
                           args.problem)
         iters = trace.iterations if trace.termination == "converged" else -1
         try:

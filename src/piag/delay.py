@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import INTEGER, TEXT, Problem, RowThreads, _component_grads, as_vector
+from .model import INTEGER, TEXT, Problem, RowThreads, _component_grads, as_count, as_vector
 
 Array = np.ndarray
 
@@ -28,7 +28,7 @@ MAX_TAU = sys.maxsize  # the longest step window that a deque holds
 
 @dataclass(frozen=True)
 class DelaySchedule:
-    """Refresh schedule spec.
+    """Refresh schedule spec; ``tau``, ``block`` and ``seed`` are kept as ints.
 
     kind:
       none             refresh every component every iteration (zero delay)
@@ -47,8 +47,8 @@ class DelaySchedule:
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         for name, value in (("tau", self.tau), ("block", self.block), ("seed", self.seed)):
-            if not INTEGER.test(value) and (value is not None or name == "tau"):
-                raise ValueError(f"{name} must be {INTEGER.text}, got {value!r}")
+            if value is not None or name == "tau":
+                object.__setattr__(self, name, as_count(name, value))
         if self.tau < 0:
             raise ValueError("delay parameter tau must be nonnegative")
         if self.kind == "cyclic" and (self.block is None or self.block < 1):
@@ -70,7 +70,7 @@ class DelaySchedule:
 def min_cyclic_block(n_components: int, tau: int) -> int:
     """Smallest cyclic block that refreshes every component within ``tau + 1``
     iterations, ``ceil(N / (tau + 1))``."""
-    return math.ceil(n_components / (tau + 1))
+    return math.ceil(as_count("n_components", n_components) / (as_count("tau", tau) + 1))
 
 
 SCHEDULE_FIELDS = {"kind": TEXT, "tau": INTEGER, "block": INTEGER, "seed": INTEGER}
@@ -90,26 +90,25 @@ def next_refresh_set(schedule: DelaySchedule, k: int, n_components: int,
     A ``cyclic`` window is a read-only view of an array that later calls
     share, so it cannot be written to.
     """
-    if k < 0:
+    if (k := as_count("k", k)) < 0:
         raise ValueError("iteration index must be nonnegative")
-    n = int(n_components)
-    if n < 1:
+    if (n := as_count("n_components", n_components)) < 1:
         raise ValueError("component count must be positive")
     if ages is not None and (ages := np.asarray(ages)).shape != (n,):
         raise ValueError(f"ages of shape {ages.shape} do not hold one per component ({n})")
     if schedule.kind == "none":
         return np.arange(n)
     if schedule.kind == "cyclic":
-        block = int(schedule.block)
-        start = (int(k) * block) % n  # k * block may exceed int64
+        block = schedule.block
+        start = (k * block) % n  # Python ints: k * block may exceed int64
         return _cyclic_ring(n, schedule.tau, block)[start:start + min(block, n)]
     if ages is None:
         raise ValueError(f"schedule kind {schedule.kind!r} requires the table ages")
     due = ages >= schedule.tau
     if schedule.kind == "uniform_random":  # plus an unbiased random subset
-        k, rows = int(k), _mask_rows(n)
+        rows = _mask_rows(n)
         first = k - k % rows
-        due |= _random_masks(int(schedule.seed), n, schedule.tau, first, rows)[k - first]
+        due |= _random_masks(schedule.seed, n, schedule.tau, first, rows)[k - first]
     return due.nonzero()[0]
 
 
@@ -173,9 +172,9 @@ class StepWindow:
     """
 
     def __init__(self, tau: int):
-        if not 0 <= tau <= MAX_TAU:
+        self.tau = as_count("tau", tau)
+        if not 0 <= self.tau <= MAX_TAU:
             raise ValueError(f"delay parameter tau must lie in [0, {MAX_TAU}]")
-        self.tau = int(tau)
         # Iterates before the start count as copies of x0, so the pre-history
         # steps are zero and an under-filled buffer is already correct.
         self.sq_norms = deque(maxlen=self.tau)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import INTEGER, Problem, as_real, eval_F
+from .model import Problem, as_count, as_real, eval_F
 from .solver import TheoryConstants, Trace
 
 Array = np.ndarray
@@ -77,7 +77,7 @@ def delay_window_sums(sq_norms: Array, tau: int) -> Array:
     steps have decayed.
     """
     sq = np.asarray(sq_norms, dtype=float)
-    tau = min(tau, len(sq))  # a longer window adds only more of the zero pre-history
+    tau = min(as_count("tau", tau), len(sq))  # a longer window adds only zero pre-history
     padded = np.concatenate([np.zeros(tau), sq])
     out = np.zeros(len(sq))
     for j in range(tau):
@@ -183,7 +183,7 @@ def check_perturbed_contraction(a: float, b: float, c: float, window: int,
         raise ValueError("contraction factor a must lie in (0, 1)")
     if b < 0 or c < 0:
         raise ValueError("coefficients b and c must be nonnegative")
-    if window < 1:
+    if (window := as_count("window", window)) < 1:
         raise ValueError("window must be a positive integer")
     v = np.asarray(values, dtype=float)
     w = np.asarray(perturbations, dtype=float)
@@ -205,7 +205,7 @@ def characteristic_root(c: float, tau: int) -> float:
     """
     if not 0.0 < c < 1.0:
         raise ValueError("coefficient c must lie in (0, 1)")
-    if tau < 1:
+    if (tau := as_count("tau", tau)) < 1:
         raise ValueError("tau must be a positive integer")
 
     def poly(x: float) -> float:
@@ -243,7 +243,7 @@ def check_delayed_recursion_rate(b0: float, q: float, c: float, tau: int,
         raise ValueError("q must lie in (0, 1)")
     if not 0.0 < c < 1.0:
         raise ValueError("c must lie in (0, 1)")
-    if tau < 1:
+    if (tau := as_count("tau", tau)) < 1:
         raise ValueError("tau must be a positive integer")
     a = np.asarray(seq, dtype=float)
     if np.any(a <= 0):
@@ -270,9 +270,7 @@ def fit_rlinear_rate(values, limit: float | None, skip: int = 0, ks=None) -> Rat
     strictly positive and at least 10 points must remain after the skip.
     """
     v = np.asarray(values, dtype=float)
-    if not INTEGER.test(skip):
-        raise ValueError(f"transient skip must be {INTEGER.text}, got {skip!r}")
-    if skip < 0:
+    if (skip := as_count("transient skip", skip)) < 0:
         raise ValueError("transient skip must be nonnegative")
     if limit is not None and not math.isfinite(as_real("limit", limit)):
         raise ValueError(f"limit must be finite, got {limit!r}")

@@ -71,6 +71,16 @@ def as_real(name: str, value) -> float:
     return float(value)
 
 
+def as_count(name: str, value) -> int:
+    """``value`` as an int: an integer, numpy's included, but not a bool."""
+    if type(value) is int:  # most counts, such as the two next_refresh_set reads per call
+        return value
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)  # INTEGER.test would take ~5x as long
+    raise ValueError(f"{name} must be {INTEGER.text}, got {value!r}")
+
+
 def _as_points(x, dim: int) -> Array:
     """Coerce a point (see ``as_vector``) or a (K, dim) stack to a C-contiguous float stack."""
     v = np.asarray(x, dtype=float)
@@ -249,7 +259,8 @@ def _aligned_zeros(shape, dtype) -> Array:
 
 @dataclass(frozen=True, eq=False)
 class NonsmoothTerm:
-    """Proximable convex term. Kinds: zero, l1, box, box_plus_l1."""
+    """Proximable convex term. Kinds: zero, l1, box, box_plus_l1.  ``lam``
+    is kept as a float, and ``lo`` and ``hi`` as a float or a float vector."""
 
     kind: str
     lam: float = 0.0
@@ -259,7 +270,8 @@ class NonsmoothTerm:
     def __post_init__(self):
         if self.kind not in _NONSMOOTH_KINDS:
             raise ValueError(f"unknown nonsmooth kind {self.kind!r}")
-        if not (math.isfinite(as_real("lam", self.lam)) and self.lam >= 0):
+        object.__setattr__(self, "lam", as_real("lam", self.lam))
+        if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError("l1 weight must be a finite nonnegative number")
         if self.kind in ("zero", "box") and self.lam != 0:
             raise ValueError(f"kind {self.kind!r} takes no l1 weight, got lam={self.lam!r}")
@@ -268,7 +280,7 @@ class NonsmoothTerm:
                 continue
             if self.kind in ("zero", "l1"):
                 raise ValueError(f"kind {self.kind!r} takes no box bounds, got {name}={bound!r}")
-            _bound(name, bound)  # a real number or a vector of them, no bool
+            object.__setattr__(self, name, _bound(name, bound))
         if self.kind in ("box", "box_plus_l1"):
             if self.lo is None or self.hi is None:
                 raise ValueError(f"kind {self.kind!r} requires lo and hi bounds")
@@ -277,7 +289,7 @@ class NonsmoothTerm:
             if np.ndim(self.lo) == np.ndim(self.hi) == 1 and len(self.lo) != len(self.hi):
                 raise ValueError(f"box bounds lo and hi have {len(self.lo)} and "
                                  f"{len(self.hi)} entries")
-            if np.any(np.asarray(self.lo, float) > np.asarray(self.hi, float)):
+            if np.any(self.lo > self.hi):
                 raise ValueError("box bounds must satisfy lo <= hi")
 
     @classmethod
@@ -286,16 +298,15 @@ class NonsmoothTerm:
 
     @classmethod
     def l1(cls, lam: float) -> "NonsmoothTerm":
-        return cls(kind="l1", lam=as_real("lam", lam))
+        return cls(kind="l1", lam=lam)
 
     @classmethod
     def box(cls, lo, hi) -> "NonsmoothTerm":
-        return cls(kind="box", lo=_bound("lo", lo), hi=_bound("hi", hi))
+        return cls(kind="box", lo=lo, hi=hi)
 
     @classmethod
     def box_plus_l1(cls, lo, hi, lam: float) -> "NonsmoothTerm":
-        return cls(kind="box_plus_l1", lo=_bound("lo", lo), hi=_bound("hi", hi),
-                   lam=as_real("lam", lam))
+        return cls(kind="box_plus_l1", lo=lo, hi=hi, lam=lam)
 
     def value(self, x) -> float | Array:
         """Evaluate the term at a point, or at each row of a (K, d) stack of
@@ -351,6 +362,7 @@ class Problem:
             object.__setattr__(self, "components", tuple(self.components))
         if len(self.components) < 1:
             raise ValueError("problem needs at least one smooth component")
+        object.__setattr__(self, "dimension", as_count("dimension", self.dimension))
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
         for bound in (self.nonsmooth.lo, self.nonsmooth.hi):
@@ -724,8 +736,7 @@ def nonsmooth_to_dict(term: NonsmoothTerm) -> dict:
     if term.kind in ("l1", "box_plus_l1"):
         out["lambda"] = term.lam
     if term.kind in ("box", "box_plus_l1"):
-        out["lo"] = term.lo if np.ndim(term.lo) == 0 else list(np.asarray(term.lo, float))
-        out["hi"] = term.hi if np.ndim(term.hi) == 0 else list(np.asarray(term.hi, float))
+        out["lo"], out["hi"] = (v if np.ndim(v) == 0 else v.tolist() for v in (term.lo, term.hi))
     return out
 
 
@@ -741,9 +752,7 @@ def nonsmooth_from_dict(obj: dict) -> NonsmoothTerm:
     if kind in ("box", "box_plus_l1"):
         fields.update(lo=_BOUND, hi=_BOUND)
     check_fields(obj, fields, fields.keys() - {"lambda"}, "nonsmooth")  # lambda defaults to 0
-    return NonsmoothTerm(kind, lam=float(obj.get("lambda", 0.0)),
-                         lo=_bound("lo", obj["lo"]) if "lo" in obj else None,
-                         hi=_bound("hi", obj["hi"]) if "hi" in obj else None)
+    return NonsmoothTerm(kind, lam=obj.get("lambda", 0.0), lo=obj.get("lo"), hi=obj.get("hi"))
 
 
 def problem_to_dict(problem: Problem) -> dict:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .delay import DelaySchedule, GradientTable, StepWindow, next_refresh_set
-from .model import (INTEGER, Problem, RowThreads, as_real, as_vector, eval_F, grad_f,
+from .model import (Problem, RowThreads, as_count, as_real, as_vector, eval_F, grad_f,
                     smoothness_totals)
 from .prox import prox, prox_residual
 
@@ -57,7 +57,7 @@ def stepsize_threshold(L: float, l: float, tau: int) -> float:
         raise ValueError("aggregate Lipschitz constant L must be positive")
     if l < 0 or l > L * (1 + 1e-12):
         raise ValueError("weak-convexity total l must lie in [0, L]")
-    if tau < 0:
+    if (tau := as_count("tau", tau)) < 0:
         raise ValueError("delay parameter tau must be nonnegative")
     L_bar = L * (tau + 1) / 2.0
     l_bar = l * (tau + 1) / 2.0
@@ -105,7 +105,7 @@ def rate_constants(L: float, l: float, tau: int, c0: float) -> TheoryConstants:
     The cap ``c8 = min(step_threshold, 1/(2 c5 + 2 c7), 1/L)`` never exceeds
     ``1/L`` or the descent threshold.
     """
-    c0 = _checked_c0(c0)
+    c0, tau = _checked_c0(c0), as_count("tau", tau)
     threshold = stepsize_threshold(L, l, tau)  # validates L, l, tau
     L_bar = L * (tau + 1) / 2.0
     l_bar = l * (tau + 1) / 2.0
@@ -149,7 +149,7 @@ class SolverConfig:
     ``alpha`` may be a float or one of the strings ``"auto_lemma2"``
     (0.9 times the descent threshold) and ``"auto_c8"`` (the certified cap,
     requires ``c0``).  With ``enforce_theory`` the stepsize is tightened to
-    the certified cap when it exceeds it.
+    the certified cap when it exceeds it.  Counts are kept as ints, real numbers as floats.
     """
 
     alpha: float | str
@@ -165,18 +165,18 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("max_iters", "trace_every", "check_every"):
-            if not INTEGER.test(value := getattr(self, name)):
-                raise ValueError(f"{name} must be {INTEGER.text}, got {value!r}")
+            setattr(self, name, as_count(name, getattr(self, name)))
         if not isinstance(self.alpha, str):
-            as_real("alpha", self.alpha)
+            self.alpha = as_real("alpha", self.alpha)
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if not as_real("prox_residual_tol", self.prox_residual_tol) >= 0:
+        self.prox_residual_tol = as_real("prox_residual_tol", self.prox_residual_tol)
+        if not self.prox_residual_tol >= 0:
             raise ValueError("prox_residual_tol must be a nonnegative number")
         if self.trace_every < 1 or self.check_every < 1:
             raise ValueError("trace_every and check_every must be positive")
         if self.c0 is not None:
-            _checked_c0(self.c0)
+            self.c0 = _checked_c0(self.c0)
 
 
 @dataclass
@@ -229,7 +229,7 @@ def resolve_stepsize(config: SolverConfig, L: float, l: float,
         else:
             raise ValueError(f"unknown stepsize spec {spec!r}")
     else:
-        alpha = float(spec)
+        alpha = spec
         if not (alpha > 0 and math.isfinite(alpha)):
             raise ValueError("stepsize must be positive and finite")
     if config.enforce_theory:

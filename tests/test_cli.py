@@ -422,6 +422,7 @@ def test_x0_outside_the_box_is_bad_config(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == (
         "piag: error: bad-config: x0 lies outside the domain of the nonsmooth term\n")
+    assert not (tmp_path / "r").exists()
 
 
 def test_summary_without_schedule_is_bad_summary(l1_setup, capsys):
@@ -544,6 +545,52 @@ def test_compare_delays_out_of_range_setting_is_bad_config(l1_setup, capsys):
               "--out", str(tmp / "cmp"), "--quiet"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("piag: error: bad-config:")
+    assert not (tmp / "cmp").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--tau-list", "0,2", "--x0", "1,2"], "x0 has 2 entries, problem dimension is 4"),
+    (["--tau-list", "0," + "9" * 20],
+     f"tau: must be at most {sys.maxsize}, the longest step window"),
+], ids=["x0-of-another-dimension", "second-tau-too-long"])
+def test_a_refused_compare_delays_runs_no_tau(l1_setup, capsys, flags, message):
+    # Every tau's settings are checked before the first run: the second
+    # case wrote tau_0's trace and summary, and both left the --out directory.
+    problem, tmp = l1_setup
+    rc = run(["compare-delays", "--problem", problem, *flags, "--out", str(tmp / "cmp"),
+              "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"piag: error: bad-config: {message}\n"
+    assert not (tmp / "cmp").exists()
+
+
+@pytest.mark.parametrize("command, code", [
+    (["solve", "--problem", "{problem}", "--config", "{tmp}/missing.json", "--out", "{out}"],
+     "missing-file"),
+    (["verify", "--problem", "{problem}", "--run", "{tmp}/empty"], "missing-file"),
+    (["rate", "--run", "{tmp}/empty"], "missing-file"),
+    (["rate", "--run", "{tmp}/run", "--skip", "-1"], "bad-config"),
+    (["compare-delays", "--problem", "{problem}", "--tau-list", "0,x", "--out", "{out}"],
+     "bad-usage"),
+    (["compare-delays", "--problem", "{problem}", "--tau-list", "0,-1", "--out", "{out}"],
+     "bad-usage"),
+    (["solve", "--problem", "{tmp}/dimension0.json", "--out", "{out}"], "bad-problem"),
+], ids=["missing-config", "verify-without-summary", "rate-without-trace", "negative-skip",
+        "tau-not-an-integer", "negative-tau", "dimension-0"])
+def test_an_error_exit_prints_one_line_and_writes_nothing(l1_setup, capsys, command, code):
+    problem, tmp = l1_setup
+    assert run(["solve", "--problem", problem, "--max-iters", "50", "--out", str(tmp / "run"),
+                "--quiet"]) in (0, 2)
+    (tmp / "empty").mkdir()
+    (tmp / "dimension0.json").write_text(json.dumps(
+        {"dimension": 0, "components": [_GOOD_COMPONENT], "nonsmooth": {"kind": "zero"}}))
+    files = sorted(tmp.rglob("*"))
+    capsys.readouterr()
+    rc = run([arg.format(problem=problem, tmp=tmp, out=tmp / "out") for arg in command]
+             + ["--quiet"])
+    assert rc == 1
+    assert re.fullmatch(f"piag: error: {code}: [^\n]+\n", capsys.readouterr().err)
+    assert sorted(tmp.rglob("*")) == files
 
 
 _BOX_1D = {"kind": "box", "lo": -1.0, "hi": 1.0}

@@ -3,6 +3,7 @@ import pytest
 
 from piag import (DelaySchedule, GradientTable, NonsmoothTerm, Problem, SmoothComponent,
                   grad_f, next_refresh_set, piag_step, quadratic_component)
+from piag.delay import StepWindow, min_cyclic_block
 from piag.problems import make_quadratic_box
 
 from helpers import simulate_max_staleness
@@ -143,6 +144,29 @@ def test_schedule_rejects_non_integer_counts(field, kind, value):
 def test_schedule_accepts_numpy_integers():
     sched = DelaySchedule("cyclic", tau=np.int64(1), block=np.int32(2), seed=np.uint8(3))
     assert next_refresh_set(sched, 1, 4).tolist() == [2, 3]
+
+
+def test_schedule_keeps_its_counts_as_python_ints():
+    # They were kept as given, so a summary of the schedule could not be written as JSON.
+    sched = DelaySchedule("uniform_random", tau=np.int64(1), block=np.int32(2), seed=np.uint8(3))
+    assert [type(v) for v in (sched.tau, sched.block, sched.seed)] == [int, int, int]
+    assert sched == DelaySchedule("uniform_random", tau=1, block=2, seed=3)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: StepWindow(True), "tau"),
+    (lambda: GradientTable(small_problem(), np.zeros(4), tau=2.7), "tau"),
+    (lambda: next_refresh_set(DelaySchedule("none"), 1.5, 3), "k"),
+    (lambda: next_refresh_set(DelaySchedule("cyclic", tau=1, block=2), 1, 2.7), "n_components"),
+    (lambda: next_refresh_set(DelaySchedule("none"), 1, True), "n_components"),
+    (lambda: min_cyclic_block(5, 1.5), "tau"),
+], ids=["window-bool-tau", "table-float-tau", "float-k", "float-count", "bool-count",
+        "min-block-float-tau"])
+def test_a_count_that_is_not_an_integer_is_refused(make, name):
+    # These ran: a table at tau 2.7 as tau 2, a window at tau True as tau 1,
+    # and a refresh set at k 1.5 of 2.7 components was [0, 1].
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        make()
 
 # ---------------------------------------------------------------- gradient table
 

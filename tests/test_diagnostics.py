@@ -368,6 +368,21 @@ def test_step_recursion_coefficient_needs_delay():
         check_step_recursion_coefficient(tc, tc.c8)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda n: delay_window_sums([1.0, 2.0], n), "tau"),
+    (lambda n: characteristic_root(0.5, n), "tau"),
+    (lambda n: check_delayed_recursion_rate(1.0, 0.5, 0.5, n, 0.5 ** np.arange(40.0)), "tau"),
+    (lambda n: check_perturbed_contraction(0.5, 1.0, 0.1, n, [1.0], [0.0]), "window"),
+], ids=["window-sums", "characteristic-root", "recursion-rate", "perturbed-contraction"])
+@pytest.mark.parametrize("count", [1.5, 2.0, True])
+def test_the_oracles_take_integer_counts(call, name, count):
+    # A float window ran in check_perturbed_contraction, and the others
+    # raised numpy's or range's TypeError, naming no field.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call(count)
+    call(np.int64(2))
+
+
 @pytest.mark.parametrize("tau", [0, 1, 3, 7, 12])
 def test_delay_window_sums_match_oldest_first_loop(tau):
     rng = np.random.default_rng(tau)

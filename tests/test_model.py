@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from piag import (NonsmoothTerm, Problem, QuadraticComponent, SmoothComponent,
                   eval_F, eval_f, grad_f, quadratic_component, smoothness_totals)
 from piag import model
-from piag.model import load_problem, problem_from_dict, problem_to_dict, save_problem
+from piag.model import (load_problem, nonsmooth_to_dict, problem_from_dict, problem_to_dict,
+                        save_problem)
 from piag.prox import prox, prox_residual
 
 from helpers import KillsTheWorker, central_diff_grad, quad_value_loops, with_last_matrix_as
@@ -260,6 +261,38 @@ def test_problem_file_round_trip(tmp_path):
         assert np.array_equal(a.offset, b.offset)
     x = rng.standard_normal(3)
     assert eval_F(p, x) == eval_F(q, x)
+
+
+@pytest.mark.parametrize("nonsmooth, dimension", [
+    (NonsmoothTerm("l1", lam=np.float32(0.1)), 2),
+    (NonsmoothTerm("box", lo=np.float32(-1), hi=np.int64(1)), 2),
+    (NonsmoothTerm("box_plus_l1", lo=np.array([-1, -2], np.int32), hi=np.float16(1), lam=1), 2),
+    (NonsmoothTerm.zero(), np.int64(2)),
+], ids=["float32-lam", "numpy-scalar-bounds", "numpy-vector-bound", "int64-dimension"])
+def test_a_problem_of_numpy_numbers_is_saved_as_python_numbers(tmp_path, nonsmooth, dimension):
+    # Each was kept as given, so save_problem raised "Object of type float32
+    # is not JSON serializable".
+    p = Problem([quadratic_component(np.eye(2), np.ones(2))], nonsmooth, dimension)
+    path = tmp_path / "problem.json"
+    save_problem(p, path)
+    q = load_problem(path)
+    assert json.loads(path.read_text())["dimension"] == q.dimension == 2
+    for name in ("lam", "lo", "hi"):
+        assert np.array_equal(getattr(q.nonsmooth, name), getattr(p.nonsmooth, name))
+
+
+def test_a_term_is_written_alike_however_it_is_built():
+    # NonsmoothTerm("l1", lam=1) was written "lambda": 1, and NonsmoothTerm.l1(1) 1.0.
+    for term in (NonsmoothTerm("l1", lam=1), NonsmoothTerm.l1(1)):
+        assert json.dumps(nonsmooth_to_dict(term)) == '{"kind": "l1", "lambda": 1.0}'
+    text = json.dumps(nonsmooth_to_dict(NonsmoothTerm("box_plus_l1", lo=-1, hi=[1, 2], lam=1)))
+    assert text == '{"kind": "box_plus_l1", "lambda": 1.0, "lo": -1.0, "hi": [1.0, 2.0]}'
+
+
+@pytest.mark.parametrize("dimension", [2.0, True, "2"])
+def test_problem_dimension_must_be_an_integer(dimension):
+    with pytest.raises(ValueError, match="^dimension must be an integer, got "):
+        Problem([quadratic_component(np.eye(2), np.ones(2))], NonsmoothTerm.zero(), dimension)
 
 
 def test_problem_file_rejects_unknown_fields():

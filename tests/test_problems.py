@@ -121,6 +121,26 @@ def test_generators_name_a_bad_seed(make, seed, message):
         make(seed)
 
 
+@pytest.mark.parametrize("make", [make_quadratic_box, lambda N, d, seed: make_quadratic_l1(
+    N, d, seed, lam=0.1)], ids=["box", "l1"])
+@pytest.mark.parametrize("N, d, message", [(2.5, 3, "N must be an integer, got 2.5"),
+                                           (2, 3.0, "d must be an integer, got 3.0"),
+                                           (True, 3, "N must be an integer, got True")],
+                         ids=["float-N", "float-d", "bool-N"])
+def test_generators_name_a_count_that_is_not_an_integer(make, N, d, message):
+    # numpy's "'float' object cannot be interpreted as an integer" and an
+    # islice message named no field.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(N, d, 1)
+
+
+def test_generators_accept_numpy_integer_counts():
+    # The problem kept the dimension as given, so its file could not be written.
+    p = make_quadratic_l1(np.int64(2), np.int32(3), np.uint8(1), lam=0.1)
+    expected = make_quadratic_l1(2, 3, 1, lam=0.1)
+    assert json.dumps(problem_to_dict(p)) == json.dumps(problem_to_dict(expected))
+
+
 def test_box_generator_builds_at_a_large_negative_curvature():
     # The builder's symmetry check is absolute (1e-12), so the generator has
     # to hand it matrices that are symmetric already: at eigenvalues near

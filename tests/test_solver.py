@@ -51,6 +51,16 @@ def test_stepsize_threshold_validation():
         stepsize_threshold(1.0, 0.0, -1)
 
 
+@pytest.mark.parametrize("tau", [1.5, 2.0, True, "1"])
+def test_the_threshold_and_constants_take_an_integer_tau(tau):
+    # The threshold is defined for an integer tau; 1.5 gave 0.32.
+    for call in (lambda: stepsize_threshold(1.0, 0.0, tau),
+                 lambda: rate_constants(1.0, 0.0, tau, 1.0)):
+        with pytest.raises(ValueError, match="^tau must be an integer, got "):
+            call()
+    assert rate_constants(1.0, 0.0, np.int64(3), 1.0) == rate_constants(1.0, 0.0, 3, 1.0)
+
+
 # ---------------------------------------------------------------- constants
 
 
@@ -357,6 +367,16 @@ def test_config_accepts_numpy_floating_scalars():
     plain = base_config(np.ones(2), alpha=0.5, prox_residual_tol=0.0, c0=2.0,
                         enforce_theory=True, max_iters=3)
     assert solve(p, cfg).records == solve(p, plain).records
+
+
+def test_config_keeps_python_numbers():
+    cfg = base_config(np.ones(2), alpha=np.float32(0.5), prox_residual_tol=np.int64(0),
+                      c0=np.float16(2.0), max_iters=np.int64(3), trace_every=np.int32(1),
+                      check_every=np.uint16(2))
+    assert [type(getattr(cfg, name)) for name in (
+        "max_iters", "trace_every", "check_every", "alpha", "prox_residual_tol", "c0")] == [
+        int, int, int, float, float, float]
+    assert base_config(np.ones(2), alpha="auto_lemma2").alpha == "auto_lemma2"
 
 
 def test_config_accepts_numpy_integer_counts():

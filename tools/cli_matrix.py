@@ -2,7 +2,7 @@
 
     python3 tools/cli_matrix.py OUT [--src SRC]
 
-Runs about 62 commands, one after another, as ``python -m piag.cli`` child
+Runs about 65 commands, one after another, as ``python -m piag.cli`` child
 processes with ``OPENBLAS_NUM_THREADS=1``, importing ``piag`` from SRC (by
 default this checkout's ``src``).  The commands run in ``OUT/work`` with
 relative paths, so no output depends on where OUT is:
@@ -38,12 +38,17 @@ relative paths, so no output depends on where OUT is:
   ``seed``, and which sets ``max_iters``, ``tol`` and ``trace_every``; the same
   config under ``--tau`` and ``--seed`` flags, which win over both; and a
   config of ``alpha 0.5``, ``c0 2`` and ``enforce_theory``;
-- six malformed inputs, one of them a run config with ``schedule.block 1.5``.
+- six malformed inputs, one of them a run config with ``schedule.block 1.5``;
+- three commands that are refused once the problem is read, which must
+  leave no ``--out`` directory: ``compare-delays`` with an ``--x0`` of the
+  wrong length, ``solve`` from an ``--x0`` outside the box, and
+  ``compare-delays`` whose second tau exceeds the longest step window.
 
 ``OUT/manifest.txt`` gets one line per command: the command, its exit code,
 and the SHA-256 of its stdout, of its stderr and of every file it wrote,
-named by its path under ``OUT/work``.  Two runs produce the same CLI output
-exactly when their manifests are identical, so ``diff`` them.
+named by its path under ``OUT/work``, and ``<path>/=empty`` for each
+directory it made or changed and left empty.  Two runs produce the same
+CLI output exactly when their manifests are identical, so ``diff`` them.
 """
 
 import argparse
@@ -148,6 +153,11 @@ def commands() -> list[list[str]]:
         ["verify", "--problem", "l11/problem.json", "--run", "missing-run"],
         ["solve", "--problem", "l11/problem.json", "--config", "config_bad_block.json",
          "--out", "bad5"],
+        ["compare-delays", "--problem", "l11/problem.json", "--tau-list", "0,2", "--x0", "1,2",
+         "--out", "bad6"],
+        ["solve", "--problem", "box1/problem.json", "--x0", "1e9,1e9,1e9", "--out", "bad7"],
+        ["compare-delays", "--problem", "l11/problem.json", "--tau-list",
+         "0,99999999999999999999", "--out", "bad8"],
     ]
     return cmds
 
@@ -157,9 +167,12 @@ def _digest(data: bytes) -> str:
 
 
 def _snapshot(root: str) -> dict[str, tuple[int, int]]:
-    """``relative path -> (mtime_ns, size)`` of every file under ``root``."""
+    """``relative path -> (mtime_ns, size)`` of every file under ``root``,
+    and of every empty directory, whose path ends in ``/``."""
     found = {}
-    for folder, _, files in os.walk(root):
+    for folder, folders, files in os.walk(root):
+        if not folders and not files:
+            found[os.path.relpath(folder, root) + "/"] = (os.stat(folder).st_mtime_ns, 0)
         for name in files:
             path = os.path.join(folder, name)
             st = os.stat(path)
@@ -193,7 +206,11 @@ def main() -> int:
         fields = [f"piag {' '.join(argv)}", f"exit={proc.returncode}",
                   f"stdout={_digest(proc.stdout)}", f"stderr={_digest(proc.stderr)}"]
         for path, stamp in sorted(_snapshot(work).items()):
-            if before.get(path) != stamp:
+            if before.get(path) == stamp:
+                continue
+            if path.endswith("/"):
+                fields.append(f"{path}=empty")
+            else:
                 with open(os.path.join(work, path), "rb") as fh:
                     fields.append(f"{path}={_digest(fh.read())}")
         lines.append(" ".join(fields))
