@@ -225,12 +225,18 @@ def _value_separation(ref) -> float | None:
 def cmd_generate(args) -> int:
     out_dir = args.out
     seed = args.seed if args.seed is not None else 0
+    curvature, weight = args.negative_curvature, args.l1_weight  # None unless given
     if args.family == "box":
+        if weight is not None:
+            raise CliError("bad-usage", "--l1-weight is for --family l1 only, not box")
+        curvature = 0.0 if curvature is None else curvature
         problem = problems.make_quadratic_box(args.components, args.dimension, seed,
-                                              negative_curvature=args.negative_curvature)
+                                              negative_curvature=curvature)
     else:
-        problem = problems.make_quadratic_l1(args.components, args.dimension, seed,
-                                             lam=args.l1_weight)
+        if curvature is not None:
+            raise CliError("bad-usage", "--negative-curvature is for --family box only, not l1")
+        weight = 1.0 if weight is None else weight
+        problem = problems.make_quadratic_l1(args.components, args.dimension, seed, lam=weight)
     os.makedirs(out_dir, exist_ok=True)  # only once the generator has taken its arguments
     problem_path = os.path.join(out_dir, "problem.json")
     save_problem(problem, problem_path)
@@ -240,8 +246,8 @@ def cmd_generate(args) -> int:
         "seed": seed,
         "components": args.components,
         "dimension": args.dimension,
-        "negative_curvature": args.negative_curvature if args.family == "box" else None,
-        "l1_weight": args.l1_weight if args.family == "l1" else None,
+        "negative_curvature": curvature,
+        "l1_weight": weight,
         "L": L,
         "l": l,
         "component_lipschitz": [c.lipschitz for c in problem.components],
@@ -453,8 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--family", choices=("box", "l1"), required=True)
     p_gen.add_argument("--components", type=int, required=True)
     p_gen.add_argument("--dimension", type=int, required=True)
-    p_gen.add_argument("--negative-curvature", type=float, default=0.0)
-    p_gen.add_argument("--l1-weight", type=float, default=1.0)
+    p_gen.add_argument("--negative-curvature", type=float, default=None,
+                       help="box only (default 0)")
+    p_gen.add_argument("--l1-weight", type=float, default=None, help="l1 only (default 1)")
     p_gen.set_defaults(func=cmd_generate)
 
     p_solve = sub.add_parser("solve", parents=[out_seed, quiet], help="run the solver")

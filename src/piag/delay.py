@@ -29,6 +29,7 @@ MAX_TAU = sys.maxsize  # the longest step window that a deque holds
 @dataclass(frozen=True)
 class DelaySchedule:
     """Refresh schedule spec; ``tau``, ``block`` and ``seed`` are kept as ints.
+    Only ``cyclic`` reads ``block``, and any other kind refuses one.
 
     kind:
       none             refresh every component every iteration (zero delay)
@@ -53,6 +54,8 @@ class DelaySchedule:
             raise ValueError("delay parameter tau must be nonnegative")
         if self.kind == "cyclic" and (self.block is None or self.block < 1):
             raise ValueError("cyclic schedule requires a positive block size")
+        if self.kind != "cyclic" and self.block is not None:
+            raise ValueError(f"block is for the cyclic schedule only, not {self.kind}")
         if self.kind == "uniform_random" and self.seed is None:
             raise ValueError("uniform_random schedule requires a seed")
         if self.seed is not None and self.seed < 0:

@@ -76,6 +76,26 @@ def test_a_refused_generate_leaves_no_out_directory(tmp_path, capsys, flag, valu
     assert not (tmp_path / "g").exists()
 
 
+@pytest.mark.parametrize("family, flag, owner", [
+    ("l1", "--negative-curvature", "box"), ("box", "--l1-weight", "l1")])
+def test_generate_refuses_the_other_familys_parameter(tmp_path, capsys, family, flag, owner):
+    # The value was dropped without a word, and problem_meta.json recorded null for it.
+    assert run(["generate", "--family", family, "--components", "3", "--dimension", "3",
+                "--seed", "1", flag, "5", "--out", str(tmp_path / "g"), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        f"piag: error: bad-usage: {flag} is for --family {owner} only, not {family}\n")
+    assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("family, recorded", [("box", (0.0, None)), ("l1", (None, 1.0))])
+def test_generate_records_the_default_of_its_familys_parameter(tmp_path, family, recorded):
+    out = tmp_path / "g"
+    assert run(["generate", "--family", family, "--components", "2", "--dimension", "2",
+                "--out", str(out), "--quiet"]) == 0
+    meta = json.loads((out / "problem_meta.json").read_text())
+    assert (meta["negative_curvature"], meta["l1_weight"]) == recorded
+
+
 def test_generate_l1_with_few_large_components(tmp_path, capsys):
     # Seed 15 draws no strongly convex sum in 100 attempts at 2 x 40.
     out = tmp_path / "g"
@@ -497,9 +517,27 @@ def test_schedule_flags_override_config_schedule(tmp_path):
     cfg = _write_config(tmp_path, {"schedule": {"kind": "cyclic", "block": 3}, "tau": 2})
     out = tmp_path / "run"
     run(["solve", "--problem", str(gen / "problem.json"), "--config", cfg,
-         "--schedule-kind", "adversarial_max", "--block", "6", "--max-iters", "50",
+         "--schedule-kind", "cyclic", "--block", "6", "--max-iters", "50",
          "--out", str(out), "--quiet"])
-    assert _summary(out)["schedule"] == {"kind": "adversarial_max", "tau": 2, "block": 6}
+    assert _summary(out)["schedule"] == {"kind": "cyclic", "tau": 2, "block": 6}
+
+
+@pytest.mark.parametrize("config, flags, kind", [
+    (None, ["--tau", "0", "--block", "3"], "none"),
+    ({"schedule": {"kind": "cyclic", "block": 3}, "tau": 2},
+     ["--schedule-kind", "adversarial_max", "--block", "6"], "adversarial_max"),
+], ids=["none", "adversarial_max-over-config"])
+def test_a_block_for_a_schedule_other_than_cyclic_is_refused(l1_setup, capsys, config, flags,
+                                                             kind):
+    # The run went ahead and wrote into summary.json a block it never read.
+    problem, tmp = l1_setup
+    given = ["--config", _write_config(tmp, config)] if config else []
+    out = tmp / "run"
+    assert run(["solve", "--problem", problem, *given, *flags, "--out", str(out),
+                "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        f"piag: error: bad-config: schedule: block is for the cyclic schedule only, not {kind}\n")
+    assert not out.exists()
 
 
 def test_seed_flag_overrides_config_schedule_seed(l1_setup):

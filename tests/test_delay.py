@@ -118,14 +118,14 @@ def test_schedule_validation():
 @pytest.mark.parametrize("kind", ["adversarial_max", "uniform_random", "none", "cyclic"])
 @pytest.mark.parametrize("n_ages, n", [(5, 2), (2, 5)])
 def test_ages_must_hold_one_entry_per_component(kind, n_ages, n):
-    sched = DelaySchedule(kind, tau=2, block=5, seed=1)
+    sched = DelaySchedule(kind, tau=2, block=5 if kind == "cyclic" else None, seed=1)
     with pytest.raises(ValueError, match="ages"):
         next_refresh_set(sched, 3, n, np.zeros(n_ages, dtype=int))
 
 
 @pytest.mark.parametrize("kind", ["none", "cyclic", "uniform_random", "adversarial_max"])
 def test_refresh_set_needs_a_component(kind):
-    sched = DelaySchedule(kind, tau=2, block=1, seed=1)
+    sched = DelaySchedule(kind, tau=2, block=1 if kind == "cyclic" else None, seed=1)
     with pytest.raises(ValueError, match="component count"):
         next_refresh_set(sched, 0, 0, np.zeros(0, dtype=int))
 
@@ -148,9 +148,18 @@ def test_schedule_accepts_numpy_integers():
 
 def test_schedule_keeps_its_counts_as_python_ints():
     # They were kept as given, so a summary of the schedule could not be written as JSON.
-    sched = DelaySchedule("uniform_random", tau=np.int64(1), block=np.int32(2), seed=np.uint8(3))
+    sched = DelaySchedule("cyclic", tau=np.int64(1), block=np.int32(2), seed=np.uint8(3))
     assert [type(v) for v in (sched.tau, sched.block, sched.seed)] == [int, int, int]
-    assert sched == DelaySchedule("uniform_random", tau=1, block=2, seed=3)
+    assert sched == DelaySchedule("cyclic", tau=1, block=2, seed=3)
+
+
+@pytest.mark.parametrize("kind", ["none", "uniform_random", "adversarial_max"])
+def test_block_is_for_the_cyclic_schedule_only(kind):
+    # Any other kind kept the block and never read it, so a summary of the
+    # schedule recorded a block that the run did not use.
+    with pytest.raises(ValueError, match=f"block is for the cyclic schedule only, not {kind}"):
+        DelaySchedule(kind, tau=2, block=3, seed=1)
+    assert DelaySchedule(kind, tau=2, seed=1).block is None
 
 
 @pytest.mark.parametrize("make, name", [

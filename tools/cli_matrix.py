@@ -2,7 +2,7 @@
 
     python3 tools/cli_matrix.py OUT [--src SRC]
 
-Runs about 65 commands, one after another, as ``python -m piag.cli`` child
+Runs about 68 commands, one after another, as ``python -m piag.cli`` child
 processes with ``OPENBLAS_NUM_THREADS=1``, importing ``piag`` from SRC (by
 default this checkout's ``src``).  The commands run in ``OUT/work`` with
 relative paths, so no output depends on where OUT is:
@@ -42,7 +42,11 @@ relative paths, so no output depends on where OUT is:
 - three commands that are refused once the problem is read, which must
   leave no ``--out`` directory: ``compare-delays`` with an ``--x0`` of the
   wrong length, ``solve`` from an ``--x0`` outside the box, and
-  ``compare-delays`` whose second tau exceeds the longest step window.
+  ``compare-delays`` whose second tau exceeds the longest step window;
+- three flags that belong to another family or schedule, which must be
+  refused and leave no ``--out`` directory: ``generate --family l1
+  --negative-curvature 0.5``, ``generate --family box --l1-weight 2`` and
+  ``solve --tau 0 --block 3``, since ``--block`` is for ``cyclic`` only.
 
 ``OUT/manifest.txt`` gets one line per command: the command, its exit code,
 and the SHA-256 of its stdout, of its stderr and of every file it wrote,
@@ -158,6 +162,12 @@ def commands() -> list[list[str]]:
         ["solve", "--problem", "box1/problem.json", "--x0", "1e9,1e9,1e9", "--out", "bad7"],
         ["compare-delays", "--problem", "l11/problem.json", "--tau-list",
          "0,99999999999999999999", "--out", "bad8"],
+        ["generate", "--family", "l1", "--components", "2", "--dimension", "3",
+         "--negative-curvature", "0.5", "--out", "bad9"],
+        ["generate", "--family", "box", "--components", "2", "--dimension", "3",
+         "--l1-weight", "2", "--out", "bad10"],
+        ["solve", "--problem", "l11/problem.json", "--tau", "0", "--block", "3",
+         "--out", "bad11"],
     ]
     return cmds
 
