@@ -83,7 +83,7 @@ def _reading(path, code: str, field: str | None = None):
 
 
 def _load_problem(path) -> Problem:
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise CliError("missing-file", f"problem file not found: {path}")
     with _reading(path, "bad-problem"):
         return load_problem(path)
@@ -116,7 +116,7 @@ def _settings(args) -> dict:
     keys and over the fields of its ``schedule`` object."""
     path, settings = getattr(args, "config", None), {}
     if path is not None:
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             raise CliError("missing-file", f"config file not found: {path}")
         settings = _read_json(path, "bad-config")
     with _reading(path, "bad-config"):
@@ -311,9 +311,9 @@ def cmd_verify(args) -> int:
     run_dir = args.run
     summary_path = os.path.join(run_dir, "summary.json")
     iterates_path = os.path.join(run_dir, "iterates.csv")
-    if not os.path.exists(summary_path):
+    if not os.path.isfile(summary_path):
         raise CliError("missing-file", f"no summary.json in {run_dir}")
-    if not os.path.exists(iterates_path):
+    if not os.path.isfile(iterates_path):
         raise CliError("missing-iterates",
                        f"no iterates.csv in {run_dir}; re-run solve with --log-iterates")
     alpha, tau = _read_summary(summary_path)
@@ -377,7 +377,7 @@ def cmd_rate(args) -> int:
     trace_path = os.path.join(run_dir, "trace.csv")
     summary_path = os.path.join(run_dir, "summary.json")
     for path in (trace_path, summary_path):
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             raise CliError("missing-file", f"not found: {path}")
     with _reading(trace_path, "bad-trace"):
         records = read_trace_csv(trace_path)
@@ -413,6 +413,10 @@ def cmd_compare_delays(args) -> int:
         raise CliError("bad-usage", f"cannot parse tau list {args.tau_list!r}") from exc
     if any(t < 0 for t in tau_list):
         raise CliError("bad-usage", "tau values must be nonnegative")
+    repeated = [t for t in tau_list if tau_list.count(t) > 1]
+    if repeated:  # a second run would overwrite the first one's tau_<tau> directory
+        raise CliError("bad-usage", f"tau {repeated[0]} is repeated in the tau list "
+                                    f"{args.tau_list!r}")
     base = _settings(args)
     base.setdefault("max_iters", 100000)
     base["trace_every"] = 1  # dense records so the rate fit has enough points

@@ -209,12 +209,12 @@ class GradientTable(StepWindow):
     direct full gradient and the zero-delay trajectory matches a direct
     forward-backward loop.
 
-    Entries are evaluated by the row kernel that ``grad_f`` uses, so a
-    refreshed row is bitwise ``components[i].grad(x)``; ``threads`` may share
-    out the rows of a large refresh, whether its indices are consecutive
-    (``none``, ``cyclic``) or scattered (``uniform_random``,
-    ``adversarial_max``; see :class:`piag.model.RowThreads`), which changes
-    no value.
+    Entries are evaluated by ``model``'s row kernel, which ``grad_f`` does
+    not use; a refreshed row is bitwise ``components[i].grad(x)``.
+    ``threads`` may share out the rows of a large refresh, whether its
+    indices are consecutive (``none``, ``cyclic``) or scattered
+    (``uniform_random``, ``adversarial_max``; see
+    :class:`piag.model.RowThreads`), which changes no value.
 
     Single-owner mutable state; not safe for concurrent mutation.
     """

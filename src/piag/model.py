@@ -3,8 +3,9 @@
 The objective has the form ``F(x) = sum_i f_i(x) + h(x)`` where every ``f_i``
 is smooth (gradient Lipschitz) and possibly nonconvex, and ``h`` is proper,
 closed and convex.  Evaluation is deterministic, so repeated runs are bitwise
-reproducible.  The full gradient ``grad_f`` sums the component gradients with
-the same reduction as the solver's aggregated gradient.
+reproducible.  The full gradient ``grad_f`` sums the components' own
+gradients, in the calling thread, with the same reduction as the solver's
+aggregated gradient.
 
 When every component is quadratic, ``f_i(x) = 0.5 x'A_i x + b_i'x + c_i``,
 the problem holds their data once, as the stack ``A`` (N, d, d), ``b`` (N, d)
@@ -20,9 +21,10 @@ takes a (K, d) stack of points and returns the K values.  A single point is
 evaluated as a one-row stack, so a point's value is bitwise its value as a
 row of any stack, such as a whole iterate log.
 
-Component gradients have one body too, ``_component_grads``: ``grad_f`` and
-the gradient table write their rows through it, and a large refresh, full,
-``cyclic`` or scattered, is shared out across ``RowThreads``.
+The gradient table writes its rows through one kernel, ``_component_grads``,
+and a large refresh, full, ``cyclic`` or scattered, is shared out across
+``RowThreads``.  ``grad_f`` does not use it, so comparing the two at zero
+delay checks the kernel against the components.
 """
 
 from __future__ import annotations
@@ -202,8 +204,10 @@ def _build_quadratics(n: int, d: int, entries=None, stack=None, first=()) -> _Ro
 
 def _checked_block(stack, rows: list) -> list[QuadraticComponent]:
     """The components of the consecutive ``rows`` of the stack ``[A, b, c]``,
-    checked in order and symmetrized in place through one temporary matrix.
-    One stacked ``eigvalsh`` of the slice gives each matrix's values bit for bit."""
+    checked in order and symmetrized in place through one temporary matrix;
+    an exactly symmetric matrix is kept as it is, since ``0.5 * (a + a)``
+    is ``a`` except where ``a + a`` overflows.  One stacked ``eigvalsh`` of
+    the slice gives each matrix's values bit for bit."""
     A, b, c = (v[rows[0]:rows[-1] + 1] for v in stack)
     for A_i, b_i, c_i in zip(A, b, c.tolist()):
         if not (np.all(np.isfinite(A_i)) and np.all(np.isfinite(b_i)) and math.isfinite(c_i)):
@@ -211,7 +215,8 @@ def _checked_block(stack, rows: list) -> list[QuadraticComponent]:
         M = A_i - A_i.T
         if not np.all(np.abs(M, out=M) <= 1e-12):  # np.allclose(A_i, A_i.T, 0, 1e-12)
             raise ValueError("matrix must be symmetric (tolerance 1e-12)")
-        A_i[...] = np.multiply(np.add(A_i, A_i.T, out=M), 0.5, out=M)  # 0.5 * (A_i + A_i.T)
+        if M.any():
+            A_i[...] = np.multiply(np.add(A_i, A_i.T, out=M), 0.5, out=M)  # 0.5 * (A_i + A_i.T)
     return [_built_quadratic(A_i, b_i, c_i, values)
             for A_i, b_i, c_i, values in zip(A, b, c.tolist(), np.linalg.eigvalsh(A))]
 
@@ -430,16 +435,12 @@ def _quadratic_values(quadratic_sum: tuple, X: Array) -> Array:
     return 0.5 * xSx + np.matmul(sb, columns)[:, 0] + const
 
 
-def grad_f(problem: Problem, x, threads: RowThreads | None = None) -> Array:
-    """Full gradient ``sum_i grad f_i(x)``: the component gradients stacked as
-    rows by the gradient table's row kernel and reduced by
-    ``np.sum(..., axis=0)``, as the table reduces its entries.  ``threads``
-    may share out the rows (see ``RowThreads``); the value does not depend
-    on it."""
+def grad_f(problem: Problem, x) -> Array:
+    """Full gradient ``sum_i grad f_i(x)``: each component's own ``grad``,
+    stacked as rows and reduced by ``np.sum(..., axis=0)``, as the gradient
+    table reduces its entries, all in the calling thread."""
     x = as_vector(x, problem.dimension)
-    grads = np.empty((problem.n_components, problem.dimension))
-    _component_grads(problem, x, range(problem.n_components), grads, threads)
-    return np.sum(grads, axis=0)
+    return np.sum([comp.grad(x) for comp in problem.components], axis=0)
 
 
 #: A refresh whose matrices fill at least this many bytes is shared out across
@@ -457,8 +458,8 @@ _DOT_ROWS = 2
 
 def _component_grads(problem: Problem, x: Array, indices, out: Array,
                      threads: RowThreads | None = None) -> None:
-    """Write ``grad f_i(x)`` into ``out[i]`` for each component index ``i`` of
-    the list or range ``indices``.
+    """The gradient table's row kernel: write ``grad f_i(x)`` into ``out[i]``
+    for each component index ``i`` of the list or range ``indices``.
 
     With a quadratic stack ``(A, b, c)`` each run of consecutive ascending
     indices ``lo, ..., hi - 1`` is one ``np.matmul(A[lo:hi], x[:, None])``,
@@ -523,12 +524,12 @@ def _cpu_count() -> int:
 class RowThreads:
     """The process's one thread pool: the calling thread and a worker per
     further CPU it may run on (``_cpu_count``), so none with one CPU.
-    ``map`` is its one way to hand out work: the row kernel's index slices,
-    the component build's blocks and the sidecar digest.
+    ``map`` is its one way to hand out work: the gradient table's index
+    slices, the component build's blocks and the sidecar digest.
 
     The workers start when a call first shares out its work, and ``close``,
-    or the end of a ``with`` block, joins them; ``solve``, ``reference_fbs``
-    and a build each open one for their length, so no thread outlives them.
+    or the end of a ``with`` block, joins them; ``solve`` and a build each
+    open one for their length, so no thread outlives them.
     Each item runs in a copy of the caller's context, so numpy's error
     state (``np.errstate``) is the caller's, and an exception raised in one
     is raised in the calling thread once every one has ended.

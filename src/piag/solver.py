@@ -16,8 +16,9 @@ iterate log in one stacked call after the loop.  They differ only in the
 step: ``solve`` aggregates through a ``GradientTable``, while
 ``reference_fbs`` forms the full gradient directly, with no cache, ages or
 refresh sets, so it stays an independent implementation of the delay
-bookkeeping for equivalence testing.  Both take each component gradient
-from ``model``'s one row kernel.
+bookkeeping for equivalence testing.  It also shares neither the table's
+row kernel nor its threads: ``grad_f`` sums the components' own gradients
+in the calling thread, so the zero-delay comparison checks the kernel too.
 """
 
 from __future__ import annotations
@@ -372,19 +373,17 @@ def reference_fbs(problem: Problem, config: SolverConfig) -> Trace:
 
     Shares :func:`solve`'s driver, so records, termination and the iterate
     log follow the same rules, but forms its step independently: ``grad_f``
-    and ``prox``, with no gradient table.  At zero delay the two trajectories
-    can therefore be compared bitwise.  ``grad_f`` shares its rows out
-    across ``RowThreads`` opened for the run, as ``solve``'s table does.
+    and ``prox``, with no gradient table, no row kernel and no thread.  At
+    zero delay the two trajectories can therefore be compared bitwise.
     """
 
-    with RowThreads() as threads:
-        def advance(k: int, x: Array, alpha: float) -> Array:
-            g = grad_f(problem, x, threads)
-            if not np.all(np.isfinite(g)):
-                raise DivergenceError("full gradient is not finite")
-            return prox(problem.nonsmooth, x - alpha * g, alpha)
+    def advance(k: int, x: Array, alpha: float) -> Array:
+        g = grad_f(problem, x)
+        if not np.all(np.isfinite(g)):
+            raise DivergenceError("full gradient is not finite")
+        return prox(problem.nonsmooth, x - alpha * g, alpha)
 
-        return _iterate(problem, config, StepWindow(config.schedule.tau), advance)
+    return _iterate(problem, config, StepWindow(config.schedule.tau), advance)
 
 
 # ---------------------------------------------------------------------------

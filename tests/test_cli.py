@@ -291,6 +291,32 @@ def test_missing_problem_file(tmp_path, capsys):
     assert "missing-file" in capsys.readouterr().err
 
 
+def test_compare_delays_refuses_a_repeated_tau(l1_setup, capsys):
+    # The second tau_0 run would overwrite the first, and the table would
+    # hold two rows for it.
+    problem, tmp = l1_setup
+    rc = run(["compare-delays", "--problem", problem, "--tau-list", "2,0,00", "--out",
+              str(tmp / "cmp"), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "piag: error: bad-usage: tau 0 is repeated in the tau list '2,0,00'\n")
+    assert not (tmp / "cmp").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_solve_a_matrix_entry_near_the_largest_float(tmp_path):
+    # An exactly symmetric matrix is kept as written: its symmetrized copy
+    # 0.5 * (A + A.T) would overflow to inf, and L with it.
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"dimension": 1, "components": [{"A": [1e308], "b": [0.0]}],
+                                "nonsmooth": {"kind": "l1", "lambda": 0.1}}))
+    out = tmp_path / "r"
+    assert run(["solve", "--problem", str(path), "--log-iterates", "--out", str(out),
+                "--quiet"]) == 0
+    summary = _summary(out)
+    assert summary["constants"]["L"] == 1e308 and summary["termination"] == "converged"
+
+
 def test_usage_error_exits_one(capsys):
     rc = run(["solve"])  # missing --problem
     assert rc == 1
@@ -613,13 +639,23 @@ def test_a_refused_compare_delays_runs_no_tau(l1_setup, capsys, flags, message):
     (["compare-delays", "--problem", "{problem}", "--tau-list", "0,-1", "--out", "{out}"],
      "bad-usage"),
     (["solve", "--problem", "{tmp}/dimension0.json", "--out", "{out}"], "bad-problem"),
+    (["solve", "--problem", "{tmp}/empty", "--out", "{out}"], "missing-file"),
+    (["solve", "--problem", "{problem}", "--config", "{tmp}/empty", "--out", "{out}"],
+     "missing-file"),
+    (["verify", "--problem", "{problem}", "--run", "{tmp}/hollow"], "missing-file"),
+    (["verify", "--problem", "{problem}", "--run", "{tmp}/run"], "missing-iterates"),
+    (["rate", "--run", "{tmp}/hollow"], "missing-file"),
 ], ids=["missing-config", "verify-without-summary", "rate-without-trace", "negative-skip",
-        "tau-not-an-integer", "negative-tau", "dimension-0"])
+        "tau-not-an-integer", "negative-tau", "dimension-0", "problem-is-a-directory",
+        "config-is-a-directory", "summary-is-a-directory", "iterates-is-a-directory",
+        "trace-is-a-directory"])
 def test_an_error_exit_prints_one_line_and_writes_nothing(l1_setup, capsys, command, code):
     problem, tmp = l1_setup
     assert run(["solve", "--problem", problem, "--max-iters", "50", "--out", str(tmp / "run"),
                 "--quiet"]) in (0, 2)
-    (tmp / "empty").mkdir()
+    # A directory where a file is read is missing, not an OS error.
+    for folder in ("empty", "hollow/summary.json", "hollow/trace.csv", "run/iterates.csv"):
+        (tmp / folder).mkdir(parents=True)
     (tmp / "dimension0.json").write_text(json.dumps(
         {"dimension": 0, "components": [_GOOD_COMPONENT], "nonsmooth": {"kind": "zero"}}))
     files = sorted(tmp.rglob("*"))

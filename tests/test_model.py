@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piag import (NonsmoothTerm, Problem, QuadraticComponent, SmoothComponent,
+from piag import (GradientTable, NonsmoothTerm, Problem, QuadraticComponent, SmoothComponent,
                   eval_F, eval_f, grad_f, quadratic_component, smoothness_totals)
 from piag import model
 from piag.model import (load_problem, nonsmooth_to_dict, problem_from_dict, problem_to_dict,
@@ -166,6 +166,33 @@ def test_quadratic_component_constants():
     comp = quadratic_component(np.array([[-1.0]]), np.zeros(1))
     assert comp.lipschitz == pytest.approx(1.0)
     assert comp.weak_convexity == pytest.approx(1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("A, lipschitz, weak", [
+    ([[1e308]], 1e308, 0.0),
+    ([[-1.5e308, 0.0], [0.0, 1e308]], 1.5e308, 1.5e308),
+])
+def test_an_exactly_symmetric_matrix_is_kept_as_given(A, lipschitz, weak):
+    # 0.5 * (A + A.T) would overflow to inf: a + a exceeds the largest float.
+    comp = quadratic_component(A, np.zeros(len(A)))
+    assert comp.matrix.tobytes() == np.array(A).tobytes()
+    assert (comp.lipschitz, comp.weak_convexity) == (lipschitz, weak)
+    # A matrix that is symmetric only within the tolerance is still symmetrized.
+    near = quadratic_component([[1.0, 0.5], [0.5 + 2**-50, 1.0]], np.zeros(2))
+    assert near.matrix[0, 1] == near.matrix[1, 0] == 0.5 + 2**-51
+
+
+def test_grad_f_sums_the_components_own_gradients():
+    # A hand-built component whose grad disagrees with its matrix: grad_f
+    # follows the callables, the gradient table the matrices.
+    comps = [QuadraticComponent(lambda x: 0.0, lambda x, k=k: (k + 2.0) * x, 1.0,
+                                matrix=np.eye(3), offset=np.zeros(3)) for k in range(2)]
+    p = Problem(comps, NonsmoothTerm.zero(), 3)
+    x = np.array([1.0, -2.0, 0.5])
+    assert grad_f(p, x).tobytes() == (2.0 * x + 3.0 * x).tobytes()
+    assert GradientTable(p, x, 0).refresh_and_aggregate(p, x, range(2)).tobytes() == \
+        (2.0 * x).tobytes()
 
 
 def test_nonsmooth_validation():
@@ -1204,18 +1231,19 @@ def test_problem_with_callable_component_keeps_per_component_sums():
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_shared_out_row_keeps_the_callers_error_state(monkeypatch, cpus):
-    # Eight matrices of 200 x 200 fill more than 2 MiB, so with two CPUs
-    # the gradient's rows are shared out (README): the worker's half
-    # overflows at x and the calling thread's does not.  np.errstate must
-    # reach the worker, and its FloatingPointError the caller.
+    # Eight matrices of 200 x 200 fill more than 2 MiB, so with two CPUs a
+    # full refresh of the gradient table is shared out (README): the
+    # worker's half overflows at x and the calling thread's does not.
+    # np.errstate must reach the worker, and its FloatingPointError the caller.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     p = Problem([quadratic_component(np.eye(200) * scale, np.zeros(200))
                  for scale in (1.0,) * 4 + (1e300,) * 4], NonsmoothTerm.zero(), 200)
     x = np.full(200, 1e10)
     with model.RowThreads() as threads:
+        table = GradientTable(p, np.zeros(200), 0, threads)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            grad_f(p, x, threads)
+            table.refresh_and_aggregate(p, x, range(8))
         assert _row_threads() == cpus - 1
         with np.errstate(over="ignore"):
-            assert np.all(grad_f(p, x, threads) == np.inf)
+            assert np.all(table.refresh_and_aggregate(p, x, range(8)) == np.inf)
     assert _row_threads() == 0

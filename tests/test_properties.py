@@ -450,8 +450,8 @@ def gradient_rows(draw):
 @given(gradient_rows())
 def test_row_kernel_rows_are_the_component_gradients_bit_for_bit(case):
     """The gradient table refreshes row i to ``components[i].grad(x)`` for
-    each listed index and no other row, and ``grad_f`` is the sum of those
-    gradients, on any number of CPUs."""
+    each listed index and no other row, on any number of CPUs, and
+    ``grad_f`` is the sum of those gradients."""
     problem, x0, x, indices, cpus = case
     grads = np.array([comp.grad(x) for comp in problem.components])
     with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))), \
@@ -459,7 +459,7 @@ def test_row_kernel_rows_are_the_component_gradients_bit_for_bit(case):
         assert threads.shares == cpus
         table = GradientTable(problem, x0, 1, threads)
         table.refresh_and_aggregate(problem, x, indices)
-        full = grad_f(problem, x, threads)
+    full = grad_f(problem, x)
     for i, comp in enumerate(problem.components):
         assert _bits(table.entries[i]) == _bits(grads[i] if i in indices else comp.grad(x0))
     assert _bits(full) == _bits(np.sum(grads, axis=0))

@@ -10,7 +10,7 @@ import pytest
 
 import piag.model
 import piag.solver
-from piag import (DelaySchedule, GradientTable, NonsmoothTerm, Problem,
+from piag import (DelaySchedule, GradientTable, NonsmoothTerm, Problem, QuadraticComponent,
                   SmoothComponent, SolverConfig, piag_step, prox_residual, quadratic_component,
                   rate_constants, reference_fbs, solve, stepsize_threshold)
 from piag.delay import SCHEDULE_KINDS
@@ -338,6 +338,17 @@ def test_zero_delay_bitwise_equivalence(n, d):
     assert mine.records == ref.records
 
 
+def test_the_zero_delay_gate_sees_rows_that_are_not_the_component_gradients():
+    # The table's rows come from the matrices and reference_fbs's gradient
+    # from each component's grad, so components whose two disagree split
+    # the trajectories.
+    comps = [QuadraticComponent(lambda x: 0.0, lambda x: 2.0 * x + 1.0, 2.0,
+                                matrix=np.eye(3), offset=np.ones(3)) for _ in range(2)]
+    p = Problem(comps, NonsmoothTerm.l1(0.1), 3)
+    cfg = base_config(np.zeros(3), alpha=0.1, max_iters=5, prox_residual_tol=0.0)
+    assert not np.array_equal(solve(p, cfg).iterates, reference_fbs(p, cfg).iterates)
+
+
 def test_config_rejects_out_of_range_settings():
     for bad in (dict(max_iters=-1), dict(prox_residual_tol=-1e-8),
                 dict(prox_residual_tol=math.nan), dict(trace_every=0), dict(check_every=0)):
@@ -476,7 +487,8 @@ def test_rows_shared_out_on_threads_give_bitwise_the_same_run(monkeypatch, large
     for cpus in (1, 2, 5):
         names = _started_threads(monkeypatch, cpus)
         runs.append(_run_bytes(runner(large_l1, cfg)))
-        assert ("piag-rows" in names) == (cpus > 1)
+        # reference_fbs sums the components' own gradients in one thread
+        assert ("piag-rows" in names) == (cpus > 1 and runner is solve)
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -532,9 +544,8 @@ def test_no_worker_thread_outlives_a_run(monkeypatch, large_l1, runner, ending):
         with pytest.raises(outcome):
             runner(large_l1, cfg)
     assert threading.enumerate() == before
-    # solve refreshes every row at x0 first; reference_fbs only in a step
-    assert ("piag-rows" in names) == (runner is solve or ending not in ("no iterations",
-                                                                         "start point"))
+    # solve refreshes every row at x0 first; reference_fbs starts no thread
+    assert ("piag-rows" in names) == (runner is solve)
 
 
 def test_saving_a_problem_after_a_solve_forks_no_threaded_process(tmp_path):

@@ -2,7 +2,7 @@
 
     python3 tools/cli_matrix.py OUT [--src SRC]
 
-Runs about 68 commands, one after another, as ``python -m piag.cli`` child
+Runs about 71 commands, one after another, as ``python -m piag.cli`` child
 processes with ``OPENBLAS_NUM_THREADS=1``, importing ``piag`` from SRC (by
 default this checkout's ``src``).  The commands run in ``OUT/work`` with
 relative paths, so no output depends on where OUT is:
@@ -46,7 +46,13 @@ relative paths, so no output depends on where OUT is:
 - three flags that belong to another family or schedule, which must be
   refused and leave no ``--out`` directory: ``generate --family l1
   --negative-curvature 0.5``, ``generate --family box --l1-weight 2`` and
-  ``solve --tau 0 --block 3``, since ``--block`` is for ``cyclic`` only.
+  ``solve --tau 0 --block 3``, since ``--block`` is for ``cyclic`` only;
+- ``solve --log-iterates`` on a hand-made 1x1 problem with ``A = [1e308]``,
+  an exactly symmetric matrix that is kept as written, since its
+  symmetrized copy ``0.5 * (A + A.T)`` would overflow;
+- two more refusals that must leave no ``--out`` directory:
+  ``compare-delays --tau-list 0,0``, whose second run would overwrite the
+  first, and ``solve --problem`` on a directory, which is ``missing-file``.
 
 ``OUT/manifest.txt`` gets one line per command: the command, its exit code,
 and the SHA-256 of its stdout, of its stderr and of every file it wrote,
@@ -87,6 +93,10 @@ CONFIGS = {
     "config_theory": {"tau": 3, "alpha": 0.5, "c0": 2, "enforce_theory": True},
     "config_bad_block": {"tau": 2, "schedule": {"kind": "cyclic", "block": 1.5}},
 }
+
+# Also written before the first command: a matrix entry whose double overflows.
+HUGE_PROBLEM = {"dimension": 1, "components": [{"A": [1e308], "b": [0.0]}],
+                "nonsmooth": {"kind": "l1", "lambda": 0.1}}
 
 
 def commands() -> list[list[str]]:
@@ -168,6 +178,10 @@ def commands() -> list[list[str]]:
          "--l1-weight", "2", "--out", "bad10"],
         ["solve", "--problem", "l11/problem.json", "--tau", "0", "--block", "3",
          "--out", "bad11"],
+        ["solve", "--problem", "huge.json", "--log-iterates", "--out", "huge"],
+        ["compare-delays", "--problem", "l11/problem.json", "--tau-list", "0,0",
+         "--out", "bad12"],
+        ["solve", "--problem", "l11", "--out", "bad13"],
     ]
     return cmds
 
@@ -202,7 +216,7 @@ def main() -> int:
     os.makedirs(work)
     with open(os.path.join(work, BAD_PROBLEM), "w") as fh:
         fh.write('{"dimension": 2, "components": [\n')
-    for name, document in {**HAND_PROBLEMS, **CONFIGS}.items():
+    for name, document in {**HAND_PROBLEMS, **CONFIGS, "huge": HUGE_PROBLEM}.items():
         with open(os.path.join(work, f"{name}.json"), "w") as fh:
             json.dump(document, fh)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
