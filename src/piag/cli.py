@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -519,6 +520,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if hasattr(args, "out"):  # generate, solve and compare-delays, before any work
+            out = Path(args.out)
+            if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
+                raise CliError("bad-usage", f"--out {args.out} is not a directory")
         # Non-finite outcomes are reported by exit code and message, so
         # numpy's floating-point warnings would only add noise to stderr.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -177,8 +177,6 @@ def _kkt_box_points(S: Array, sb: Array, lo: Array, hi: Array) -> list:
                 x_free = np.linalg.solve(S[Ff], rhs)
             except np.linalg.LinAlgError:
                 continue
-            if not np.all(np.isfinite(x_free)):
-                continue
             if np.any(x_free < lo[free] - 1e-12) or np.any(x_free > hi[free] + 1e-12):
                 continue
             x[free] = x_free
@@ -222,10 +220,7 @@ def _l1_minimizer(S: Array, sb: Array, lam: float, L: float) -> Array:
     if np.any(support):
         signs = np.sign(x[support])
         sup = np.nonzero(support)[0]
-        try:
-            x_sup = np.linalg.solve(S[np.ix_(sup, sup)], -(sb[sup] + lam * signs))
-        except np.linalg.LinAlgError:
-            return x
+        x_sup = np.linalg.solve(S[np.ix_(sup, sup)], -(sb[sup] + lam * signs))
         candidate = np.zeros(d)
         candidate[sup] = x_sup
         g = S @ candidate + sb

@@ -10,9 +10,8 @@ term:
 
 With zero delay this is exactly forward-backward splitting.  ``solve`` and
 ``reference_fbs`` share one driver, which owns the stepsize, termination,
-divergence handling, trace records and the iterate log.  It evaluates F in
-the loop only where a check or a record reads it, and the F of a kept
-iterate log in one stacked call after the loop.  They differ only in the
+divergence handling, trace records and the iterate log, and reads F and
+the prox residual of an iterate as one measurement.  They differ only in the
 step: ``solve`` aggregates through a ``GradientTable``, while
 ``reference_fbs`` forms the full gradient directly, with no cache, ages or
 refresh sets, so it stays an independent implementation of the delay
@@ -271,10 +270,10 @@ def _iterate(problem: Problem, config: SolverConfig, window: StepWindow,
 
     Owns the stepsize, the start-point check, termination, divergence, the
     trace records and the iterate log; ``window`` supplies the staleness and
-    the delay-window sum of each record and receives every step.  In the
-    loop, F is evaluated only where a check or a record reads it, at most
-    once per iterate; the objective values of a kept iterate log are one
-    stacked ``eval_F`` call after the loop.
+    the delay-window sum of each record and receives every step.  Checks,
+    records and the divergence baseline (the k = 0 check's F) read F and the
+    prox residual of an iterate from one ``measure()``; the objective values
+    of a kept iterate log are one stacked ``eval_F`` call after the loop.
     """
     tau = config.schedule.tau
     L, l = smoothness_totals(problem)
@@ -285,27 +284,28 @@ def _iterate(problem: Problem, config: SolverConfig, window: StepWindow,
     if not problem.nonsmooth.value(x) < math.inf:
         raise ValueError("x0 lies outside the domain of the nonsmooth term")
 
-    f0 = f_x = eval_F(problem, x)  # f_x is F(x), or None until needed
     records: list[TraceRecord] = []
     keep = config.keep_iterates
     iterates = [x] if keep else None
     termination = "max_iters"
+    measured = None  # (F, residual) at x, or None until measure() is called
 
-    def objective() -> float:
-        nonlocal f_x
-        if f_x is None:
-            f_x = eval_F(problem, x)
-        return f_x
+    def measure() -> tuple[float, float]:
+        nonlocal measured
+        if measured is None:
+            measured = eval_F(problem, x), prox_residual(problem, alpha, x)
+        return measured
 
-    def record(k: int, step_norm: float, residual: float) -> None:
-        records.append(TraceRecord(k, objective(), step_norm, residual,
+    def record(k: int, step_norm: float) -> None:
+        f_k, residual = measure()
+        records.append(TraceRecord(k, f_k, step_norm, residual,
                                    window.max_staleness(), window.delta()))
 
     for k in range(config.max_iters):
-        residual = None
         if k % config.check_every == 0:
-            residual = prox_residual(problem, alpha, x)
-            f_k = objective()
+            f_k, residual = measure()
+            if k == 0:
+                f0 = f_k
             if not math.isfinite(f_k) or f_k > f0 + DIVERGENCE_MARGIN:
                 termination = "diverged"
             elif residual <= config.prox_residual_tol:
@@ -316,21 +316,19 @@ def _iterate(problem: Problem, config: SolverConfig, window: StepWindow,
             x_next = advance(k, x, alpha)
             if not np.isfinite(x_next).all():
                 raise DivergenceError("iterate is not finite")
-        except DivergenceError:
-            termination, residual = "diverged", math.inf
+        except DivergenceError:  # the terminal record keeps F at x, residual inf
+            termination, measured = "diverged", (measure()[0], math.inf)
             break
         step = x_next - x
         if k <= tau or k % config.trace_every == 0:
-            if residual is None:
-                residual = prox_residual(problem, alpha, x)
-            record(k, float(np.linalg.norm(step)), residual)
+            record(k, float(np.linalg.norm(step)))
         window.push_step(step)
-        x, f_x = x_next, None
+        x, measured = x_next, None
         if keep:
             iterates.append(x)
     else:
-        k, residual = config.max_iters, prox_residual(problem, alpha, x)
-    record(k, 0.0, residual)  # the terminal record, at the last iterate
+        k = config.max_iters
+    record(k, 0.0)  # the terminal record, at the last iterate
 
     iterates = np.asarray(iterates) if keep else None
     return Trace(

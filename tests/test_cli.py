@@ -87,6 +87,37 @@ def test_generate_refuses_the_other_familys_parameter(tmp_path, capsys, family, 
     assert not (tmp_path / "g").exists()
 
 
+def _snapshot(root) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("command, out", [
+    (["generate", "--family", "l1", "--components", "2", "--dimension", "3"], "afile"),
+    (["solve", "--problem", "PROBLEM"], "afile"),
+    (["solve", "--problem", "PROBLEM"], "afile/sub"),
+    (["compare-delays", "--problem", "PROBLEM", "--tau-list", "0,2"], "afile"),
+], ids=["generate", "solve", "solve-under-a-file", "compare-delays"])
+def test_an_out_that_cannot_be_a_directory_is_refused_before_any_work(
+        l1_setup, capsys, monkeypatch, command, out):
+    # The run used to be paid for first, and then failed with a raw OS error.
+    problem, tmp = l1_setup
+    (tmp / "afile").write_text("")
+    before = _snapshot(tmp)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done for an --out that cannot be written")
+
+    for name in ("load_problem", "solve"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(cli.problems, "make_quadratic_l1", no_work)
+    argv = [problem if a == "PROBLEM" else a for a in command]
+    assert run([*argv, "--out", str(tmp / out), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        f"piag: error: bad-usage: --out {tmp / out} is not a directory\n")
+    assert _snapshot(tmp) == before
+
+
 @pytest.mark.parametrize("family, recorded", [("box", (0.0, None)), ("l1", (None, 1.0))])
 def test_generate_records_the_default_of_its_familys_parameter(tmp_path, family, recorded):
     out = tmp_path / "g"

@@ -3,7 +3,7 @@ import pytest
 
 from piag import (DelaySchedule, GradientTable, NonsmoothTerm, Problem, SmoothComponent,
                   grad_f, next_refresh_set, piag_step, quadratic_component)
-from piag.delay import StepWindow, min_cyclic_block
+from piag.delay import MAX_TAU, StepWindow, min_cyclic_block
 from piag.problems import make_quadratic_box
 
 from helpers import simulate_max_staleness
@@ -128,6 +128,26 @@ def test_refresh_set_needs_a_component(kind):
     sched = DelaySchedule(kind, tau=2, block=1 if kind == "cyclic" else None, seed=1)
     with pytest.raises(ValueError, match="component count"):
         next_refresh_set(sched, 0, 0, np.zeros(0, dtype=int))
+
+
+def _refresh(indices):
+    p = small_problem()
+    GradientTable(p, np.zeros(4), tau=0).refresh_and_aggregate(p, np.ones(4), indices)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: next_refresh_set(DelaySchedule("none", tau=0), -1, 3),
+     "iteration index must be nonnegative"),
+    (lambda: StepWindow(-1), r"delay parameter tau must lie in \[0, "),
+    (lambda: StepWindow(MAX_TAU + 1), r"delay parameter tau must lie in \[0, "),
+    (lambda: _refresh([3]), "out-of-range component index"),
+    (lambda: _refresh([0, 1, -1]), "out-of-range component index"),
+], ids=["negative-k", "negative-window", "window-past-max", "index-past-end", "negative-index"])
+def test_delay_arguments_out_of_range_are_refused(call, message):
+    # Without its guard each call runs on: the none schedule at k = -1, a
+    # deque's own error, a row written past the table or counted from its end.
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("field, kind, value", [

@@ -83,6 +83,21 @@ def test_descent_requires_full_log():
         check_sufficient_descent(trace, rate_constants(1.0, 0.0, 0, 1.0), 0.5)
 
 
+@pytest.mark.parametrize("check", [
+    lambda trace, tc: check_sufficient_descent(trace, tc, 0.5),
+    lambda trace, tc: check_summability(trace, 0.5, tc, -1.0),
+], ids=["descent", "summability"])
+@pytest.mark.parametrize("iterates, values, message", [
+    (np.zeros((3, 1)), np.zeros(2), "iterate log and objective log have different lengths"),
+    (np.zeros((0, 1)), np.zeros(0), "trace is empty"),
+], ids=["lengths-differ", "empty"])
+def test_checks_refuse_a_log_they_cannot_read(check, iterates, values, message):
+    trace = Trace(records=[], final_x=np.zeros(1), termination="converged", iterations=0,
+                  alpha=0.5, iterates=iterates, objective_values=values)
+    with pytest.raises(ValueError, match=message):
+        check(trace, rate_constants(1.0, 0.0, 1, 1.0))
+
+
 def test_descent_flags_corrupted_run():
     p, trace, constants, alpha = run_random_problem(6, tau=2)
     bad = trace.iterates.copy()
@@ -360,6 +375,13 @@ def test_step_recursion_coefficient_boundary_blowup():
     assert check_step_recursion_coefficient(tc, near) is False
     with pytest.raises(ValueError):
         check_step_recursion_coefficient(tc, 1.0 / tc.c1)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+def test_step_recursion_coefficient_needs_a_positive_stepsize(alpha):
+    # 1/0 raised ZeroDivisionError; a negative or NaN step reached the c1 test.
+    with pytest.raises(ValueError, match="stepsize must be positive"):
+        check_step_recursion_coefficient(rate_constants(1.0, 0.0, 2, 1.0), alpha)
 
 
 def test_step_recursion_coefficient_needs_delay():

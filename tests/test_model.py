@@ -272,6 +272,29 @@ def test_problem_requires_l_below_L():
     assert smoothness_totals(ok) == (1.0, 1.0)
 
 
+def _callable(lipschitz, weak_convexity=0.0) -> SmoothComponent:
+    return SmoothComponent(lambda x: 0.0, lambda x: x, lipschitz, weak_convexity)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: NonsmoothTerm("box", lo=-1.0), "kind 'box' requires lo and hi bounds"),
+    (lambda: NonsmoothTerm("box_plus_l1", hi=1.0, lam=0.5),
+     "kind 'box_plus_l1' requires lo and hi bounds"),
+    (lambda: Problem([], NonsmoothTerm.zero(), 1), "needs at least one smooth component"),
+    (lambda: Problem([_callable(1.0)], NonsmoothTerm.zero(), 0), "dimension must be positive"),
+    (lambda: Problem([_callable(math.inf)], NonsmoothTerm.zero(), 1),
+     "aggregate smoothness constants must be finite"),
+    (lambda: Problem([_callable(1e308), _callable(1e308)], NonsmoothTerm.zero(), 1),
+     "aggregate smoothness constants must be finite"),  # the sum overflows
+    (lambda: Problem([_callable(1.0, 1.0 + 1e-13)], NonsmoothTerm.zero(), 1),
+     "aggregate Lipschitz constant must dominate"),  # within a component's tolerance
+], ids=["box-without-hi", "box_plus_l1-without-lo", "no-components", "dimension-0",
+        "infinite-L", "L-overflows", "l-above-L"])
+def test_a_term_or_problem_the_theory_does_not_cover_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 # ---------------------------------------------------------------- problem files
 
 

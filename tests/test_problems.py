@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from piag import (DelaySchedule, NonsmoothTerm, Problem, SolverConfig,
+from piag import (DelaySchedule, NonsmoothTerm, Problem, SmoothComponent, SolverConfig,
                   dist_to_stationary, eval_F, fit_error_bound_constant,
                   prox, prox_residual, quadratic_component, reference_fbs,
                   reference_solution, smoothness_totals, solve)
@@ -230,6 +230,30 @@ def test_reference_unavailable_cases():
                          NonsmoothTerm.l1(0.5), 1)
     with pytest.raises(ReferenceUnavailableError):
         reference_solution(indefinite)
+
+
+@pytest.mark.parametrize("problem, message", [
+    (Problem([SmoothComponent(lambda x: 0.5 * float(x @ x), lambda x: x, 1.0)],
+             NonsmoothTerm.zero(), 1), "reference solutions need quadratic components"),
+    (Problem([quadratic_component(-np.eye(1), np.zeros(1))], NonsmoothTerm.zero(), 1),
+     "smooth reference needs a positive definite sum"),  # its one stationary point is a maximum
+    (Problem([quadratic_component(np.eye(1), np.zeros(1))],
+             NonsmoothTerm.box_plus_l1(-1.0, 1.0, 0.5), 1), "no reference method for nonsmooth"),
+], ids=["callable", "zero-indefinite", "box_plus_l1"])
+def test_reference_unavailable_names_the_reason(problem, message):
+    with pytest.raises(ReferenceUnavailableError, match=message):
+        reference_solution(problem)
+
+
+def test_box_enumeration_skips_a_singular_face():
+    # The two components sum to S = 0, so the free face has no solution; the
+    # lower face, where the gradient sb = 1 points inward, is the one point.
+    p = Problem([quadratic_component(np.eye(1), np.full(1, 0.5)),
+                 quadratic_component(-np.eye(1), np.full(1, 0.5))],
+                NonsmoothTerm.box(-1.0, 1.0), 1)
+    ref = reference_solution(p)
+    assert ref.method == "kkt_enumeration"
+    assert np.array_equal(ref.points, [[-1.0]])
 
 
 def test_cross_method_agreement_on_l1():

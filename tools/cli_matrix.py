@@ -2,7 +2,7 @@
 
     python3 tools/cli_matrix.py OUT [--src SRC]
 
-Runs about 71 commands, one after another, as ``python -m piag.cli`` child
+Runs about 75 commands, one after another, as ``python -m piag.cli`` child
 processes with ``OPENBLAS_NUM_THREADS=1``, importing ``piag`` from SRC (by
 default this checkout's ``src``).  The commands run in ``OUT/work`` with
 relative paths, so no output depends on where OUT is:
@@ -52,7 +52,11 @@ relative paths, so no output depends on where OUT is:
   symmetrized copy ``0.5 * (A + A.T)`` would overflow;
 - two more refusals that must leave no ``--out`` directory:
   ``compare-delays --tau-list 0,0``, whose second run would overwrite the
-  first, and ``solve --problem`` on a directory, which is ``missing-file``.
+  first, and ``solve --problem`` on a directory, which is ``missing-file``;
+- four commands whose ``--out`` cannot be a directory, refused as
+  ``bad-usage`` before the problem is loaded or drawn, which must write
+  nothing: ``solve``, ``compare-delays`` and ``generate`` with ``--out
+  afile``, a plain file, and ``solve --out afile/sub``.
 
 ``OUT/manifest.txt`` gets one line per command: the command, its exit code,
 and the SHA-256 of its stdout, of its stderr and of every file it wrote,
@@ -72,6 +76,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SOLVE_ITERS = ["--max-iters", "3000"]
 BAD_PROBLEM = "bad_problem.json"  # written before the first command
+A_FILE = "afile"  # an empty plain file, also written before the first command
 # Also written before the first command: a problem for each prox kind the
 # generators do not make.  The zero problem's sum is positive definite.
 HAND_PROBLEMS = {
@@ -182,6 +187,12 @@ def commands() -> list[list[str]]:
         ["compare-delays", "--problem", "l11/problem.json", "--tau-list", "0,0",
          "--out", "bad12"],
         ["solve", "--problem", "l11", "--out", "bad13"],
+        ["solve", "--problem", "l11/problem.json", "--out", A_FILE],
+        ["solve", "--problem", "l11/problem.json", "--out", f"{A_FILE}/sub"],
+        ["compare-delays", "--problem", "l11/problem.json", "--tau-list", "0,2",
+         "--out", A_FILE],
+        ["generate", "--family", "l1", "--components", "2", "--dimension", "3",
+         "--out", A_FILE],
     ]
     return cmds
 
@@ -216,6 +227,7 @@ def main() -> int:
     os.makedirs(work)
     with open(os.path.join(work, BAD_PROBLEM), "w") as fh:
         fh.write('{"dimension": 2, "components": [\n')
+    open(os.path.join(work, A_FILE), "w").close()
     for name, document in {**HAND_PROBLEMS, **CONFIGS, "huge": HUGE_PROBLEM}.items():
         with open(os.path.join(work, f"{name}.json"), "w") as fh:
             json.dump(document, fh)
