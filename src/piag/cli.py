@@ -10,21 +10,58 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
+import itertools
 import json
 import math
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
+from .fields import (INTEGER, MAX_TAU, NUMBER, NUMBERS, OBJECT, SCHEDULE_FIELDS, SCHEDULE_KINDS,
+                     SWITCH, TEXT, Kind, check_fields, run_limits)
 
-from . import diagnostics, problems
-from .delay import MAX_TAU, SCHEDULE_FIELDS, SCHEDULE_KINDS, DelaySchedule, min_cyclic_block
-from .model import (INTEGER, NUMBER, NUMBERS, OBJECT, SWITCH, TEXT, Kind, Problem, check_fields,
-                    load_problem, save_problem, smoothness_totals)
-from .solver import (SolverConfig, Trace, format_exact, rate_constants,
-                     read_iterates_csv, read_trace_csv, reference_fbs, solve,
-                     stepsize_threshold, write_iterates_csv, write_trace_csv)
+# The names taken from the numpy-backed layers, as "module" or "module:name".  A command
+# binds them (see _arrays) once it has run every check that needs no array.
+_LAZY = {"np": "numpy", "diagnostics": "piag.diagnostics", "problems": "piag.problems", **{
+    name: f"piag.{module}:{name}" for module, names in (
+        ("delay", "DelaySchedule min_cyclic_block"),
+        ("model", "Problem load_problem save_problem smoothness_totals"),
+        ("solver", "SolverConfig Trace format_exact rate_constants read_iterates_csv "
+                   "read_trace_csv reference_fbs solve stepsize_threshold write_iterates_csv "
+                   "write_trace_csv")) for name in names.split()}}
+
+
+def __getattr__(name):
+    """Import a name of ``_LAZY`` and bind it, unless it is bound already."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, _, attr = _LAZY[name].partition(":")
+    value = importlib.import_module(module)
+    return globals().setdefault(name, getattr(value, attr) if attr else value)
+
+
+@contextlib.contextmanager
+def _arrays():
+    """Bind every name of ``_LAZY``, and keep numpy's floating-point warnings
+    off stderr: non-finite outcomes are reported by exit code and message."""
+    for name in _LAZY:
+        __getattr__(name)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        yield
+
+
+@contextlib.contextmanager
+def _problem(path):
+    """Check that the problem file is there, then bind the numpy-backed
+    names (see ``_arrays``) and yield the problem it holds."""
+    if not os.path.isfile(path):
+        raise CliError("missing-file", f"problem file not found: {path}")
+    with _arrays():
+        with _reading(path, "bad-problem"):
+            problem = load_problem(path)
+        yield problem
+
 
 _EXIT_BY_TERMINATION = {"converged": 0, "max_iters": 2, "diverged": 3}
 
@@ -83,13 +120,6 @@ def _reading(path, code: str, field: str | None = None):
         raise CliError(code, f"{field}: {exc}" if field else str(exc)) from exc
 
 
-def _load_problem(path) -> Problem:
-    if not os.path.isfile(path):
-        raise CliError("missing-file", f"problem file not found: {path}")
-    with _reading(path, "bad-problem"):
-        return load_problem(path)
-
-
 def _read_json(path, code: str):
     """The JSON in ``path``; text that does not decode or parse is a ``code`` error."""
     with open(path) as fh, _reading(path, code):
@@ -130,6 +160,19 @@ def _settings(args) -> dict:
     return settings
 
 
+def _scalars(settings: dict) -> tuple[int, int, float, int, int]:
+    """The settings that need no problem, in the order checked: ``tau`` (``schedule.tau``,
+    else the top-level ``tau``, else 0), ``max_iters``, ``tol``, ``trace_every`` and 10."""
+    tau = settings["schedule"].get("tau", settings.get("tau", 0))
+    if tau < 0:
+        raise CliError("bad-config", "tau: must be nonnegative")
+    if tau > MAX_TAU:
+        raise CliError("bad-config", f"tau: must be at most {MAX_TAU}, the longest step window")
+    with _reading(None, "bad-config"):
+        return tau, *run_limits(settings.get("max_iters", 10000), settings.get("tol", 1e-8),
+                                settings.get("trace_every", 10), 10)
+
+
 def _build_config(problem: Problem, settings: dict, keep_iterates: bool) -> SolverConfig:
     """Turn merged run settings into a SolverConfig.
 
@@ -138,12 +181,8 @@ def _build_config(problem: Problem, settings: dict, keep_iterates: bool) -> Solv
     top-level ones.  Out-of-range settings are ``bad-config``, and an
     ``--alpha`` or ``--x0`` text that does not convert names its field.
     """
-    spec = {"tau": settings.get("tau", 0), **settings["schedule"]}
-    tau = spec["tau"]
-    if tau < 0:
-        raise CliError("bad-config", "tau: must be nonnegative")
-    if tau > MAX_TAU:
-        raise CliError("bad-config", f"tau: must be at most {MAX_TAU}, the longest step window")
+    tau, *limits = _scalars(settings)
+    spec = {**settings["schedule"], "tau": tau}
     if spec.setdefault("kind", "none" if tau == 0 else "cyclic") == "cyclic":
         spec.setdefault("block", min_cyclic_block(problem.n_components, tau))
     with _reading(None, "bad-config", "schedule"):
@@ -156,17 +195,9 @@ def _build_config(problem: Problem, settings: dict, keep_iterates: bool) -> Solv
     with _reading(None, "bad-config", "x0"):
         x0 = _parse_x0(settings.get("x0", "zeros"), problem.dimension)
     with _reading(None, "bad-config"):
-        return SolverConfig(
-            alpha=alpha,
-            schedule=schedule,
-            x0=x0,
-            max_iters=settings.get("max_iters", 10000),
-            prox_residual_tol=settings.get("tol", 1e-8),
-            trace_every=settings.get("trace_every", 10),
-            enforce_theory=settings.get("enforce_theory", False),
-            c0=settings.get("c0"),
-            keep_iterates=keep_iterates,
-        )
+        return SolverConfig(alpha, schedule, x0, *limits,  # max_iters, tol and the cadences
+                            enforce_theory=settings.get("enforce_theory", False),
+                            c0=settings.get("c0"), keep_iterates=keep_iterates)
 
 
 def _read_summary(path) -> tuple[float, int]:
@@ -212,103 +243,99 @@ def _summary_dict(problem: Problem, config: SolverConfig, trace: Trace,
 def _value_separation(ref) -> float | None:
     """Smallest distance between stationary points with distinct objective
     values (points sharing a value do not constrain the separation)."""
-    best = None
-    pts = ref.points
-    vals = ref.objective_values
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(vals[i] - vals[j]) > 1e-9 * (1.0 + abs(vals[i])):
-                gap = float(np.linalg.norm(np.asarray(pts[i]) - np.asarray(pts[j])))
-                best = gap if best is None else min(best, gap)
-    return best
+    pts, vals = ref.points, ref.objective_values
+    return min((float(np.linalg.norm(np.asarray(pts[i]) - np.asarray(pts[j])))
+                for i, j in itertools.combinations(range(len(pts)), 2)
+                if abs(vals[i] - vals[j]) > 1e-9 * (1.0 + abs(vals[i]))), default=None)
 
 
 def cmd_generate(args) -> int:
-    out_dir = args.out
-    seed = args.seed if args.seed is not None else 0
-    curvature, weight = args.negative_curvature, args.l1_weight  # None unless given
-    if args.family == "box":
-        if weight is not None:
-            raise CliError("bad-usage", "--l1-weight is for --family l1 only, not box")
-        curvature = 0.0 if curvature is None else curvature
-        problem = problems.make_quadratic_box(args.components, args.dimension, seed,
-                                              negative_curvature=curvature)
-    else:
-        if curvature is not None:
-            raise CliError("bad-usage", "--negative-curvature is for --family box only, not l1")
-        weight = 1.0 if weight is None else weight
-        problem = problems.make_quadratic_l1(args.components, args.dimension, seed, lam=weight)
-    os.makedirs(out_dir, exist_ok=True)  # only once the generator has taken its arguments
-    problem_path = os.path.join(out_dir, "problem.json")
-    save_problem(problem, problem_path)
-    L, l = smoothness_totals(problem)
-    meta = {
-        "family": args.family,
-        "seed": seed,
-        "components": args.components,
-        "dimension": args.dimension,
-        "negative_curvature": curvature,
-        "l1_weight": weight,
-        "L": L,
-        "l": l,
-        "component_lipschitz": [c.lipschitz for c in problem.components],
-        "component_weak_convexity": [c.weak_convexity for c in problem.components],
-        "f_lower_bound_hint": problem.f_lower_bound_hint,
-        "assumptions": {
-            "objective_bounded_below": True,
-            "error_bound_family": "quadratic_polyhedral",
-        },
-    }
-    try:
-        ref = problems.reference_solution(problem)
-        meta["reference"] = {
-            "method": ref.method,
-            "points": [[float(v) for v in p] for p in ref.points],
-            "objective_values": [float(v) for v in ref.objective_values],
+    if args.family == "box" and args.l1_weight is not None:
+        raise CliError("bad-usage", "--l1-weight is for --family l1 only, not box")
+    if args.family == "l1" and args.negative_curvature is not None:
+        raise CliError("bad-usage", "--negative-curvature is for --family box only, not l1")
+    with _arrays():
+        out_dir = args.out
+        seed = args.seed if args.seed is not None else 0
+        curvature, weight = args.negative_curvature, args.l1_weight  # None unless given
+        if args.family == "box":
+            curvature = 0.0 if curvature is None else curvature
+            problem = problems.make_quadratic_box(args.components, args.dimension, seed,
+                                                  negative_curvature=curvature)
+        else:
+            weight = 1.0 if weight is None else weight
+            problem = problems.make_quadratic_l1(args.components, args.dimension, seed, lam=weight)
+        os.makedirs(out_dir, exist_ok=True)  # only once the generator has taken its arguments
+        problem_path = os.path.join(out_dir, "problem.json")
+        save_problem(problem, problem_path)
+        L, l = smoothness_totals(problem)
+        meta = {
+            "family": args.family,
+            "seed": seed,
+            "components": args.components,
+            "dimension": args.dimension,
+            "negative_curvature": curvature,
+            "l1_weight": weight,
+            "L": L,
+            "l": l,
+            "component_lipschitz": [c.lipschitz for c in problem.components],
+            "component_weak_convexity": [c.weak_convexity for c in problem.components],
+            "f_lower_bound_hint": problem.f_lower_bound_hint,
+            "assumptions": {
+                "objective_bounded_below": True,
+                "error_bound_family": "quadratic_polyhedral",
+            },
         }
-        meta["fitted_c0"] = problems.fit_error_bound_constant(problem, ref, seed=seed)
-        meta["stationary_value_separation"] = _value_separation(ref)
-    except problems.ReferenceUnavailableError:
-        meta["reference"] = None
-    _write_json(meta, os.path.join(out_dir, "problem_meta.json"))
-    _info(args, f"wrote {problem_path} (family {args.family}, N={args.components}, "
-                f"d={args.dimension})")
-    return 0
+        try:
+            ref = problems.reference_solution(problem)
+            meta["reference"] = {
+                "method": ref.method,
+                "points": [[float(v) for v in p] for p in ref.points],
+                "objective_values": [float(v) for v in ref.objective_values],
+            }
+            meta["fitted_c0"] = problems.fit_error_bound_constant(problem, ref, seed=seed)
+            meta["stationary_value_separation"] = _value_separation(ref)
+        except problems.ReferenceUnavailableError:
+            meta["reference"] = None
+        _write_json(meta, os.path.join(out_dir, "problem_meta.json"))
+        _info(args, f"wrote {problem_path} (family {args.family}, N={args.components}, "
+                    f"d={args.dimension})")
+        return 0
 
 
 def _run_into(out_dir, runner, problem: Problem, config: SolverConfig, problem_path) -> Trace:
     """Run one solve and write ``trace.csv``, ``summary.json`` and, when
-    kept, ``iterates.csv`` to ``out_dir``, made only once the run is done."""
+    kept, ``iterates.csv`` to ``out_dir``, made only once the run is done;
+    an older run's ``iterates.csv`` is removed first when not kept."""
     try:
         trace = runner(problem, config)
     except ValueError as exc:  # a start point or stepsize the run rejects
         raise CliError("bad-config", str(exc)) from exc
     os.makedirs(out_dir, exist_ok=True)
+    iterates_path = os.path.join(out_dir, "iterates.csv")
+    if not config.keep_iterates and os.path.isfile(iterates_path):
+        os.remove(iterates_path)
     write_trace_csv(trace, os.path.join(out_dir, "trace.csv"))
     _write_json(_summary_dict(problem, config, trace, problem_path),
                 os.path.join(out_dir, "summary.json"))
     if config.keep_iterates:
-        write_iterates_csv(trace.iterates, os.path.join(out_dir, "iterates.csv"))
+        write_iterates_csv(trace.iterates, iterates_path)
     return trace
 
 
 def cmd_solve(args) -> int:
-    problem = _load_problem(args.problem)
-    runner = reference_fbs if args.reference_fbs else solve
-    config = _build_config(problem, _settings(args), args.log_iterates)
-    trace = _run_into(args.out, runner, problem, config, args.problem)
+    settings = _settings(args)
+    _scalars(settings)
+    with _problem(args.problem) as problem:
+        config = _build_config(problem, settings, args.log_iterates)
+        trace = _run_into(args.out, reference_fbs if args.reference_fbs else solve, problem,
+                          config, args.problem)
     _info(args, f"{trace.termination} after {trace.iterations} iterations "
                 f"(F={trace.final_objective:.9g}, residual={trace.final_residual:.3g})")
     return _EXIT_BY_TERMINATION[trace.termination]
 
 
-def _report_line(report: diagnostics.InequalityReport) -> str:
-    return (f"{report.name}: checked={report.checked} violations={report.violations} "
-            f"worst_margin={report.worst_margin:.6g}")
-
-
 def cmd_verify(args) -> int:
-    problem = _load_problem(args.problem)
     run_dir = args.run
     summary_path = os.path.join(run_dir, "summary.json")
     iterates_path = os.path.join(run_dir, "iterates.csv")
@@ -318,42 +345,44 @@ def cmd_verify(args) -> int:
         raise CliError("missing-iterates",
                        f"no iterates.csv in {run_dir}; re-run solve with --log-iterates")
     alpha, tau = _read_summary(summary_path)
-    with _reading(iterates_path, "bad-iterates"):
-        iterates = read_iterates_csv(iterates_path)
-    if len(iterates) == 0:
-        raise CliError("empty-trace", f"{iterates_path}: iterate log is empty")
-    if iterates.shape[1] != problem.dimension:
-        raise CliError("bad-iterates", f"{iterates_path}: rows hold {iterates.shape[1]} "
-                                       f"coordinates, the problem dimension is "
-                                       f"{problem.dimension}")
-    non_finite = np.flatnonzero(~np.all(np.isfinite(iterates), axis=1))
-    if len(non_finite):  # solve never logs one, so the log is corrupt
-        raise CliError("bad-iterates", f"{iterates_path}: line {non_finite[0] + 2}: "
-                                       "the iterate is not finite")
-    L, l = smoothness_totals(problem)
-    # c0 enters neither the descent nor the summability bound.
-    constants = rate_constants(L, l, tau, c0=1.0)
-    trace = diagnostics.trace_from_iterates(problem, iterates, alpha)
-    f_lower = float(np.min(trace.objective_values)) - 1.0
-    reports = [diagnostics.check_sufficient_descent(trace, constants, alpha)]
-    result = {"alpha": alpha, "tau": tau}
-    try:
-        reports.append(diagnostics.check_summability(trace, alpha, constants, f_lower))
-    except diagnostics.AboveThresholdError:
-        result["summability"] = (f"not applicable: stepsize {alpha:.6g} is not below the "
-                                 f"descent threshold {constants.step_threshold:.6g}")
-    total = sum(r.violations for r in reports)
-    result.update(reports=[vars(r) for r in reports], violations_total=total)
-    _write_json(result, os.path.join(run_dir, "verify.json"))
-    for r in reports:
-        _info(args, _report_line(r))
-    if "summability" in result:
-        _info(args, f"summability: {result['summability']}")
-    if total > 0:
-        first = min(r.first_violation_k for r in reports if r.first_violation_k is not None)
-        print(f"piag: verify: inequality violated at k={first}", file=sys.stderr)
-        return 4
-    return 0
+    with _problem(args.problem) as problem:
+        with _reading(iterates_path, "bad-iterates"):
+            iterates = read_iterates_csv(iterates_path)
+        if len(iterates) == 0:
+            raise CliError("empty-trace", f"{iterates_path}: iterate log is empty")
+        if iterates.shape[1] != problem.dimension:
+            raise CliError("bad-iterates", f"{iterates_path}: rows hold {iterates.shape[1]} "
+                                           f"coordinates, the problem dimension is "
+                                           f"{problem.dimension}")
+        non_finite = np.flatnonzero(~np.all(np.isfinite(iterates), axis=1))
+        if len(non_finite):  # solve never logs one, so the log is corrupt
+            raise CliError("bad-iterates", f"{iterates_path}: line {non_finite[0] + 2}: "
+                                           "the iterate is not finite")
+        L, l = smoothness_totals(problem)
+        # c0 enters neither the descent nor the summability bound.
+        constants = rate_constants(L, l, tau, c0=1.0)
+        trace = diagnostics.trace_from_iterates(problem, iterates, alpha)
+        f_lower = float(np.min(trace.objective_values)) - 1.0
+        reports = [diagnostics.check_sufficient_descent(trace, constants, alpha)]
+        result = {"alpha": alpha, "tau": tau}
+        try:
+            reports.append(diagnostics.check_summability(trace, alpha, constants, f_lower))
+        except diagnostics.AboveThresholdError:
+            result["summability"] = (f"not applicable: stepsize {alpha:.6g} is not below the "
+                                     f"descent threshold {constants.step_threshold:.6g}")
+        total = sum(r.violations for r in reports)
+        result.update(reports=[vars(r) for r in reports], violations_total=total)
+        _write_json(result, os.path.join(run_dir, "verify.json"))
+        for r in reports:
+            _info(args, f"{r.name}: checked={r.checked} violations={r.violations} "
+                        f"worst_margin={r.worst_margin:.6g}")
+        if "summability" in result:
+            _info(args, f"summability: {result['summability']}")
+        if total > 0:
+            first = min(r.first_violation_k for r in reports if r.first_violation_k is not None)
+            print(f"piag: verify: inequality violated at k={first}", file=sys.stderr)
+            return 4
+        return 0
 
 
 def _transient_skip(tau: int) -> int:
@@ -380,26 +409,27 @@ def cmd_rate(args) -> int:
     for path in (trace_path, summary_path):
         if not os.path.isfile(path):
             raise CliError("missing-file", f"not found: {path}")
-    with _reading(trace_path, "bad-trace"):
-        records = read_trace_csv(trace_path)
-    if not records:
-        raise CliError("empty-trace", f"{trace_path}: trace has no records")
-    bad = next((i for i, r in enumerate(records) if not math.isfinite(r.objective)), None)
-    if bad is not None:  # the fit takes logs of F; a diverged run's trace ends in -inf
-        raise CliError("bad-trace", f"{trace_path}: line {bad + 2}: "
-                                    f"F is {records[bad].objective}, not a finite number")
-    _, tau = _read_summary(summary_path)
-    if args.limit_value is not None and not math.isfinite(args.limit_value):
-        raise CliError("bad-config", f"--limit-value: must be finite, got {args.limit_value}")
-    skip = args.skip if args.skip is not None else _transient_skip(tau)
-    try:
-        rate, r2, limit = _fit_rate_from_records(records, skip, args.limit_value)
-    except diagnostics.ShortSeriesError as exc:
-        raise CliError("short-trace", f"{trace_path}: {exc} (skip {skip}); record more "
-                       "often with trace_every in the run config, or pass a smaller --skip"
-                       ) from exc
-    except ValueError as exc:
-        raise CliError("bad-config", str(exc)) from exc
+    with _arrays():
+        with _reading(trace_path, "bad-trace"):
+            records = read_trace_csv(trace_path)
+        if not records:
+            raise CliError("empty-trace", f"{trace_path}: trace has no records")
+        bad = next((i for i, r in enumerate(records) if not math.isfinite(r.objective)), None)
+        if bad is not None:  # the fit takes logs of F; a diverged run's trace ends in -inf
+            raise CliError("bad-trace", f"{trace_path}: line {bad + 2}: "
+                                        f"F is {records[bad].objective}, not a finite number")
+        _, tau = _read_summary(summary_path)
+        if args.limit_value is not None and not math.isfinite(args.limit_value):
+            raise CliError("bad-config", f"--limit-value: must be finite, got {args.limit_value}")
+        skip = args.skip if args.skip is not None else _transient_skip(tau)
+        try:
+            rate, r2, limit = _fit_rate_from_records(records, skip, args.limit_value)
+        except diagnostics.ShortSeriesError as exc:
+            raise CliError("short-trace", f"{trace_path}: {exc} (skip {skip}); record more "
+                           "often with trace_every in the run config, or pass a smaller --skip"
+                           ) from exc
+        except ValueError as exc:
+            raise CliError("bad-config", str(exc)) from exc
     _write_json({"rate": rate, "log_linear_r2": r2, "limit": limit,
                  "transient_skip": skip}, os.path.join(run_dir, "rate.json"))
     _info(args, f"rate={rate:.6g} r2={r2:.4f} (limit={limit:.9g}, skip={skip})")
@@ -407,7 +437,6 @@ def cmd_rate(args) -> int:
 
 
 def cmd_compare_delays(args) -> int:
-    problem = _load_problem(args.problem)
     try:
         tau_list = [int(t) for t in args.tau_list.split(",")]
     except ValueError as exc:
@@ -422,19 +451,23 @@ def cmd_compare_delays(args) -> int:
     base.setdefault("max_iters", 100000)
     base["trace_every"] = 1  # dense records so the rate fit has enough points
     base["schedule"].setdefault("seed", 0)
-    configs = [_build_config(problem, {**base, "schedule": {**base["schedule"], "tau": tau,
-                                       "kind": args.schedule_kind if tau else "none"}}, False)
-               for tau in tau_list]  # every tau's, before the first run
-    rows = []
-    for tau, config in zip(tau_list, configs):
-        trace = _run_into(os.path.join(args.out, f"tau_{tau}"), solve, problem, config,
-                          args.problem)
-        iters = trace.iterations if trace.termination == "converged" else -1
-        try:
-            rate, _, _ = _fit_rate_from_records(trace.records, _transient_skip(tau), None)
-        except ValueError:
-            rate = math.nan
-        rows.append((tau, trace.alpha, iters, rate))
+    for tau in tau_list:  # every run's, before the problem is read
+        _scalars({**base, "schedule": {"tau": tau}})
+    with _problem(args.problem) as problem:
+        configs = [_build_config(problem, {**base, "schedule": {**base["schedule"], "tau": tau,
+                                           "kind": args.schedule_kind if tau else "none"}},
+                                 False)
+                   for tau in tau_list]  # every tau's, before the first run
+        rows = []
+        for tau, config in zip(tau_list, configs):
+            trace = _run_into(os.path.join(args.out, f"tau_{tau}"), solve, problem, config,
+                              args.problem)
+            iters = trace.iterations if trace.termination == "converged" else -1
+            try:
+                rate, _, _ = _fit_rate_from_records(trace.records, _transient_skip(tau), None)
+            except ValueError:
+                rate = math.nan
+            rows.append((tau, trace.alpha, iters, rate))
     table_path = os.path.join(args.out, "compare_delays.csv")
     with open(table_path, "w") as fh:
         fh.write("tau,alpha,iters_to_tol,fitted_rate\n")
@@ -524,10 +557,7 @@ def main(argv=None) -> int:
             out = Path(args.out)
             if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
                 raise CliError("bad-usage", f"--out {args.out} is not a directory")
-        # Non-finite outcomes are reported by exit code and message, so
-        # numpy's floating-point warnings would only add noise to stderr.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+        return args.func(args)
     except CliError as exc:
         print(f"piag: error: {exc.code}: {exc}", file=sys.stderr)
         return 1

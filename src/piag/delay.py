@@ -12,18 +12,15 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import INTEGER, TEXT, Problem, RowThreads, _component_grads, as_count, as_vector
+from .fields import MAX_TAU, SCHEDULE_KINDS, as_count
+from .model import Problem, RowThreads, _component_grads, as_vector
 
 Array = np.ndarray
-
-SCHEDULE_KINDS = ("none", "cyclic", "uniform_random", "adversarial_max")
-MAX_TAU = sys.maxsize  # the longest step window that a deque holds
 
 
 @dataclass(frozen=True)
@@ -74,9 +71,6 @@ def min_cyclic_block(n_components: int, tau: int) -> int:
     """Smallest cyclic block that refreshes every component within ``tau + 1``
     iterations, ``ceil(N / (tau + 1))``."""
     return math.ceil(as_count("n_components", n_components) / (as_count("tau", tau) + 1))
-
-
-SCHEDULE_FIELDS = {"kind": TEXT, "tau": INTEGER, "block": INTEGER, "seed": INTEGER}
 
 
 def next_refresh_set(schedule: DelaySchedule, k: int, n_components: int,

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Problem, as_count, as_real, eval_F
+from .fields import as_count, as_real
+from .model import Problem, eval_F
 from .solver import TheoryConstants, Trace
 
 Array = np.ndarray

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (NonsmoothTerm, Problem, _build_quadratics, _quadratic_values, as_count,
-                    as_vector, eval_F, smoothness_totals)
+from .fields import as_count
+from .model import (NonsmoothTerm, Problem, _build_quadratics, _quadratic_values, as_vector,
+                    eval_F, smoothness_totals)
 from .prox import prox_residual, soft_threshold
 
 Array = np.ndarray

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .delay import DelaySchedule, GradientTable, StepWindow, next_refresh_set
-from .model import (Problem, RowThreads, as_count, as_real, as_vector, eval_F, grad_f,
-                    smoothness_totals)
+from .fields import as_count, as_real, run_limits
+from .model import Problem, RowThreads, as_vector, eval_F, grad_f, smoothness_totals
 from .prox import prox, prox_residual
 
 Array = np.ndarray
@@ -164,17 +164,10 @@ class SolverConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        for name in ("max_iters", "trace_every", "check_every"):
-            setattr(self, name, as_count(name, getattr(self, name)))
         if not isinstance(self.alpha, str):
             self.alpha = as_real("alpha", self.alpha)
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
-        self.prox_residual_tol = as_real("prox_residual_tol", self.prox_residual_tol)
-        if not self.prox_residual_tol >= 0:
-            raise ValueError("prox_residual_tol must be a nonnegative number")
-        if self.trace_every < 1 or self.check_every < 1:
-            raise ValueError("trace_every and check_every must be positive")
+        self.max_iters, self.prox_residual_tol, self.trace_every, self.check_every = run_limits(
+            self.max_iters, self.prox_residual_tol, self.trace_every, self.check_every)
         if self.c0 is not None:
             self.c0 = _checked_c0(self.c0)
 
@@ -264,9 +257,9 @@ def piag_step(problem: Problem, table: GradientTable, x_k, alpha: float,
     return prox(problem.nonsmooth, g, alpha)
 
 
-def _iterate(problem: Problem, config: SolverConfig, window: StepWindow,
-             advance: Callable[[int, Array, float], Array]) -> Trace:
-    """Drive ``x_{k+1} = advance(k, x_k, alpha)`` to termination.
+def _iterate(problem: Problem, config: SolverConfig, start: Callable[[Array], tuple]) -> Trace:
+    """Drive ``x_{k+1} = advance(k, x_k, alpha)`` to termination, where
+    ``window, advance = start(x0)`` once the start point is checked.
 
     Owns the stepsize, the start-point check, termination, divergence, the
     trace records and the iterate log; ``window`` supplies the staleness and
@@ -283,6 +276,7 @@ def _iterate(problem: Problem, config: SolverConfig, window: StepWindow,
         raise ValueError("x0 must be finite")
     if not problem.nonsmooth.value(x) < math.inf:
         raise ValueError("x0 lies outside the domain of the nonsmooth term")
+    window, advance = start(x)
 
     records: list[TraceRecord] = []
     keep = config.keep_iterates
@@ -357,13 +351,12 @@ def solve(problem: Problem, config: SolverConfig) -> Trace:
     schedule = config.schedule
     schedule.validate_for(n)
     with RowThreads() as threads:
-        table = GradientTable(problem, config.x0, schedule.tau, threads)
+        def start(x0: Array):
+            table = GradientTable(problem, x0, schedule.tau, threads)
+            return table, lambda k, x, alpha: piag_step(
+                problem, table, x, alpha, next_refresh_set(schedule, k, n, table.ages))
 
-        def advance(k: int, x: Array, alpha: float) -> Array:
-            return piag_step(problem, table, x, alpha,
-                             next_refresh_set(schedule, k, n, table.ages))
-
-        return _iterate(problem, config, table, advance)
+        return _iterate(problem, config, start)
 
 
 def reference_fbs(problem: Problem, config: SolverConfig) -> Trace:
@@ -381,7 +374,7 @@ def reference_fbs(problem: Problem, config: SolverConfig) -> Trace:
             raise DivergenceError("full gradient is not finite")
         return prox(problem.nonsmooth, x - alpha * g, alpha)
 
-    return _iterate(problem, config, StepWindow(config.schedule.tau), advance)
+    return _iterate(problem, config, lambda x0: (StepWindow(config.schedule.tau), advance))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ values.
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -190,3 +192,13 @@ def with_last_matrix_as(problem, matrix_class):
     A, b, c = problem.quadratic_stack
     object.__setattr__(problem, "quadratic_stack", ([*A[:-1], A[-1].view(matrix_class)], b, c))
     return problem
+
+
+def run_python(args, cwd=None) -> subprocess.CompletedProcess:
+    """A fresh interpreter run on ``args``, with this checkout's ``src`` first
+    on its path; stdout and stderr are captured as text."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120)

@@ -118,6 +118,32 @@ def test_an_out_that_cannot_be_a_directory_is_refused_before_any_work(
     assert _snapshot(tmp) == before
 
 
+@pytest.mark.parametrize("command, error", [
+    (["solve", "--problem", "{tmp}/absent.json", "--max-iters", "-5"],
+     "bad-config: max_iters must be nonnegative"),
+    (["solve", "--problem", "{tmp}/absent.json", "--tol", "nan", "--tau", "-1"],
+     "bad-config: tau: must be nonnegative"),
+    (["compare-delays", "--problem", "{tmp}/absent.json", "--tau-list", "0,x"],
+     "bad-usage: cannot parse tau list '0,x'"),
+    (["verify", "--problem", "{tmp}/absent.json", "--run", "{tmp}"],
+     "missing-file: no summary.json in {tmp}"),
+    (["solve", "--problem", "{tmp}/empty.json", "--x0", "1,2"],
+     "bad-problem: missing field(s) ['components', 'dimension', 'nonsmooth']"),
+], ids=["limits-before-the-problem-path", "tau-before-the-limits",
+        "tau-list-before-the-problem-path", "run-before-the-problem-path",
+        "problem-before-x0"])
+def test_of_two_faults_the_one_checked_first_is_reported(tmp_path, capsys, command, error):
+    # A command checks its flags and small run files, then the problem's
+    # path, then loads the problem, then checks the settings that need it.
+    (tmp_path / "empty.json").write_text("{}")
+    argv = [a.format(tmp=tmp_path) for a in command]
+    if argv[0] != "verify":
+        argv += ["--out", str(tmp_path / "o")]
+    assert run([*argv, "--quiet"]) == 1
+    assert capsys.readouterr().err == f"piag: error: {error.format(tmp=tmp_path)}\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("family, recorded", [("box", (0.0, None)), ("l1", (None, 1.0))])
 def test_generate_records_the_default_of_its_familys_parameter(tmp_path, family, recorded):
     out = tmp_path / "g"
@@ -236,6 +262,21 @@ def test_verify_requires_iterate_log(l1_setup, capsys):
     rc = run(["verify", "--problem", problem, "--run", str(out), "--quiet"])
     assert rc == 1
     assert "missing-iterates" in capsys.readouterr().err
+
+
+def test_a_solve_without_log_iterates_removes_an_older_iterate_log(l1_setup, capsys):
+    # verify checked the first run's iterates against the second run's alpha
+    # and tau, and passed them.
+    problem, tmp = l1_setup
+    out = tmp / "r"
+    assert run(["solve", "--problem", problem, "--tau", "2", "--log-iterates",
+                "--out", str(out), "--quiet"]) == 0
+    assert run(["solve", "--problem", problem, "--tau", "0", "--alpha", "0.5",
+                "--out", str(out), "--quiet"]) != 1
+    assert not (out / "iterates.csv").exists()
+    assert run(["verify", "--problem", problem, "--run", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == (f"piag: error: missing-iterates: no iterates.csv in {out}; "
+                                       "re-run solve with --log-iterates\n")
 
 
 def test_verify_rejects_empty_iterate_log(l1_setup, capsys):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piag import cli, delay, model
+from piag import cli, fields, model
 
 _NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 _TOKENS = [b"nan", b"NaN", b"1e309", b"-1e309"]
@@ -40,13 +40,13 @@ _READERS = {
 # read two fields of summary.json.
 _KINDS = {
     "config.json": {**{(k,): kind for k, kind in cli._CONFIG_FIELDS.items()},
-                    **{("schedule", k): kind for k, kind in delay.SCHEDULE_FIELDS.items()}},
+                    **{("schedule", k): kind for k, kind in fields.SCHEDULE_FIELDS.items()}},
     "problem.json": {**{(k,): kind for k, kind in model._PROBLEM_FIELDS.items()},
                      **{("components", "*", k): kind
                         for k, kind in model._COMPONENT_FIELDS.items()},
                      ("nonsmooth", "kind"): model._NONSMOOTH_KIND,
-                     ("nonsmooth", "lambda"): model.NUMBER},
-    "summary.json": {("alpha",): model.NUMBER, ("schedule", "tau"): model.INTEGER},
+                     ("nonsmooth", "lambda"): fields.NUMBER},
+    "summary.json": {("alpha",): fields.NUMBER, ("schedule", "tau"): fields.INTEGER},
 }
 # A run config that sets every field; every solve below reads it.
 _CONFIG = {"alpha": "auto_lemma2", "tau": 2, "schedule": {"kind": "cyclic", "block": 2, "seed": 1},

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -249,6 +250,27 @@ def test_solve_validates_start_point():
         for runner in (solve, reference_fbs):
             with pytest.raises(ValueError, match="x0 must be finite"):
                 runner(scalar_problem(1.0, nonsmooth), base_config(np.array([math.nan])))
+
+
+def test_an_infinite_x0_is_refused_before_any_component_gradient():
+    # solve built its gradient table at x0 first: N component gradients, and
+    # numpy's "invalid value encountered in matmul" before the ValueError.
+    quadratic = make_quadratic_l1(6, 12, seed=1, lam=1.0)
+    calls = []
+
+    def counted(grad):
+        return lambda x: calls.append(x) or grad(x)
+
+    callable_problem = Problem([SmoothComponent(c.value, counted(c.grad), c.lipschitz,
+                                                c.weak_convexity)
+                                for c in quadratic.components], quadratic.nonsmooth, 12)
+    for problem in (quadratic, callable_problem):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="x0 must be finite"):
+                solve(problem, base_config(np.full(12, np.inf),
+                                           schedule=DelaySchedule("cyclic", tau=2, block=2)))
+    assert calls == []
 
 
 def test_solve_stepsize_specs():
@@ -553,18 +575,17 @@ def test_no_worker_thread_outlives_a_run(monkeypatch, large_l1, runner, ending):
     names = _started_threads(monkeypatch, 3)
     cfg = base_config(**{"x0": np.ones(200), **settings})
     before = threading.enumerate()
-    # The step overflows on purpose, and solve's table reads the rows at the
-    # infinite x0 before the run refuses it.
-    overflows = ending == "step overflows" or (runner, ending) == (solve, "start point")
-    with pytest.warns(RuntimeWarning) if overflows else contextlib.nullcontext():
+    # The step overflows on purpose.  An infinite x0 is refused before the
+    # table reads any row at it, so it raises no numpy warning.
+    with pytest.warns(RuntimeWarning) if ending == "step overflows" else contextlib.nullcontext():
         if isinstance(outcome, str):
             assert runner(large_l1, cfg).termination == outcome
         else:
             with pytest.raises(outcome):
                 runner(large_l1, cfg)
     assert threading.enumerate() == before
-    # solve refreshes every row at x0 first; reference_fbs starts no thread
-    assert ("piag-rows" in names) == (runner is solve)
+    # solve refreshes every row at a good x0 first; reference_fbs starts no thread
+    assert ("piag-rows" in names) == (runner is solve and ending != "start point")
 
 
 def test_saving_a_problem_after_a_solve_forks_no_threaded_process(tmp_path):
