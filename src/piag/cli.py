@@ -409,6 +409,12 @@ def cmd_rate(args) -> int:
     for path in (trace_path, summary_path):
         if not os.path.isfile(path):
             raise CliError("missing-file", f"not found: {path}")
+    _, tau = _read_summary(summary_path)
+    if args.limit_value is not None and not math.isfinite(args.limit_value):
+        raise CliError("bad-config", f"--limit-value: must be finite, got {args.limit_value}")
+    skip = args.skip if args.skip is not None else _transient_skip(tau)
+    if skip < 0:
+        raise CliError("bad-config", "transient skip must be nonnegative")
     with _arrays():
         with _reading(trace_path, "bad-trace"):
             records = read_trace_csv(trace_path)
@@ -418,10 +424,6 @@ def cmd_rate(args) -> int:
         if bad is not None:  # the fit takes logs of F; a diverged run's trace ends in -inf
             raise CliError("bad-trace", f"{trace_path}: line {bad + 2}: "
                                         f"F is {records[bad].objective}, not a finite number")
-        _, tau = _read_summary(summary_path)
-        if args.limit_value is not None and not math.isfinite(args.limit_value):
-            raise CliError("bad-config", f"--limit-value: must be finite, got {args.limit_value}")
-        skip = args.skip if args.skip is not None else _transient_skip(tau)
         try:
             rate, r2, limit = _fit_rate_from_records(records, skip, args.limit_value)
         except diagnostics.ShortSeriesError as exc:
@@ -468,6 +470,16 @@ def cmd_compare_delays(args) -> int:
             except ValueError:
                 rate = math.nan
             rows.append((tau, trace.alpha, iters, rate))
+    with os.scandir(args.out) as entries:  # an earlier sweep's runs of a tau not swept now
+        stale = [e.path for e in entries if e.is_dir(follow_symlinks=False)
+                 and e.name[4:].isdecimal() and e.name == f"tau_{int(e.name[4:])}"
+                 and int(e.name[4:]) not in tau_list]
+    for run_dir in stale:  # piag's run files, then the directory if nothing else is left
+        for name in ("trace.csv", "summary.json", "iterates.csv", "verify.json", "rate.json"):
+            with contextlib.suppress(FileNotFoundError, IsADirectoryError):
+                os.remove(os.path.join(run_dir, name))
+        if not os.listdir(run_dir):
+            os.rmdir(run_dir)
     table_path = os.path.join(args.out, "compare_delays.csv")
     with open(table_path, "w") as fh:
         fh.write("tau,alpha,iters_to_tol,fitted_rate\n")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .fields import as_count, as_real
 from .model import Problem, eval_F
-from .solver import TheoryConstants, Trace
+from .solver import TheoryConstants, Trace, _summability_denominator
 
 Array = np.ndarray
 
@@ -139,7 +139,7 @@ def check_sufficient_descent(trace: Trace, constants: TheoryConstants,
     x, f = _require_full_log(trace)
     sq = squared_step_norms(x)
     deltas = delay_window_sums(sq, constants.tau)
-    coeff = constants.L_bar - 1.0 / alpha
+    coeff = constants.L_bar - 1 / alpha
     mix = constants.l_bar + constants.L_bar
     slack = f[:-1] + coeff * sq + mix * deltas - f[1:]
     return _report("sufficient_descent", slack, 1.0 + np.abs(f[:-1]), tol)
@@ -153,11 +153,12 @@ def check_summability(trace: Trace, alpha: float, constants: TheoryConstants,
             <= (F(x_0) - F(x_{K+1})) / (1/alpha - tau (lbar+Lbar) - Lbar)
 
     for every prefix ``K``.  Requires the stepsize below the descent
-    threshold so the denominator is positive.
+    threshold, which makes the denominator positive.
     """
     x, f = _require_full_log(trace)
-    denom = 1.0 / alpha - constants.tau * (constants.l_bar + constants.L_bar) - constants.L_bar
-    if denom <= 0:
+    denom = _summability_denominator(alpha, constants.tau, constants.L_bar, constants.l_bar,
+                                     constants.step_threshold)
+    if denom is None:
         raise AboveThresholdError("stepsize is not below the descent threshold; "
                                   "prefix bound undefined")
     if np.min(f) < f_lower - 1e-6 * (1.0 + abs(f_lower)):
@@ -312,7 +313,7 @@ def check_step_recursion_coefficient(constants: TheoryConstants, alpha: float) -
         raise ValueError("coefficient check needs a positive delay parameter")
     if not alpha > 0:
         raise ValueError("stepsize must be positive")
-    inv = 1.0 / alpha
+    inv = 1 / alpha
     if inv <= constants.c1:
         raise ValueError("1/alpha must exceed the leading descent constant")
-    return constants.c2 / (inv - constants.c1) < 1.0 / constants.tau
+    return constants.c2 / (inv - constants.c1) < 1 / constants.tau

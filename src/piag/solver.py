@@ -26,6 +26,7 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -48,20 +49,29 @@ class DivergenceError(RuntimeError):
 
 def stepsize_threshold(L: float, l: float, tau: int) -> float:
     """Largest stepsize (exclusive) with guaranteed descent and summable
-    squared steps under delay bound ``tau``.
+    squared steps under delay bound ``tau``: ``1 / (Lbar + tau (lbar + Lbar))``
+    with ``Lbar = L(tau+1)/2`` and ``lbar = l(tau+1)/2``, strictly decreasing
+    in both ``tau`` and ``L``."""
+    return _descent(L, l, tau)[3]
 
-    Equals ``1 / (Lbar + tau * (lbar + Lbar))`` with ``Lbar = L(tau+1)/2``
-    and ``lbar = l(tau+1)/2``; strictly decreasing in both ``tau`` and ``L``.
-    """
+
+def _descent(L, l, tau) -> tuple:
+    """``(tau, Lbar, lbar, threshold)`` of checked ``L``, ``l`` and ``tau``."""
     if not L > 0:
         raise ValueError("aggregate Lipschitz constant L must be positive")
     if l < 0 or l > L * (1 + 1e-12):
         raise ValueError("weak-convexity total l must lie in [0, L]")
     if (tau := as_count("tau", tau)) < 0:
         raise ValueError("delay parameter tau must be nonnegative")
-    L_bar = L * (tau + 1) / 2.0
-    l_bar = l * (tau + 1) / 2.0
-    return 1.0 / (L_bar + tau * (l_bar + L_bar))
+    L_bar, l_bar = L * (tau + 1) / 2, l * (tau + 1) / 2
+    return tau, L_bar, l_bar, 1 / (L_bar + tau * (l_bar + L_bar))
+
+
+def _summability_denominator(alpha, tau, L_bar, l_bar, threshold):
+    """``1/alpha - tau (lbar + Lbar) - Lbar``, or None unless ``alpha`` is below
+    the descent threshold: ``alpha < threshold`` and a positive denominator."""
+    denom = 1 / alpha - tau * (l_bar + L_bar) - L_bar
+    return denom if alpha < threshold and denom > 0 else None
 
 
 @dataclass(frozen=True)
@@ -96,47 +106,43 @@ class TheoryConstants:
         if not alpha > 0:
             raise ValueError("stepsize must be positive")
         r = self.L * alpha / self.c0
-        return 1.0 / (1.0 + r * r)  # r ** 2 raises OverflowError
+        return 1 / (1 + r * r)  # r ** 2 raises OverflowError
 
 
 def rate_constants(L: float, l: float, tau: int, c0: float) -> TheoryConstants:
-    """Evaluate the rate-certificate constants chain for given problem data.
+    """Evaluate the rate-certificate constants chain; ``Fraction`` inputs give exact values.
 
     The cap ``c8 = min(step_threshold, 1/(2 c5 + 2 c7), 1/L)`` never exceeds
     ``1/L`` or the descent threshold.
     """
-    c0, tau = _checked_c0(c0), as_count("tau", tau)
-    threshold = stepsize_threshold(L, l, tau)  # validates L, l, tau
-    L_bar = L * (tau + 1) / 2.0
-    l_bar = l * (tau + 1) / 2.0
+    c0, (tau, L_bar, l_bar, threshold) = _checked_c0(c0), _descent(L, l, tau)
     c0sq = c0 * c0
-    c1 = L * (tau + 1) / 2.0
-    c2 = (l + L) * (tau + 1) / 2.0
+    c2 = (l + L) * (tau + 1) / 2
     c3 = (c0sq * (2 * l * (tau + 1) + L) + L * tau) / (2 * L * L)
     c4 = ((l + L) * (1 + tau) + 2 * tau * (l + L + l * tau) * c0sq) / (2 * L * L)
-    c5 = l + L + l * tau + L * tau / 2.0 + L * tau / (2.0 * c0sq)
-    c6 = ((tau + 1) * (l + L) / c0sq + 2 * l * tau**2 + 3 * l * tau + l + 3 * L * tau + L) / 2.0
+    c5 = l + L + l * tau + L * tau / 2 + L * tau / (2 * c0sq)
+    c6 = ((tau + 1) * (l + L) / c0sq + 2 * l * tau**2 + 3 * l * tau + l + 3 * L * tau + L) / 2
     try:
-        c7 = c6 * (1.0 + tau * (1.0 + 1.0 / c0sq) ** tau)
+        c7 = c6 * (1 + tau * (1 + 1 / c0sq) ** tau)
     except OverflowError:  # the power exceeds the largest float; c8 is then 0
         c7 = math.inf
-    c8 = min(threshold, 1.0 / (2 * c5 + 2 * c7), 1.0 / L)
+    c8 = min(threshold, 1 / (2 * c5 + 2 * c7), 1 / L)
     return TheoryConstants(
         L=L, l=l, tau=tau, c0=c0, L_bar=L_bar, l_bar=l_bar,
-        c1=c1, c2=c2, c3=c3, c4=c4, c5=c5, c6=c6, c7=c7, c8=c8,
+        c1=L_bar, c2=c2, c3=c3, c4=c4, c5=c5, c6=c6, c7=c7, c8=c8,
         step_threshold=threshold,
     )
 
 
 def _checked_c0(c0) -> float:
     """The error-bound constant ``c0`` as a float, so numpy's precision does
-    not carry over.  It must be positive and finite, and ``c0 * c0``, which
-    the rate constants divide by, a normal float: ``c0`` from about 1.5e-154
-    to 1.3e154."""
-    c0 = as_real("c0", c0)
-    if not (c0 > 0 and math.isfinite(c0)):
+    not carry over, or as the ``Fraction`` it is.  It must be positive and
+    finite, and ``c0 * c0``, which the rate constants divide by, a normal
+    float: ``c0`` from about 1.5e-154 to 1.3e154."""
+    c0 = c0 if isinstance(c0, Fraction) else as_real("c0", c0)
+    if not 0 < c0 < math.inf:
         raise ValueError("error-bound constant c0 must be positive and finite")
-    if not sys.float_info.min <= c0 * c0 < math.inf:
+    if not sys.float_info.min <= c0 * c0 <= sys.float_info.max:
         raise ValueError(f"error-bound constant c0 must lie between about 1.5e-154 and "
                          f"1.3e154, so that c0*c0 is a normal float, got {c0!r}")
     return c0
@@ -210,15 +216,16 @@ def resolve_stepsize(config: SolverConfig, L: float, l: float,
                      tau: int) -> tuple[float, list[str]]:
     """Turn the configured stepsize spec into a float, collecting warnings."""
     warnings: list[str] = []
-    threshold = stepsize_threshold(L, l, tau)
+    tau, _, _, threshold = descent = _descent(L, l, tau)
+    cap = None if config.c0 is None else rate_constants(L, l, tau, config.c0).c8
     spec = config.alpha
     if isinstance(spec, str):
         if spec == "auto_lemma2":
             alpha = 0.9 * threshold
         elif spec == "auto_c8":
-            if config.c0 is None:
+            if cap is None:
                 raise ValueError("alpha 'auto_c8' requires the error-bound constant c0")
-            alpha = rate_constants(L, l, tau, config.c0).c8
+            alpha = cap
         else:
             raise ValueError(f"unknown stepsize spec {spec!r}")
     else:
@@ -226,20 +233,17 @@ def resolve_stepsize(config: SolverConfig, L: float, l: float,
         if not (alpha > 0 and math.isfinite(alpha)):
             raise ValueError("stepsize must be positive and finite")
     if config.enforce_theory:
-        if config.c0 is None:
+        if cap is None:
             raise ValueError("enforce_theory requires the error-bound constant c0")
-        cap = rate_constants(L, l, tau, config.c0).c8
         if alpha > cap:
             warnings.append(f"stepsize {alpha:.6g} tightened to certified cap {cap:.6g}")
             alpha = cap
     if alpha == 0.0:  # only the certified cap rounds to zero
         raise ValueError(f"tau: the certified stepsize cap c8 rounds to 0 at tau {tau} "
                          f"and c0 {config.c0}")
-    if alpha >= threshold:
-        warnings.append(
-            f"stepsize {alpha:.6g} is not below the descent threshold {threshold:.6g}; "
-            "descent and summability guarantees do not apply"
-        )
+    if _summability_denominator(alpha, *descent) is None:
+        warnings.append(f"stepsize {alpha:.6g} is not below the descent threshold "
+                        f"{threshold:.6g}; descent and summability guarantees do not apply")
     return alpha, warnings
 
 

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from piag import cli
+from piag import cli, load_problem, smoothness_totals, stepsize_threshold
 
 from helpers import KillsTheWorker, with_last_matrix_as
 
@@ -129,15 +129,22 @@ def test_an_out_that_cannot_be_a_directory_is_refused_before_any_work(
      "missing-file: no summary.json in {tmp}"),
     (["solve", "--problem", "{tmp}/empty.json", "--x0", "1,2"],
      "bad-problem: missing field(s) ['components', 'dimension', 'nonsmooth']"),
+    (["rate", "--run", "{tmp}/run"],
+     "bad-summary: {tmp}/run/summary.json: needs numeric 'alpha' and 'schedule.tau'"),
 ], ids=["limits-before-the-problem-path", "tau-before-the-limits",
         "tau-list-before-the-problem-path", "run-before-the-problem-path",
-        "problem-before-x0"])
+        "problem-before-x0", "summary-before-the-trace"])
 def test_of_two_faults_the_one_checked_first_is_reported(tmp_path, capsys, command, error):
     # A command checks its flags and small run files, then the problem's
-    # path, then loads the problem, then checks the settings that need it.
+    # path, then loads the problem, then checks the settings that need it;
+    # rate reads its trace last.
     (tmp_path / "empty.json").write_text("{}")
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "summary.json").write_text("{}")
+    (tmp_path / "run" / "trace.csv").write_text("k,F,step_norm,prox_residual,max_staleness,"
+                                                "delta_k\n")  # an empty trace
     argv = [a.format(tmp=tmp_path) for a in command]
-    if argv[0] != "verify":
+    if argv[0] not in ("verify", "rate"):
         argv += ["--out", str(tmp_path / "o")]
     assert run([*argv, "--quiet"]) == 1
     assert capsys.readouterr().err == f"piag: error: {error.format(tmp=tmp_path)}\n"
@@ -361,6 +368,27 @@ def test_missing_problem_file(tmp_path, capsys):
               "--out", str(tmp_path), "--quiet"])
     assert rc == 1
     assert "missing-file" in capsys.readouterr().err
+
+
+def test_compare_delays_removes_the_runs_of_an_earlier_sweep(l1_setup):
+    # A second sweep into one --out left tau_2/ beside a table listing tau = 0 only.
+    problem, tmp = l1_setup
+    out = tmp / "cmp"
+    sweep = ["compare-delays", "--problem", problem, "--max-iters", "30", "--out", str(out),
+             "--quiet", "--tau-list"]
+    assert run([*sweep, "0,2,3"]) == 0
+    assert run(["rate", "--run", str(out / "tau_2"), "--quiet"]) == 0
+    (out / "tau_3" / "notes.txt").write_text("not piag's")
+    for name in ("tau_02", "tau_x", "runs"):  # no tau_<t> that a sweep writes
+        (out / name).mkdir()
+        (out / name / "trace.csv").write_text("")
+    (out / "tau_4").write_text("")
+    assert run([*sweep, "0"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "compare_delays.csv", "runs", "tau_0", "tau_02", "tau_3", "tau_4", "tau_x"]
+    assert [p.name for p in (out / "tau_3").iterdir()] == ["notes.txt"]
+    assert all((out / name / "trace.csv").exists() for name in ("tau_02", "tau_x", "runs"))
+    assert (out / "compare_delays.csv").read_text().splitlines()[1].startswith("0,")
 
 
 def test_compare_delays_refuses_a_repeated_tau(l1_setup, capsys):
@@ -1024,6 +1052,25 @@ def test_verify_above_descent_threshold_reports_descent_only(l1_setup, capsys):
     assert [r["name"] for r in result["reports"]] == ["sufficient_descent"]
     assert result["summability"].startswith("not applicable: stepsize 100 ")
     assert rc == (4 if result["violations_total"] else 0)
+
+
+def test_solve_and_verify_agree_at_the_descent_threshold(tmp_path, capsys):
+    # At alpha equal to the threshold, solve warned while verify divided by a
+    # summability denominator of 1.8e-15 and checked the bound.
+    gen, out = tmp_path / "g", tmp_path / "run"
+    assert run(["generate", "--family", "l1", "--components", "6", "--dimension", "12",
+                "--seed", "1", "--out", str(gen), "--quiet"]) == 0
+    alpha = stepsize_threshold(*smoothness_totals(load_problem(gen / "problem.json")), 2)
+    assert run(["solve", "--problem", str(gen / "problem.json"), "--tau", "2", "--alpha",
+                repr(alpha), "--log-iterates", "--max-iters", "300", "--out", str(out),
+                "--quiet"]) == 0
+    warning = json.loads((out / "summary.json").read_text())["warnings"]
+    assert warning == [f"stepsize {alpha:.6g} is not below the descent threshold {alpha:.6g}; "
+                       "descent and summability guarantees do not apply"]
+    assert run(["verify", "--problem", str(gen / "problem.json"), "--run", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"summability: not applicable: stepsize {alpha:.6g} is not below the descent "
+        f"threshold {alpha:.6g}")
 
 
 @pytest.mark.parametrize("config, field", [({"tol": None}, "tol"), ({"alpha": "fast"}, "alpha"),

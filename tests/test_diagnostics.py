@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from piag import (DelaySchedule, NonsmoothTerm, Problem, SolverConfig,
                   check_perturbed_contraction, check_step_recursion_coefficient,
                   check_sufficient_descent, check_summability, delay_window_sums,
                   fit_rlinear_rate,
-                  quadratic_component, rate_constants, smoothness_totals,
+                  quadratic_component, rate_constants, resolve_stepsize, smoothness_totals,
                   solve, stepsize_threshold, trace_from_iterates)
+from piag.diagnostics import AboveThresholdError
 from piag.problems import make_quadratic_box, make_quadratic_l1
 
 from helpers import (gen_delayed_recursion_sequence,
@@ -166,6 +169,32 @@ def test_summability_rejects_oversized_stepsize():
     too_big = 2.0 / constants.L_bar
     with pytest.raises(ValueError, match="threshold"):
         check_summability(trace, too_big, constants, f_lower=-1e12)
+
+
+def test_the_solver_warns_exactly_when_the_summability_check_refuses():
+    # One test decides "below the descent threshold": alpha < threshold and a
+    # positive summability denominator.  The solver tested only the first and
+    # check_summability only the second, so at the threshold they disagreed.
+    rng = np.random.default_rng(14)
+    one_step = Trace(records=[], final_x=np.zeros(1), termination="loaded", iterations=1,
+                     alpha=1.0, iterates=np.zeros((2, 1)), objective_values=np.zeros(2))
+    schedule = DelaySchedule("none")
+    for _ in range(2000):
+        L = float(rng.uniform(0.05, 80.0))
+        l = float(rng.uniform(0.0, 1.0)) * L
+        tau = int(rng.integers(0, 13))
+        threshold = stepsize_threshold(L, l, tau)
+        constants = rate_constants(L, l, tau, 1.0)
+        for alpha in (math.nextafter(threshold, 0), threshold, math.nextafter(threshold, 1)):
+            config = SolverConfig(alpha=alpha, schedule=schedule, x0=np.zeros(1))
+            warned = any("not below the descent threshold" in w
+                         for w in resolve_stepsize(config, L, l, tau)[1])
+            try:
+                check_summability(one_step, alpha, constants, f_lower=-1.0)
+                refused = False
+            except AboveThresholdError:
+                refused = True
+            assert warned == refused, (L, l, tau, alpha)
 
 
 # ---------------------------------------------------------------- contraction oracle
@@ -388,6 +417,44 @@ def test_step_recursion_coefficient_needs_delay():
     tc = rate_constants(1.0, 0.0, 0, 1.0)
     with pytest.raises(ValueError, match="delay"):
         check_step_recursion_coefficient(tc, tc.c8)
+
+
+GEOMETRIC = 0.5 ** np.arange(40.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_perturbed_contraction(1.0, 1.0, 0.1, 1, [1.0], [0.0]),
+     "contraction factor a must lie in (0, 1)"),
+    (lambda: check_perturbed_contraction(0.5, 1.0, -0.1, 1, [1.0], [0.0]),
+     "coefficients b and c must be nonnegative"),
+    (lambda: check_perturbed_contraction(0.5, 1.0, 0.1, 0, [1.0], [0.0]),
+     "window must be a positive integer"),
+    (lambda: check_perturbed_contraction(0.5, 1.0, 0.1, 1, [1.0], [-1.0]),
+     "sequences must be nonnegative"),
+    (lambda: characteristic_root(0.0, 2), "coefficient c must lie in (0, 1)"),
+    (lambda: characteristic_root(0.5, 0), "tau must be a positive integer"),
+    # c^tau and (c/tau) * tau round to 1 and to 1 - 2**-53
+    (lambda: characteristic_root(1 - Fraction(1, 10**30), 49),
+     "no sign change: polynomial positive at the lower endpoint"),
+    (lambda: check_delayed_recursion_rate(0.0, 0.5, 0.5, 2, GEOMETRIC), "b0 must be positive"),
+    (lambda: check_delayed_recursion_rate(1.0, 1.0, 0.5, 2, GEOMETRIC), "q must lie in (0, 1)"),
+    (lambda: check_delayed_recursion_rate(1.0, 0.5, 1.0, 2, GEOMETRIC), "c must lie in (0, 1)"),
+    (lambda: check_delayed_recursion_rate(1.0, 0.5, 0.5, 0, GEOMETRIC),
+     "tau must be a positive integer"),
+    (lambda: check_delayed_recursion_rate(1.0, 0.5, 0.5, 2, [1.0, 0.0]),
+     "sequence entries must be positive"),
+    (lambda: check_step_recursion_coefficient(rate_constants(1.0, 0.0, 0, 1.0), 0.1),
+     "coefficient check needs a positive delay parameter"),
+    (lambda: check_step_recursion_coefficient(rate_constants(1.0, 0.0, 2, 1.0), 0.0),
+     "stepsize must be positive"),
+    (lambda: check_step_recursion_coefficient(rate_constants(1.0, 0.0, 2, 1.0), 1 / 1.5),
+     "1/alpha must exceed the leading descent constant"),
+], ids=["contraction-a", "contraction-b-c", "contraction-window", "contraction-sequences",
+        "root-c", "root-tau", "root-sign", "rate-b0", "rate-q", "rate-c", "rate-tau",
+        "rate-sequence", "step-tau", "step-alpha", "step-c1"])
+def test_each_guard_of_the_scalar_oracles_refuses_with_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("call, name", [

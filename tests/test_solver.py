@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ import pytest
 import piag.model
 import piag.solver
 from piag import (DelaySchedule, GradientTable, NonsmoothTerm, Problem, QuadraticComponent,
-                  SmoothComponent, SolverConfig, piag_step, prox_residual, quadratic_component,
-                  rate_constants, reference_fbs, solve, stepsize_threshold)
+                  SmoothComponent, SolverConfig, check_step_recursion_coefficient, piag_step,
+                  prox_residual, quadratic_component, rate_constants, reference_fbs, solve,
+                  stepsize_threshold)
 from piag.delay import SCHEDULE_KINDS
 from piag.problems import make_quadratic_box, make_quadratic_l1
 from piag.solver import read_iterates_csv, write_iterates_csv
@@ -94,6 +96,9 @@ def test_constants_against_symbolic_evaluation():
         "c6": ((taus + 1) * (ls + Ls) / c0s**2
                + 2 * ls * taus**2 + 3 * ls * taus + ls + 3 * Ls * taus + Ls) / 2,
     }
+    sym["c7"] = sym["c6"] * (1 + taus * (1 + 1 / c0s**2) ** taus)
+    Lbar, lbar = Ls * (taus + 1) / 2, ls * (taus + 1) / 2
+    sym["step_threshold"] = 1 / (Lbar + taus * (lbar + Lbar))
     rng = np.random.default_rng(2)
     for _ in range(20):
         L = float(rng.uniform(0.5, 10.0))
@@ -102,11 +107,34 @@ def test_constants_against_symbolic_evaluation():
         c0 = float(rng.uniform(0.2, 5.0))
         tc = rate_constants(L, l, tau, c0)
         subs = {Ls: L, ls: l, taus: tau, c0s: c0}
-        for name, expr in sym.items():
-            expected = float(expr.subs(subs))
-            assert getattr(tc, name) == pytest.approx(expected, rel=1e-12), name
-        c7 = float((sym["c6"] * (1 + taus * (1 + 1 / c0s**2) ** taus)).subs(subs))
-        assert tc.c7 == pytest.approx(c7, rel=1e-12)
+        values = {name: expr.subs(subs) for name, expr in sym.items()}
+        values["c8"] = sympy.Min(values["step_threshold"],
+                                 1 / (2 * values["c5"] + 2 * values["c7"]), 1 / Ls.subs(subs))
+        for name, value in values.items():
+            assert getattr(tc, name) == pytest.approx(float(value), rel=1e-12), name
+        assert stepsize_threshold(L, l, tau) == tc.step_threshold
+
+
+def test_the_constants_are_exact_on_fractions_and_their_floats_lie_near():
+    # The threshold and the chain are plain arithmetic, so Fraction inputs
+    # give each constant exactly; the float chain of the same inputs lies
+    # within 16 ulps of it (9.6 at worst in this sample, at c7).
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        L = float(rng.uniform(0.05, 80.0))
+        l = float(rng.uniform(0.0, 1.0)) * L
+        tau = int(rng.integers(0, 11))
+        c0 = float(rng.uniform(0.01, 100.0))
+        exact = rate_constants(Fraction(L), Fraction(l), tau, Fraction(c0))
+        rounded = rate_constants(L, l, tau, c0)
+        assert stepsize_threshold(Fraction(L), Fraction(l), tau) == exact.step_threshold
+        for name in (f.name for f in dataclasses.fields(exact) if f.name != "tau"):
+            value = getattr(exact, name)
+            assert type(value) is Fraction, name
+            error = abs(Fraction(getattr(rounded, name)) - value)
+            assert error <= 16 * Fraction(math.ulp(float(value))), name
+        if tau >= 1:
+            assert check_step_recursion_coefficient(exact, exact.c8)
 
 
 def test_cap_below_inverse_lipschitz_and_threshold():

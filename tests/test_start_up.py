@@ -61,6 +61,11 @@ def probes(tmp_path):
     (tmp_path / "run").mkdir()
     (tmp_path / "run" / "summary.json").write_text(json.dumps({"alpha": 0.1}))
     (tmp_path / "run" / "iterates.csv").write_text("k,x_0,x_1\n0,0,0\n")
+    (tmp_path / "run" / "trace.csv").write_text("")
+    (tmp_path / "good").mkdir()
+    (tmp_path / "good" / "summary.json").write_text(json.dumps({"alpha": 0.1,
+                                                                "schedule": {"tau": 0}}))
+    (tmp_path / "good" / "trace.csv").write_text("")
     return tmp_path
 
 
@@ -79,8 +84,14 @@ def probes(tmp_path):
     (["generate", "--family", "box", "--components", "2", "--dimension", "2",
       "--l1-weight", "1", "--out", "o"],
      "bad-usage: --l1-weight is for --family l1 only, not box"),
+    (["rate", "--run", "run"],
+     "bad-summary: run/summary.json: needs numeric 'alpha' and 'schedule.tau'"),
+    (["rate", "--run", "good", "--limit-value", "nan"],
+     "bad-config: --limit-value: must be finite, got nan"),
+    (["rate", "--run", "good", "--skip", "-3"], "bad-config: transient skip must be nonnegative"),
 ], ids=["negative-max-iters", "nan-tol", "summary-without-schedule", "missing-problem",
-        "curvature-for-l1", "weight-for-box"])
+        "curvature-for-l1", "weight-for-box", "rate-summary-without-schedule",
+        "rate-nan-limit", "rate-negative-skip"])
 def test_a_refusal_on_flags_or_a_run_file_loads_no_numpy(probes, args, error):
     proc = run_python(["-c", MAIN, *args, "--quiet"], probes)
     assert proc.stderr == f"piag: error: {error}\n"
